@@ -37,6 +37,7 @@ from .partitions import (
     IntegerPartition,
     LabeledSample,
     SetPartition,
+    as_integer_partition,
     augment,
     bell_number,
     enumerate_partitions,

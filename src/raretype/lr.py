@@ -31,7 +31,7 @@ from typing import Optional, Union
 import numpy as np
 from scipy.special import logsumexp
 
-from .partitions import IntegerPartition, SetPartition, to_integer_partition
+from .partitions import IntegerPartition, SetPartition, as_integer_partition
 from .pitman import PdParams, PopulationVector
 from .rng import SeedLike, as_generator
 
@@ -88,10 +88,6 @@ def lr_frequentist(p: PopulationVector, matched_rank: int) -> float:
     if not 1 <= matched_rank <= p.m:
         raise ValueError(f"matched_rank must lie in 1..{p.m}, got {matched_rank}")
     return 1.0 / p.probs[matched_rank - 1]
-
-
-def _as_integer_partition(pi: Union[IntegerPartition, SetPartition]) -> IntegerPartition:
-    return pi if isinstance(pi, IntegerPartition) else to_integer_partition(pi)
 
 
 def _support_caps(p: PopulationVector, strict: bool) -> np.ndarray:
@@ -166,7 +162,7 @@ def chi_init(
     filling classes in decreasing block size preserves feasibility
     whenever any feasible assignment exists.
     """
-    part = _as_integer_partition(pi)
+    part = as_integer_partition(pi)
     caps = _support_caps(p, strict_support)
     chi = [0] * p.m
     cursor = 0
@@ -365,7 +361,7 @@ def lr_true_mh(
     estimate is s1 over the average total frequency of singleton-class
     ranks across retained states.
     """
-    part = _as_integer_partition(pi_db_plus)
+    part = as_integer_partition(pi_db_plus)
     if part.s1 < 1:
         raise ValueError("rare-type partition needs at least one singleton block")
     if p.pop_size is None:
@@ -418,7 +414,7 @@ def exact_true_lr(
     (with a pointer to ``lr_true_mh``) when the candidate count exceeds
     ``cap``.
     """
-    part = _as_integer_partition(pi_db_plus)
+    part = as_integer_partition(pi_db_plus)
     if part.s1 < 1:
         raise ValueError("rare-type partition needs at least one singleton block")
     if p.pop_size is None:

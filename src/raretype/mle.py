@@ -3,26 +3,28 @@
 The log-likelihood of (alpha, theta) given a partition is the log
 partition law, a function of the block-size multiset alone. It is
 maximized in unconstrained coordinates (logit(alpha), log(theta+1)) by a
-quasi-Newton search with analytic gradients, multi-started from a coarse
-5x5 grid to guard against flat ridges.
+quasi-Newton search with analytic gradients, started from the best point
+of a coarse 5x5 grid and finished by Newton steps on the analytic
+Hessian; the search is re-run from all 25 grid points when that single
+start does not converge.
 
 The reparametrization phi = n(1-alpha)/(n+1+theta) is the posterior
 quantity the plug-in likelihood ratio divides into n; the observed
-information at the optimum, taken in (phi, theta) coordinates by central
-finite differences, supplies the Gaussian overlay used to judge whether
-the plug-in is defensible.
+information at the optimum, the analytic Hessian mapped to (phi, theta)
+coordinates by the chain rule, supplies the Gaussian overlay used to
+judge whether the plug-in is defensible.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Union
 
 import numpy as np
 from scipy.optimize import minimize
-from scipy.special import digamma, expit, gammaln, logit
+from scipy.special import digamma, expit, gammaln, logit, polygamma
 
-from .partitions import IntegerPartition, SetPartition, to_integer_partition
+from .partitions import IntegerPartition, SetPartition, as_integer_partition
 from .pitman import PdParams
 
 __all__ = [
@@ -37,8 +39,6 @@ __all__ = [
     "symmetry_diagnostic",
 ]
 
-_EPS = float(np.finfo(float).eps)
-_FD_STEP = _EPS ** (1.0 / 3.0)  # cube-root-of-epsilon scaling
 _BOUNDARY_MARGIN = 1e-4
 _GRAD_TOL = 1e-6
 _THETA_DIVERGENCE = 1e8
@@ -100,31 +100,86 @@ def _loglik_and_grad(n, k, a_big, r_big, alpha, theta):
     return val, g_alpha, g_theta
 
 
+def _loglik_hess(n, k, a_big, r_big, alpha, theta) -> np.ndarray:
+    """Second derivatives of the partition log-likelihood in (alpha, theta).
+
+    Sums of i^p / (theta + alpha i)^2 (p = 0, 1, 2) and 1 / (theta + i)^2,
+    plus trigamma terms for the block-size products. Returns zeros outside
+    the open domain, as ``_loglik_and_grad`` returns a zero gradient.
+    """
+    if not (0.0 < alpha < 1.0 and theta > -alpha) or not math.isfinite(theta):
+        return np.zeros((2, 2))
+    h_aa = h_at = h_tt = 0.0
+    if k > 1:
+        i = np.arange(1.0, k)
+        inv2 = 1.0 / (theta + alpha * i) ** 2
+        h_tt -= float(inv2.sum())
+        h_at -= float((i * inv2).sum())
+        h_aa -= float((i * i * inv2).sum())
+    h_tt += float((1.0 / (theta + np.arange(1.0, n)) ** 2).sum())
+    if a_big.size:
+        h_aa += float(r_big @ (polygamma(1, a_big - alpha) - polygamma(1, 1.0 - alpha)))
+    return np.array([[h_aa, h_at], [h_at, h_tt]])
+
+
+def _phi_theta_hessian(n, k, a_big, r_big, alpha, theta) -> np.ndarray:
+    """The log-likelihood's Hessian in (phi, theta) at (alpha, theta).
+
+    alpha = 1 - phi (n + 1 + theta) / n is linear in phi and theta
+    separately, so besides J' H J only the mixed partial of alpha, -1/n,
+    contributes, weighted by dl/dalpha.
+    """
+    _, g_alpha, _ = _loglik_and_grad(n, k, a_big, r_big, alpha, theta)
+    phi = n * (1.0 - alpha) / (n + 1.0 + theta)
+    jac = np.array([[-(n + 1.0 + theta) / n, -phi / n], [0.0, 1.0]])
+    h = jac.T @ _loglik_hess(n, k, a_big, r_big, alpha, theta) @ jac
+    h[0, 1] = h[1, 0] = 0.5 * (h[0, 1] + h[1, 0]) - g_alpha / n
+    return h
+
+
 def _to_z(alpha: float, theta: float) -> np.ndarray:
     return np.array([logit(alpha), math.log1p(theta)])
 
 
 def _from_z(z) -> tuple[float, float]:
-    return float(expit(z[0])), float(math.expm1(z[1]))
+    try:
+        theta = math.expm1(z[1])
+    except OverflowError:  # log(theta + 1) beyond ~709.78: outside the domain
+        theta = math.inf
+    return float(expit(z[0])), theta
 
 
-def _make_objective(part: IntegerPartition) -> Callable:
-    n, k, a_big, r_big = _loglik_terms(part)
+def _make_objective(part: IntegerPartition) -> tuple[Callable, Callable]:
+    """Negative log-likelihood with its gradient, and its Hessian, in
+    z = (logit alpha, log(theta + 1))."""
+    terms = _loglik_terms(part)
+
+    def point(z):
+        alpha, theta = _from_z(z)
+        return min(max(alpha, 1e-12), 1.0 - 1e-12), theta
 
     def neg_loglik(z):
-        alpha, theta = _from_z(z)
-        alpha = min(max(alpha, 1e-12), 1.0 - 1e-12)
+        alpha, theta = point(z)
         if theta <= -alpha:
             # steer back toward the valid wedge theta > -alpha
             return _PENALTY * (1.0 + abs(z[1])), np.array([0.0, -_PENALTY])
-        val, ga, gt = _loglik_and_grad(n, k, a_big, r_big, alpha, theta)
+        val, ga, gt = _loglik_and_grad(*terms, alpha, theta)
         if not math.isfinite(val):
             return _PENALTY, np.zeros(2)
         # chain rule to (logit alpha, log(theta+1))
         grad = np.array([ga * alpha * (1.0 - alpha), gt * (theta + 1.0)])
         return -val, -grad
 
-    return neg_loglik
+    def neg_hessian(z):
+        alpha, theta = point(z)
+        _, ga, gt = _loglik_and_grad(*terms, alpha, theta)
+        h = _loglik_hess(*terms, alpha, theta)
+        s = alpha * (1.0 - alpha)  # dalpha/dz0; d2alpha/dz0^2 = s (1 - 2 alpha)
+        c = theta + 1.0  # dtheta/dz1 = d2theta/dz1^2
+        jac = np.diag([s, c])
+        return -(jac @ h @ jac + np.diag([ga * s * (1.0 - 2.0 * alpha), gt * c]))
+
+    return neg_loglik, neg_hessian
 
 
 @dataclass(frozen=True)
@@ -135,6 +190,10 @@ class MleFit:
     optimum in (phi, theta) coordinates; the Gaussian approximation has
     covariance inv(-hessian) (observed information standing in for the
     Fisher information). ``n`` is the size of the fitted partition.
+    ``grad_norm`` is the gradient norm at the optimum in the search
+    coordinates, and ``starts`` the number of L-BFGS-B starts the search
+    used: 1, or 25 when the single start did not converge (0 for a
+    degenerate partition, which is not searched).
     """
 
     n: int
@@ -147,6 +206,8 @@ class MleFit:
     iterations: int
     diagnosis: Optional[str] = None
     warnings: tuple[str, ...] = ()
+    grad_norm: Optional[float] = None
+    starts: int = 0
 
     def params(self) -> PdParams:
         if self.alpha_hat is None or self.theta_hat is None:
@@ -163,6 +224,8 @@ class MleFit:
             "hessian": [list(row) for row in self.hessian] if self.hessian else None,
             "converged": self.converged,
             "iterations": self.iterations,
+            "grad_norm": self.grad_norm,
+            "starts": self.starts,
             "diagnosis": self.diagnosis,
             "warnings": list(self.warnings),
         }
@@ -183,42 +246,18 @@ def _degenerate_fit(part: IntegerPartition, diagnosis: str, warnings: tuple[str,
     )
 
 
-def _fd_hessian(f: Callable[[float, float], float], x0: float, x1: float) -> np.ndarray:
-    h0 = _FD_STEP * max(1.0, abs(x0))
-    h1 = _FD_STEP * max(1.0, abs(x1))
-    f00 = f(x0, x1)
-    h = np.empty((2, 2))
-    h[0, 0] = (f(x0 + h0, x1) - 2.0 * f00 + f(x0 - h0, x1)) / h0**2
-    h[1, 1] = (f(x0, x1 + h1) - 2.0 * f00 + f(x0, x1 - h1)) / h1**2
-    h[0, 1] = h[1, 0] = (
-        f(x0 + h0, x1 + h1) - f(x0 + h0, x1 - h1) - f(x0 - h0, x1 + h1) + f(x0 - h0, x1 - h1)
-    ) / (4.0 * h0 * h1)
-    return h
-
-
-def _phi_theta_loglik(part: IntegerPartition) -> Callable[[float, float], float]:
-    n, k, a_big, r_big = _loglik_terms(part)
-
-    def f(phi, theta):
-        alpha = 1.0 - phi * (n + 1.0 + theta) / n
-        val, _, _ = _loglik_and_grad(n, k, a_big, r_big, alpha, theta)
-        return val
-
-    return f
-
-
 _START_ALPHAS = (0.1, 0.3, 0.5, 0.7, 0.9)
 _START_THETAS = (0.0, 1.0, 10.0, 100.0, 1000.0)
 
 
-def _newton_polish(objective, z0, max_iter: int = 40):
+def _newton_polish(objective, hessian, z0, max_iter: int = 40):
     """Newton refinement of the stationarity condition grad = 0.
 
     Near the optimum the objective value sits at its float noise floor, so
-    steps are judged by the analytic gradient norm instead; the Hessian
-    comes from central differences of that gradient. Terminates once an
-    accepted step moves less than 1e-8 and changes the objective by less
-    than 1e-9, or the gradient is negligible. Returns
+    steps are judged by the analytic gradient norm instead; each step
+    solves against the analytic Hessian. Terminates once an accepted step
+    moves less than 1e-8 and changes the objective by less than 1e-9, or
+    the gradient is negligible. Returns
     (z, f(z), iterations, terminated-cleanly flag).
     """
     z = np.asarray(z0, dtype=float)
@@ -230,16 +269,8 @@ def _newton_polish(objective, z0, max_iter: int = 40):
         if gnorm < 1e-10:
             stable = True
             break
-        hess = np.empty((2, 2))
-        for j in range(2):
-            h = math.sqrt(_EPS) * max(1.0, abs(z[j]))
-            zp, zm = z.copy(), z.copy()
-            zp[j] += h
-            zm[j] -= h
-            hess[:, j] = (objective(zp)[1] - objective(zm)[1]) / (2.0 * h)
-        hess = 0.5 * (hess + hess.T)
         try:
-            step = np.linalg.solve(hess, g)
+            step = np.linalg.solve(hessian(z), g)
         except np.linalg.LinAlgError:
             break
         if not np.all(np.isfinite(step)):
@@ -266,63 +297,24 @@ def _newton_polish(objective, z0, max_iter: int = 40):
     return z, f, it, stable
 
 
-def fit_mle(
-    pi: Union[IntegerPartition, SetPartition],
-    *,
-    small_n_threshold: int = 500,
-) -> MleFit:
-    """Maximize the partition log-likelihood over the open (alpha, theta) domain.
-
-    Degenerate partitions are reported rather than fitted: with no
-    repeated type the likelihood climbs forever toward alpha -> 1 /
-    theta -> inf, and a single-block sample pushes the other way. A
-    converged fit requires an interior optimum with gradient norm below
-    1e-6 in the search coordinates; near-boundary optima are flagged, not
-    clamped. Fits on partitions smaller than ``small_n_threshold`` carry a
-    warning that the Gaussian shape of the likelihood is not established
-    at that scale.
-    """
-    part = pi if isinstance(pi, IntegerPartition) else to_integer_partition(pi)
-    warnings: tuple[str, ...] = ()
-    if part.n < small_n_threshold:
-        warnings += (
-            f"n={part.n} is below {small_n_threshold}; the Gaussian plug-in "
-            "approximation is not validated at this scale",
-        )
-    if part.n < 2:
-        return _degenerate_fit(part, "fewer than two observations", warnings)
-    if part.k == 1:
-        return _degenerate_fit(
-            part,
-            "single-block sample: likelihood increases toward the alpha -> 0 boundary",
-            warnings,
-        )
-    if part.k == part.n:
-        return _degenerate_fit(
-            part,
-            "no coincidences observed: likelihood diverges toward theta -> inf "
-            "(equivalently alpha -> 1)",
-            warnings,
-        )
-
-    objective = _make_objective(part)
+def _fit_from(part: IntegerPartition, objective, hessian, starts, warnings) -> MleFit:
+    """L-BFGS-B from each start, Newton polish on the best, diagnosis."""
     best = None
     total_iter = 0
-    for a0 in _START_ALPHAS:
-        for t0 in _START_THETAS:
-            res = minimize(
-                objective,
-                _to_z(a0, t0),
-                jac=True,
-                method="L-BFGS-B",
-                options={"maxiter": 500, "ftol": 1e-14, "gtol": 1e-9},
-            )
-            total_iter += res.nit
-            if best is None or res.fun < best.fun:
-                best = res
-    # Newton polish on the winner: L-BFGS-B's own stopping rule leaves the
-    # gradient around 1e-5; a few damped Newton steps finish the job
-    z, fz, nit, stable = _newton_polish(objective, best.x)
+    for z0 in starts:
+        res = minimize(
+            objective,
+            z0,
+            jac=True,
+            method="L-BFGS-B",
+            options={"maxiter": 500, "ftol": 1e-14, "gtol": 1e-9},
+        )
+        total_iter += res.nit
+        if best is None or res.fun < best.fun:
+            best = res
+    # L-BFGS-B's own stopping rule leaves the gradient around 1e-5; a few
+    # damped Newton steps finish the job
+    z, fz, nit, stable = _newton_polish(objective, hessian, best.x)
     total_iter += nit
 
     alpha_hat, theta_hat = _from_z(z)
@@ -347,13 +339,13 @@ def fit_mle(
         diagnosis = f"gradient norm {grad_norm:.3g} at termination (tolerance {_GRAD_TOL})"
 
     params = PdParams(alpha=alpha_hat, theta=theta_hat) if interior else None
-    hessian = None
+    hessian_pt = None
     phi_hat = None
     if params is not None:
         phi_hat = phi_of(params, part.n)
         if converged:
-            h = _fd_hessian(_phi_theta_loglik(part), phi_hat, theta_hat)
-            hessian = tuple(tuple(float(v) for v in row) for row in h)
+            h = _phi_theta_hessian(*_loglik_terms(part), alpha_hat, theta_hat)
+            hessian_pt = tuple(tuple(float(v) for v in row) for row in h)
 
     return MleFit(
         n=part.n,
@@ -361,12 +353,66 @@ def fit_mle(
         theta_hat=theta_hat,
         loglik_at_max=loglik,
         phi_hat=phi_hat,
-        hessian=hessian,
+        hessian=hessian_pt,
         converged=converged,
         iterations=total_iter,
         diagnosis=diagnosis,
         warnings=warnings,
+        grad_norm=grad_norm,
+        starts=len(starts),
     )
+
+
+def fit_mle(
+    pi: Union[IntegerPartition, SetPartition],
+    *,
+    small_n_threshold: int = 500,
+) -> MleFit:
+    """Maximize the partition log-likelihood over the open (alpha, theta) domain.
+
+    Degenerate partitions are reported rather than fitted: with no
+    repeated type the likelihood climbs forever toward alpha -> 1 /
+    theta -> inf, and a single-block sample pushes the other way. A
+    converged fit requires an interior optimum with gradient norm below
+    1e-6 in the search coordinates; near-boundary optima are flagged, not
+    clamped. The search starts once, from the grid point with the highest
+    likelihood; when that fit does not converge, it is re-run from all 25
+    grid points and the better of the two fits is kept. Fits on
+    partitions smaller than ``small_n_threshold`` carry a warning that the
+    Gaussian shape of the likelihood is not established at that scale.
+    """
+    part = as_integer_partition(pi)
+    warnings: tuple[str, ...] = ()
+    if part.n < small_n_threshold:
+        warnings += (
+            f"n={part.n} is below {small_n_threshold}; the Gaussian plug-in "
+            "approximation is not validated at this scale",
+        )
+    if part.n < 2:
+        return _degenerate_fit(part, "fewer than two observations", warnings)
+    if part.k == 1:
+        return _degenerate_fit(
+            part,
+            "single-block sample: likelihood increases toward the alpha -> 0 boundary",
+            warnings,
+        )
+    if part.k == part.n:
+        return _degenerate_fit(
+            part,
+            "no coincidences observed: likelihood diverges toward theta -> inf "
+            "(equivalently alpha -> 1)",
+            warnings,
+        )
+
+    objective, hessian = _make_objective(part)
+    grid = [_to_z(a0, t0) for a0 in _START_ALPHAS for t0 in _START_THETAS]
+    start = min(grid, key=lambda z: objective(z)[0])
+    fit = _fit_from(part, objective, hessian, [start], warnings)
+    if fit.converged:
+        return fit
+    wide = _fit_from(part, objective, hessian, grid, warnings)
+    better = wide if wide.loglik_at_max >= fit.loglik_at_max else fit
+    return replace(better, iterations=fit.iterations + wide.iterations, starts=len(grid))
 
 
 @dataclass(frozen=True)
@@ -429,7 +475,7 @@ def loglik_surface(
     """Evaluate the relative log-likelihood around a converged fit."""
     if not fit.converged or fit.hessian is None:
         raise ValueError("surface requires a converged fit with an information matrix")
-    part = pi if isinstance(pi, IntegerPartition) else to_integer_partition(pi)
+    part = as_integer_partition(pi)
     if part.n != fit.n:
         raise ValueError(f"fit was made on n={fit.n}, partition has n={part.n}")
     hess = np.asarray(fit.hessian, dtype=float)
@@ -441,21 +487,36 @@ def loglik_surface(
     phis = phi0 + sd_phi * np.linspace(-w, w, grid.n_phi)
     thetas = theta0 + sd_theta * np.linspace(-w, w, grid.n_theta)
 
-    f = _phi_theta_loglik(part)
+    # one theta column at a time, in one reused n_phi x (k - 1) buffer
+    # (a fresh array per column costs more in page faults than the logs)
+    n, k, a_big, r_big = _loglik_terms(part)
+    i = np.arange(1.0, k)
+    steps = np.arange(1.0, n)
+    work = np.empty((grid.n_phi, k - 1))
     values = np.full((grid.n_phi, grid.n_theta), np.nan)
-    overlay = np.empty_like(values)
-    valid = np.zeros(values.shape, dtype=bool)
-    for i, phi in enumerate(phis):
-        for j, theta in enumerate(thetas):
-            d = np.array([phi - phi0, theta - theta0])
-            overlay[i, j] = 0.5 * float(d @ hess @ d)
-            v = f(phi, theta)
-            if math.isfinite(v):
-                values[i, j] = v
-                valid[i, j] = True
+    for j, theta in enumerate(thetas):
+        alphas = 1.0 - phis * (n + 1.0 + theta) / n
+        inside = (alphas > 0.0) & (alphas < 1.0) & (theta > -alphas)
+        if not inside.any():
+            continue
+        al = alphas[inside]
+        factors = work[: al.size]
+        np.multiply.outer(al, i, out=factors)
+        factors += theta
+        col = np.log(factors, out=factors).sum(axis=1)
+        col -= np.log(theta + steps).sum()
+        if a_big.size:
+            col += (gammaln(a_big - al[:, None]) - gammaln(1.0 - al)[:, None]) @ r_big
+        values[inside, j] = col
+    valid = np.isfinite(values)
     if not valid.any():
         raise ValueError("no grid point lies inside the parameter domain")
     values -= np.nanmax(values)
+    d_phi = (phis - phi0)[:, None]
+    d_theta = (thetas - theta0)[None, :]
+    overlay = 0.5 * (
+        hess[0, 0] * d_phi**2 + (hess[0, 1] + hess[1, 0]) * d_phi * d_theta + hess[1, 1] * d_theta**2
+    )
     return LoglikSurface(
         phi=phis,
         theta=thetas,
@@ -466,8 +527,8 @@ def loglik_surface(
         hessian=hess,
         covariance=cov,
         metadata={
-            "information": "observed information at the optimum (finite differences, "
-            "cube-root-of-epsilon steps) standing in for Fisher information",
+            "information": "observed information at the optimum (analytic second "
+            "derivatives) standing in for Fisher information",
         },
     )
 
@@ -487,27 +548,25 @@ def symmetry_diagnostic(surface: LoglikSurface) -> SymmetryReport:
     Re-centers so the value at the mode is 0 (constant shifts cancel),
     then reports max over offsets d of |l(m+d) - l(m-d)| / |l(m+d)|.
     """
-    ci = len(surface.phi) // 2
-    cj = len(surface.theta) // 2
+    ni, nj = surface.rel_loglik.shape
+    if ni % 2 == 0 or nj % 2 == 0:
+        raise ValueError("the symmetry check needs odd grid sizes")
+    ci, cj = ni // 2, nj // 2
     l = surface.rel_loglik - surface.rel_loglik[ci, cj]
-    score = 0.0
+    # flipping both axes puts l(m - d) where l(m + d) sits
+    mirror = l[::-1, ::-1]
+    ref = np.abs(l)
+    mask = surface.valid & surface.valid[::-1, ::-1] & ~(ref < 1e-12)
+    mask[ci, cj] = False
+    pairs = int(mask.sum())
+    s = np.zeros(l.shape)
+    s[mask] = np.abs(l[mask] - mirror[mask]) / ref[mask]
+    score = float(s.max())
     worst = None
-    pairs = 0
-    for di in range(-ci, ci + 1):
-        for dj in range(-cj, cj + 1):
-            if di == 0 and dj == 0:
-                continue
-            if not (surface.valid[ci + di, cj + dj] and surface.valid[ci - di, cj - dj]):
-                continue
-            ref = abs(l[ci + di, cj + dj])
-            if ref < 1e-12:
-                continue
-            pairs += 1
-            s = abs(l[ci + di, cj + dj] - l[ci - di, cj - dj]) / ref
-            if s > score:
-                score = s
-                worst = (
-                    float(surface.phi[ci + di] - surface.mode[0]),
-                    float(surface.theta[cj + dj] - surface.mode[1]),
-                )
+    if score > 0.0:
+        wi, wj = np.unravel_index(np.argmax(s), s.shape)  # first row-major maximum
+        worst = (
+            float(surface.phi[wi] - surface.mode[0]),
+            float(surface.theta[wj] - surface.mode[1]),
+        )
     return SymmetryReport(score=score, worst_offset=worst, pairs_checked=pairs)

@@ -23,6 +23,7 @@ __all__ = [
     "reduce_sample",
     "augment",
     "to_integer_partition",
+    "as_integer_partition",
     "enumerate_partitions",
     "bell_number",
     "DEFAULT_ENUMERATION_CAP",
@@ -243,6 +244,11 @@ def augment(p: SetPartition, mode: str) -> SetPartition:
 def to_integer_partition(p: SetPartition) -> IntegerPartition:
     """Forget the index detail, keeping the block-size multiset."""
     return IntegerPartition.from_block_sizes(p.block_sizes())
+
+
+def as_integer_partition(p: Union[SetPartition, IntegerPartition]) -> IntegerPartition:
+    """The block-size multiset of ``p``; integer partitions pass through."""
+    return p if isinstance(p, IntegerPartition) else to_integer_partition(p)
 
 
 def enumerate_partitions(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> Iterator[SetPartition]:

@@ -26,7 +26,7 @@ from typing import Hashable, Iterable, Optional, Sequence, Union
 import numpy as np
 from scipy.special import gammaln
 
-from .partitions import IntegerPartition, LabeledSample, SetPartition, to_integer_partition
+from .partitions import IntegerPartition, LabeledSample, SetPartition, as_integer_partition
 from .rng import SeedLike, as_generator
 
 __all__ = [
@@ -118,14 +118,11 @@ class SeatingPlan:
     def __post_init__(self) -> None:
         if not self.assignments or self.assignments[0] != 1:
             raise ValueError("the first customer sits at table 1")
-        highest = 0
-        counts = Counter()
-        for y in self.assignments:
-            if y < 1 or y > highest + 1:
-                raise ValueError("table indices must be created in order")
-            highest = max(highest, y)
-            counts[y] += 1
-        if highest != self.k or tuple(counts[i] for i in range(1, self.k + 1)) != self.table_counts:
+        ys = np.asarray(self.assignments)
+        # each customer sits at an open table or opens the next one
+        if (ys < 1).any() or (ys[1:] > np.maximum.accumulate(ys)[:-1] + 1).any():
+            raise ValueError("table indices must be created in order")
+        if int(ys.max()) != self.k or not np.array_equal(np.bincount(ys)[1:], self.table_counts):
             raise ValueError("table counts inconsistent with assignments")
 
     @classmethod
@@ -176,7 +173,7 @@ def eppf_log(pi: Union[IntegerPartition, SetPartition], params: PdParams) -> flo
     Depends only on the block-size multiset, never on labels or block
     order.
     """
-    part = pi if isinstance(pi, IntegerPartition) else to_integer_partition(pi)
+    part = as_integer_partition(pi)
     n, k = part.n, part.k
     out = log_rising_factorial(params.theta + params.alpha, k - 1, params.alpha)
     out -= log_rising_factorial(params.theta + 1.0, n - 1, 1.0)
@@ -202,39 +199,40 @@ def crp_predictive(table_counts: Sequence[int], params: PdParams) -> np.ndarray:
 
 
 def crp_sample(n: int, params: PdParams, seed: SeedLike = None) -> SeatingPlan:
-    """Run the seating scheme for ``n`` customers. Deterministic given seed."""
+    """Run the seating scheme for ``n`` customers. Deterministic given seed.
+
+    Each seat costs O(1): a table's weight n_i - alpha splits into
+    (n_i - 1) + (1 - alpha), so a joining customer copies the table of a
+    uniformly chosen earlier joiner (total weight t - k) or picks a table
+    uniformly (total weight k(1 - alpha)). Customers 2..n consume one
+    uniform each, drawn up front, so a shared Generator advances exactly
+    as by ``rng.random(n - 1)``.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
     rng = as_generator(seed)
     alpha, theta = params.alpha, params.theta
-    ys = np.empty(n, dtype=np.int64)
-    counts = np.zeros(max(16, int(4 * n**0.8) if n > 64 else n), dtype=float)
-    offsets = alpha * np.arange(1, counts.size + 1)
-    k = 0
-    for t in range(n):
-        if k == 0:
-            new_table = True
-        else:
-            u = rng.random() * (t + theta)
-            new_table = u < theta + k * alpha
-            if not new_table:
-                v = u - (theta + k * alpha)
-                cum = np.cumsum(counts[:k]) - offsets[:k]
-                idx = min(int(np.searchsorted(cum, v, side="right")), k - 1)
-                counts[idx] += 1
-                ys[t] = idx + 1
-        if new_table:
-            if k == counts.size:
-                counts = np.concatenate([counts, np.zeros(counts.size)])
-                offsets = alpha * np.arange(1, counts.size + 1)
-            counts[k] = 1
+    ys = [1]
+    counts = [1]
+    joined: list[int] = []  # the table of every customer who joined one
+    k = 1
+    for t, u in enumerate(rng.random(n - 1).tolist(), start=1):
+        u *= t + theta
+        opening = theta + k * alpha
+        if u < opening:
             k += 1
-            ys[t] = k
-    return SeatingPlan(
-        assignments=tuple(int(y) for y in ys),
-        table_counts=tuple(int(c) for c in counts[:k]),
-        k=k,
-    )
+            counts.append(1)
+            ys.append(k)
+            continue
+        v = u - opening
+        if v < t - k:
+            y = joined[int(v)]
+        else:
+            y = min(int((v - (t - k)) / (1.0 - alpha)), k - 1) + 1
+        joined.append(y)
+        counts[y - 1] += 1
+        ys.append(y)
+    return SeatingPlan(assignments=tuple(ys), table_counts=tuple(counts), k=k)
 
 
 def gem_stick_breaking(params: PdParams, m: int, seed: SeedLike = None) -> PopulationVector:

@@ -21,7 +21,13 @@ import numpy as np
 
 from .lr import LrReport, MhConfig, diff_metrics, lr_empirical_bayes, lr_frequentist, lr_true_mh
 from .mle import fit_mle
-from .partitions import IntegerPartition, SetPartition, reduce_sample, to_integer_partition
+from .partitions import (
+    IntegerPartition,
+    SetPartition,
+    as_integer_partition,
+    reduce_sample,
+    to_integer_partition,
+)
 from .pitman import PopulationVector
 from .rng import SeedLike, as_generator, spawn_seeds
 
@@ -182,9 +188,7 @@ DatabaseLike = Union[ProfileDatabase, IntegerPartition, SetPartition]
 def _as_db_partition(db: DatabaseLike) -> IntegerPartition:
     if isinstance(db, ProfileDatabase):
         return to_integer_partition(reduce_sample(db.records))
-    if isinstance(db, SetPartition):
-        return to_integer_partition(db)
-    return db
+    return as_integer_partition(db)
 
 
 def run_case(db: DatabaseLike, options: CaseOptions = CaseOptions()) -> LrReport:

@@ -1,12 +1,21 @@
 import math
+import re
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from raretype.mle import (
+    _START_ALPHAS,
+    _START_THETAS,
     LoglikSurface,
     SurfaceGrid,
+    _fit_from,
+    _loglik_and_grad,
+    _loglik_terms,
+    _make_objective,
+    _phi_theta_hessian,
+    _to_z,
     fit_mle,
     loglik_surface,
     phi_of,
@@ -107,6 +116,36 @@ class TestFit:
             hats.append(fit.alpha_hat)
         assert abs(np.mean(hats) - 0.5) < 0.06
 
+    def test_overflowing_step_is_out_of_domain(self):
+        # from the (0.1, 10) start L-BFGS-B steps to log(theta + 1) > 709.78,
+        # where expm1 overflows; that step must count as theta = inf
+        fit = fit_mle(IntegerPartition(a=(1, 2), r=(120, 10)))
+        assert not fit.converged
+        assert fit.alpha_hat < 1e-4
+        assert "of the boundary" in fit.diagnosis
+        assert fit.starts == 25
+
+    @given(
+        st.integers(5, 400),
+        st.floats(0.05, 0.95),
+        st.floats(0.0, 200.0),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_single_start_matches_grid_search(self, n, alpha, theta, seed):
+        plan = crp_sample(n, PdParams(alpha, theta), seed=seed)
+        part = IntegerPartition.from_block_sizes(plan.table_counts)
+        assume(1 < part.k < part.n)
+        fit = fit_mle(part)
+        grid = [_to_z(a0, t0) for a0 in _START_ALPHAS for t0 in _START_THETAS]
+        wide = _fit_from(part, *_make_objective(part), grid, fit.warnings)
+        assert fit.converged == wide.converged
+        assert _diagnosis_kind(fit.diagnosis) == _diagnosis_kind(wide.diagnosis)
+        # a fit that did not converge has no unique optimum to compare
+        if fit.converged:
+            assert fit.starts == 1
+            assert fit.alpha_hat == pytest.approx(wide.alpha_hat, rel=0, abs=1e-9)
+            assert fit.theta_hat == pytest.approx(wide.theta_hat, rel=1e-9, abs=1e-9)
+
     def test_params_accessor_raises_on_degenerate(self):
         fit = fit_mle(IntegerPartition((1,), (3,)))
         with pytest.raises(ValueError):
@@ -119,6 +158,14 @@ class TestFit:
         back = json.loads(payload)
         assert back["converged"] is True
         assert back["alpha_hat"] == dutch_fit.alpha_hat
+        assert back["starts"] == 1
+        assert 0.0 <= back["grad_norm"] < 1e-6
+
+
+def _diagnosis_kind(diagnosis):
+    """The diagnosis without its numbers: 'alpha_hat', 'theta_hat', 'theta'
+    (diverged) or 'gradient'."""
+    return None if diagnosis is None else re.split(r"[=: ]", diagnosis)[0]
 
 
 class TestGradientKernel:
@@ -169,6 +216,39 @@ class TestGradientKernel:
             assert gt == pytest.approx(fd_t, rel=1e-5, abs=1e-8)
 
 
+class TestHessianKernel:
+    @given(
+        st.sampled_from([IntegerPartition((1, 2, 3, 7), (6, 3, 2, 1)), dutch_fixture()]),
+        st.floats(0.05, 0.95),
+        st.floats(0.05, 300.0),
+    )
+    def test_analytic_hessian_matches_gradient_differences(self, pi, alpha, theta):
+        # both coordinate systems: (phi, theta) for the reported information,
+        # z = (logit alpha, log(theta + 1)) for the Newton polish
+        terms = _loglik_terms(pi)
+        n = terms[0]
+        theta -= alpha  # theta > -alpha by at least 0.05
+
+        def grad_phi_theta(x):
+            phi, th = x
+            _, ga, gt = _loglik_and_grad(*terms, 1.0 - phi * (n + 1.0 + th) / n, th)
+            return np.array([-ga * (n + 1.0 + th) / n, -ga * phi / n + gt])
+
+        objective, hessian = _make_objective(pi)
+        phi = n * (1.0 - alpha) / (n + 1.0 + theta)
+        for h, grad, x, scale in (
+            (_phi_theta_hessian(*terms, alpha, theta), grad_phi_theta, (phi, theta), 1e-2),
+            (hessian(_to_z(alpha, theta)), lambda z: objective(z)[1], _to_z(alpha, theta), 1.0),
+        ):
+            x = np.asarray(x, dtype=float)
+            fd = np.empty((2, 2))
+            for j in range(2):
+                step = np.zeros(2)
+                step[j] = 1e-5 * max(abs(x[j]), scale)
+                fd[:, j] = (grad(x + step) - grad(x - step)) / (2 * step[j])
+            assert np.abs(h - fd).max() <= 1e-6 * np.abs(h).max()
+
+
 def _strict_local_maxima(surface):
     vals, valid = surface.rel_loglik, surface.valid
     out = []
@@ -208,6 +288,31 @@ class TestSurface:
             rel = surf.rel_loglik[ci + di, cj + dj]
             overlay = surf.gauss_overlay[ci + di, cj + dj]
             assert rel == pytest.approx(overlay, rel=0.2, abs=5e-4)
+
+    def test_matches_pointwise_loglik(self, dutch_fit):
+        big = to_integer_partition(crp_sample(18925, PdParams(0.51, 216.0), seed=11).to_set_partition())
+        cases = (
+            (dutch_fixture(), dutch_fit, SurfaceGrid()),
+            (dutch_fixture(), dutch_fit, SurfaceGrid(21, 21, 6.0)),  # has invalid points
+            (big, fit_mle(big), SurfaceGrid()),
+        )
+        for pi, fit, grid in cases:
+            surf = loglik_surface(pi, fit, grid)
+            terms = _loglik_terms(pi)
+            n = terms[0]
+            ref = np.array(
+                [
+                    [
+                        _loglik_and_grad(*terms, 1.0 - phi * (n + 1.0 + theta) / n, theta)[0]
+                        for theta in surf.theta
+                    ]
+                    for phi in surf.phi
+                ]
+            )
+            valid = np.isfinite(ref)
+            assert (surf.valid == valid).all()
+            expected = ref[valid] - ref[valid].max()
+            assert np.abs(surf.rel_loglik[valid] - expected).max() <= 1e-9
 
     def test_wide_grid_flags_invalid_points(self, dutch_fit):
         surf = loglik_surface(dutch_fixture(), dutch_fit, SurfaceGrid(21, 21, 6.0))
@@ -256,7 +361,42 @@ def _quadratic_surface(c=0.0):
     )
 
 
+def _symmetry_reference(surface):
+    """Pair-by-pair loop that ``symmetry_diagnostic`` vectorizes."""
+    ci, cj = len(surface.phi) // 2, len(surface.theta) // 2
+    l = surface.rel_loglik - surface.rel_loglik[ci, cj]
+    score, worst, pairs = 0.0, None, 0
+    for di in range(-ci, ci + 1):
+        for dj in range(-cj, cj + 1):
+            if (di, dj) == (0, 0):
+                continue
+            if not (surface.valid[ci + di, cj + dj] and surface.valid[ci - di, cj - dj]):
+                continue
+            ref = abs(l[ci + di, cj + dj])
+            if ref < 1e-12:
+                continue
+            pairs += 1
+            s = abs(l[ci + di, cj + dj] - l[ci - di, cj - dj]) / ref
+            if s > score:
+                score = s
+                worst = (
+                    float(surface.phi[ci + di] - surface.mode[0]),
+                    float(surface.theta[cj + dj] - surface.mode[1]),
+                )
+    return score, worst, pairs
+
+
 class TestSymmetry:
+    def test_matches_loop_reference(self, dutch_fit):
+        for grid in (SurfaceGrid(), SurfaceGrid(21, 21, 6.0), SurfaceGrid(5, 7, 0.5)):
+            surf = loglik_surface(dutch_fixture(), dutch_fit, grid)
+            rep = symmetry_diagnostic(surf)
+            assert (rep.score, rep.worst_offset, rep.pairs_checked) == _symmetry_reference(surf)
+        quad = symmetry_diagnostic(_quadratic_surface())
+        assert (quad.score, quad.worst_offset, quad.pairs_checked) == _symmetry_reference(
+            _quadratic_surface()
+        )
+
     def test_quadratic_scores_zero(self):
         assert symmetry_diagnostic(_quadratic_surface()).score == pytest.approx(0.0, abs=1e-12)
 

@@ -5,6 +5,7 @@ from raretype.partitions import (
     IntegerPartition,
     LabeledSample,
     SetPartition,
+    as_integer_partition,
     augment,
     bell_number,
     enumerate_partitions,
@@ -85,6 +86,12 @@ def test_integer_partition_trivial_cases():
     assert to_integer_partition(SetPartition.from_blocks([[1], [2], [3]])) == IntegerPartition((1,), (3,))
     p = SetPartition.from_blocks([[1, 2], [3, 4], [5]])
     assert to_integer_partition(p) == IntegerPartition((1, 2), (1, 2))
+
+
+def test_as_integer_partition():
+    ip = IntegerPartition((1, 2), (1, 2))
+    assert as_integer_partition(ip) is ip
+    assert as_integer_partition(SetPartition.from_blocks([[1, 2], [3, 4], [5]])) == ip
 
 
 def test_integer_partition_validation():

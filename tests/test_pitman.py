@@ -174,6 +174,13 @@ class TestCrpSample:
         c = crp_sample(500, params, seed=124)
         assert a != c
 
+    def test_advances_shared_generator_like_one_uniform_per_customer(self):
+        # customers 2..n each consume one uniform, drawn as one block
+        g, reference = np.random.default_rng(9), np.random.default_rng(9)
+        crp_sample(300, PdParams(0.4, 3.0), seed=g)
+        reference.random(299)
+        assert g.bit_generator.state == reference.bit_generator.state
+
     def test_plan_invariants(self):
         plan = crp_sample(200, PdParams(0.5, 5.0), seed=7)
         assert plan.n == 200
@@ -209,8 +216,25 @@ class TestSeatingPlan:
             SeatingPlan(assignments=(2,), table_counts=(1,), k=1)
         with pytest.raises(ValueError):
             SeatingPlan(assignments=(1, 3), table_counts=(1, 1), k=2)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="counts inconsistent"):
             SeatingPlan(assignments=(1, 1), table_counts=(1,), k=1)
+        with pytest.raises(ValueError, match="created in order"):
+            SeatingPlan(assignments=(1, 0), table_counts=(1,), k=1)
+        with pytest.raises(ValueError, match="counts inconsistent"):
+            SeatingPlan(assignments=(1, 2, 1), table_counts=(1, 2), k=2)
+
+    @given(st.lists(st.integers(0, 4), min_size=1, max_size=8))
+    def test_accepts_exactly_the_ordered_plans(self, ys):
+        # loop reference for the vectorized check: each customer sits at an
+        # open table or opens the next one
+        ordered = ys[0] == 1 and all(1 <= y <= max(ys[:t]) + 1 for t, y in enumerate(ys) if t)
+        k = max(ys)
+        counts = tuple(ys.count(table) for table in range(1, k + 1))
+        if ordered:
+            assert SeatingPlan(tuple(ys), counts, k).n == len(ys)
+        else:
+            with pytest.raises(ValueError):
+                SeatingPlan(tuple(ys), counts, k)
 
     def test_to_set_partition(self):
         plan = SeatingPlan.from_assignments((1, 2, 1, 3))
