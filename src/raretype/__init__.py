@@ -8,7 +8,6 @@ the known-population and frequentist references.
 
 from .lr import (
     AssignmentVector,
-    EnumerationCapExceededError,
     InfeasibleAssignmentError,
     LrReport,
     MhConfig,
@@ -20,7 +19,6 @@ from .lr import (
     lr_frequentist,
     lr_posterior_form,
     lr_true_mh,
-    mh_ratio,
 )
 from .mle import (
     LoglikSurface,

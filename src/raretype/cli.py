@@ -16,13 +16,7 @@ import json
 import math
 import sys
 
-from .lr import (
-    InfeasibleAssignmentError,
-    MhConfig,
-    lr_empirical_bayes,
-    lr_frequentist,
-    lr_true_mh,
-)
+from .lr import MhConfig, lr_empirical_bayes, lr_frequentist, lr_true_mh
 from .mle import SurfaceGrid, fit_mle, loglik_surface, symmetry_diagnostic
 from .partitions import IntegerPartition, SetPartition, reduce_sample, to_integer_partition
 from .pitman import (
@@ -374,9 +368,6 @@ def cli_dispatch(argv) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except InfeasibleAssignmentError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
     except RuntimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

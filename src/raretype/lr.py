@@ -11,25 +11,28 @@ from the reference database of size n:
   the total frequency of singleton-class types, taken over the latent
   assignment of population ranks to observed size classes.
 
-The assignment space is explored by a swap-proposal Metropolis chain:
-propose a uniformly random pair of ranks carrying different classes,
-reject outright if the swap would let a rank be observed more often than
-its population count supports, otherwise accept with probability
-min(1, R) where R is the likelihood ratio of the proposed to the current
-assignment under p(a, r | chi, p) proportional to prod_i p_i^{a_{chi_i}}.
+``exact_true_lr`` computes that posterior mean exactly by one forward
+pass over the population ranks, the state being the vector of class
+counts filled so far; past a fixed budget of such states it refuses and
+points to ``lr_true_mh``, which explores the assignment space by a
+swap-proposal Metropolis chain: propose a uniformly random pair of ranks
+carrying different classes, reject outright if the swap would let a rank
+be observed more often than its population count supports, otherwise
+accept with probability min(1, R) where R is the likelihood ratio of the
+proposed to the current assignment under p(a, r | chi, p) proportional
+to prod_i p_i^{a_{chi_i}}.
 Swapping two zero-class ranks is a no-op and is never proposed (zero-zero
 pairs carry equal classes). Class counts are conserved by construction,
 so the chain never leaves the constraint set it starts in.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import Optional, Union
 
 import numpy as np
-from scipy.special import logsumexp
+from scipy.optimize import minimize
 
 from .partitions import IntegerPartition, SetPartition, as_integer_partition
 from .pitman import PdParams, PopulationVector
@@ -37,7 +40,6 @@ from .rng import SeedLike, as_generator
 
 __all__ = [
     "InfeasibleAssignmentError",
-    "EnumerationCapExceededError",
     "AssignmentVector",
     "MhConfig",
     "TrueLrEstimate",
@@ -46,7 +48,6 @@ __all__ = [
     "lr_posterior_form",
     "lr_frequentist",
     "chi_init",
-    "mh_ratio",
     "lr_true_mh",
     "exact_true_lr",
     "diff_metrics",
@@ -57,10 +58,6 @@ _LOG10 = math.log(10.0)
 
 class InfeasibleAssignmentError(RuntimeError):
     """No assignment satisfies the class-count and support constraints."""
-
-
-class EnumerationCapExceededError(RuntimeError):
-    """Exact enumeration refused: the assignment space is too large."""
 
 
 def lr_empirical_bayes(n: int, params: PdParams) -> float:
@@ -180,22 +177,6 @@ def chi_init(
     return AssignmentVector(
         chi=tuple(chi), partition=part, population=p, strict_support=strict_support
     )
-
-
-def mh_ratio(chi: AssignmentVector, i: int, j: int, p: Optional[PopulationVector] = None) -> float:
-    """Acceptance probability for swapping the classes of ranks i and j
-    (1-based): min(1, R) with R the proposed/current likelihood ratio,
-    computed in log space."""
-    pop = p if p is not None else chi.population
-    if i == j:
-        raise ValueError("swap needs two distinct ranks")
-    if not (1 <= i <= pop.m and 1 <= j <= pop.m):
-        raise ValueError(f"ranks must lie in 1..{pop.m}")
-    a_ext = (0,) + chi.partition.a
-    ai = a_ext[chi.chi[i - 1]]
-    aj = a_ext[chi.chi[j - 1]]
-    log_r = (ai - aj) * (math.log(pop.probs[j - 1]) - math.log(pop.probs[i - 1]))
-    return 1.0 if log_r >= 0.0 else math.exp(log_r)
 
 
 @dataclass(frozen=True)
@@ -347,6 +328,15 @@ def _batch_means_stderr(values: np.ndarray, n_batches: int = 20) -> float:
     return float(batches.std(ddof=1) / math.sqrt(batches.size))
 
 
+def _check_true_lr_inputs(part: IntegerPartition, p: PopulationVector) -> None:
+    if part.s1 < 1:
+        raise ValueError("rare-type partition needs at least one singleton block")
+    if p.pop_size is None:
+        raise ValueError("population needs pop_size for the assignment-space oracle")
+    if p.pop_size < p.m:
+        raise ValueError("pop_size below the number of listed types")
+
+
 def lr_true_mh(
     pi_db_plus: Union[IntegerPartition, SetPartition],
     p: PopulationVector,
@@ -362,12 +352,7 @@ def lr_true_mh(
     ranks across retained states.
     """
     part = as_integer_partition(pi_db_plus)
-    if part.s1 < 1:
-        raise ValueError("rare-type partition needs at least one singleton block")
-    if p.pop_size is None:
-        raise ValueError("population needs pop_size for the assignment-space oracle")
-    if p.pop_size < p.m:
-        raise ValueError("pop_size below the number of listed types")
+    _check_true_lr_inputs(part, p)
     start = chi_init(part, p, strict_support=strict_support)
     trace, acceptance = _run_swap_chain(start, cfg)
     if not trace:
@@ -392,13 +377,9 @@ def lr_true_mh(
     )
 
 
-def _assignment_count(m: int, r: tuple[int, ...]) -> int:
-    total = 1
-    left = m
-    for r_j in r:
-        total *= math.comb(left, r_j)
-        left -= r_j
-    return total
+# the exact pass holds two float arrays of prod(r_j + 1) entries; a 101-sample
+# Dutch replicate needs 8k-50k of them
+_EXACT_STATE_BUDGET = 200_000
 
 
 def exact_true_lr(
@@ -406,55 +387,69 @@ def exact_true_lr(
     p: PopulationVector,
     *,
     strict_support: bool = False,
-    cap: int = 2_000_000,
 ) -> float:
-    """Exact known-population LR by enumerating every valid assignment.
+    """Exact known-population LR by one forward pass over population ranks.
 
-    Weighted by the assignment likelihood prod_i p_i^{a_{chi_i}}; refuses
-    (with a pointer to ``lr_true_mh``) when the candidate count exceeds
-    ``cap``.
+    Let each rank draw a class independently: class j with weight
+    exp(eta_j) p_i^{a_j} if its census count supports a_j, class 0
+    (unobserved) with weight 1. Conditioned on the class counts r, this
+    law is the posterior, proportional to prod_i p_i^{a_chi(i)}, for any
+    eta. The pass carries the law of the class counts filled so far (shape
+    (r_j + 1)) and the singleton-mass moment on it, and returns
+    s1 P(counts = r) / E[mass; counts = r]: the multi-class
+    conditional-Poisson recursion (Chen, Dempster & Liu 1994, Biometrika
+    81:457), at cost m * J * prod(r_j + 1). eta is the saddle point where
+    the expected counts equal r, so every entry is a probability and
+    P(counts = r) is not small: nothing overflows, and what underflows is
+    negligible. Past the state budget it raises ValueError, pointing to
+    ``lr_true_mh``, before allocating anything.
     """
     part = as_integer_partition(pi_db_plus)
-    if part.s1 < 1:
-        raise ValueError("rare-type partition needs at least one singleton block")
-    if p.pop_size is None:
-        raise ValueError("population needs pop_size for the assignment-space oracle")
-    if p.pop_size < p.m:
-        raise ValueError("pop_size below the number of listed types")
-    count = _assignment_count(p.m, part.r)
-    if count > cap:
-        raise EnumerationCapExceededError(
-            f"{count} candidate assignments exceed the cap {cap}; use lr_true_mh"
+    _check_true_lr_inputs(part, p)
+    states = math.prod(r_j + 1 for r_j in part.r)
+    if states > _EXACT_STATE_BUDGET:
+        raise ValueError(
+            f"the exact pass needs {states} states, over its budget of "
+            f"{_EXACT_STATE_BUDGET}; estimate the LR with lr_true_mh instead"
         )
-    caps = _support_caps(p, strict_support)
-    log_p = np.log(p.as_array())
-    classes = sorted(
-        zip(part.a, part.r, range(1, part.num_size_classes + 1)), reverse=True
-    )
-    log_weights: list[float] = []
-    masses: list[float] = []
+    # the greedy start decides feasibility exactly and seeds the saddle point
+    chi = np.asarray(chi_init(part, p, strict_support=strict_support).chi)
+    probs = p.as_array()
+    log_p = np.log(probs)
+    eligible = _support_caps(p, strict_support)[:, None] >= np.asarray(part.a)
+    log_w = np.where(eligible, np.outer(log_p, part.a), -np.inf)
 
-    def rec(idx: int, available: tuple[int, ...], logw: float, mass: float) -> None:
-        if idx == len(classes):
-            log_weights.append(logw)
-            masses.append(mass)
-            return
-        a_j, r_j, label = classes[idx]
-        eligible = [i for i in available if caps[i] >= a_j]
-        for combo in itertools.combinations(eligible, r_j):
-            taken = set(combo)
-            w = logw + a_j * float(sum(log_p[i] for i in combo))
-            extra = float(sum(p.probs[i] for i in combo)) if a_j == 1 else 0.0
-            rec(idx + 1, tuple(i for i in available if i not in taken), w, mass + extra)
+    def log_class_probs(eta: np.ndarray):
+        logits = np.hstack([np.zeros((probs.size, 1)), log_w + eta])
+        log_norm = np.logaddexp.reduce(logits, axis=1, keepdims=True)
+        return logits - log_norm, log_norm
 
-    rec(0, tuple(range(p.m)), 0.0, 0.0)
-    if not log_weights:
-        raise InfeasibleAssignmentError("no assignment satisfies the support constraint")
-    lw = np.array(log_weights)
-    mass_arr = np.array(masses)
-    log_norm = logsumexp(lw)
-    expected_mass = float(np.exp(logsumexp(lw, b=mass_arr) - log_norm))
-    return part.s1 / expected_mass
+    def dual(eta: np.ndarray):
+        # convex; its gradient is the expected class counts minus r
+        log_pi, log_norm = log_class_probs(eta)
+        return log_norm.sum() - eta @ part.r, np.exp(log_pi[:, 1:]).sum(axis=0) - part.r
+
+    eta0 = np.array([-a_j * log_p[chi == j].mean() for j, a_j in enumerate(part.a, start=1)])
+    eta = minimize(dual, eta0, jac=True, method="L-BFGS-B").x
+    pi = np.exp(log_class_probs(eta)[0]).tolist()
+    fits = eligible.sum(axis=1).tolist()
+    shape = tuple(r_j + 1 for r_j in part.r)
+    z, mass = np.zeros(shape), np.zeros(shape)
+    z[(0,) * len(shape)] = 1.0
+    # class j's move fills one more of its slots: count c_j becomes c_j + 1
+    leads = [(slice(None),) * j for j in range(len(shape))]
+    moves = [(lead + (slice(0, -1),), lead + (slice(1, None),)) for lead in leads]
+    for i, p_i in enumerate(probs.tolist()):
+        w = pi[i]
+        z_next, mass_next = w[0] * z, w[0] * mass
+        # caps fall with rank and a rises with j, so the classes that fit are a prefix
+        for j, (src, dst) in enumerate(moves[: fits[i]]):
+            z_next[dst] += w[j + 1] * z[src]
+            # class 1 holds the singletons: such a rank adds p_i to the mass
+            mass_next[dst] += w[j + 1] * (mass[src] + p_i * z[src] if j == 0 else mass[src])
+        z, mass = z_next, mass_next
+    full = tuple(part.r)
+    return part.s1 * float(z[full] / mass[full])
 
 
 @dataclass(frozen=True)

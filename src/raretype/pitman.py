@@ -26,7 +26,13 @@ from typing import Hashable, Iterable, Optional, Sequence, Union
 import numpy as np
 from scipy.special import gammaln
 
-from .partitions import IntegerPartition, LabeledSample, SetPartition, as_integer_partition
+from .partitions import (
+    IntegerPartition,
+    LabeledSample,
+    SetPartition,
+    as_integer_partition,
+    reduce_sample,
+)
 from .rng import SeedLike, as_generator
 
 __all__ = [
@@ -137,10 +143,7 @@ class SeatingPlan:
         return len(self.assignments)
 
     def to_set_partition(self) -> SetPartition:
-        blocks: dict[int, list[int]] = {}
-        for idx, y in enumerate(self.assignments, start=1):
-            blocks.setdefault(y, []).append(idx)
-        return SetPartition.from_blocks(list(blocks.values()))
+        return reduce_sample(self.assignments)
 
 
 def log_rising_factorial(x: float, a: int, b: float) -> float:

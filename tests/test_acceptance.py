@@ -14,7 +14,13 @@ import numpy as np
 import pytest
 from scipy.stats import chisquare
 
-from raretype.lr import MhConfig, exact_true_lr, lr_empirical_bayes, lr_true_mh
+from raretype.lr import (
+    InfeasibleAssignmentError,
+    MhConfig,
+    exact_true_lr,
+    lr_empirical_bayes,
+    lr_true_mh,
+)
 from raretype.mle import fit_mle
 from raretype.partitions import (
     IntegerPartition,
@@ -112,7 +118,7 @@ def _random_small_instance(rng):
         pop = PopulationVector(probs=tuple(float(x) for x in raw), pop_size=1000)
         try:
             exact = exact_true_lr(part, pop)
-        except Exception:
+        except InfeasibleAssignmentError:
             continue
         return part, pop, exact
 

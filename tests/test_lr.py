@@ -1,12 +1,13 @@
+import itertools
 import math
+import time
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from raretype.lr import (
     AssignmentVector,
-    EnumerationCapExceededError,
     InfeasibleAssignmentError,
     LrReport,
     MhConfig,
@@ -17,8 +18,8 @@ from raretype.lr import (
     lr_frequentist,
     lr_posterior_form,
     lr_true_mh,
-    mh_ratio,
 )
+from raretype.lr import _support_caps
 from raretype.mle import phi_of
 from raretype.partitions import IntegerPartition
 from raretype.pitman import PdParams, PopulationVector
@@ -163,42 +164,6 @@ class TestAssignmentVector:
         assert chi.singleton_mass() == pytest.approx(0.5)
 
 
-class TestMhRatio:
-    def _setup(self):
-        pi = IntegerPartition((1, 2), (1, 1))
-        pop = PopulationVector(probs=(0.4, 0.3, 0.2, 0.1), pop_size=1000)
-        return pi, pop
-
-    def test_swap_between_equal_probabilities(self):
-        pi = IntegerPartition((1, 2), (1, 1))
-        pop = PopulationVector(probs=(0.25, 0.25, 0.25, 0.25), pop_size=100)
-        chi = AssignmentVector(chi=(2, 1, 0, 0), partition=pi, population=pop)
-        assert mh_ratio(chi, 1, 2) == pytest.approx(1.0)
-
-    def test_swap_between_equal_classes(self):
-        pi = IntegerPartition((1,), (2,))
-        pop = PopulationVector(probs=(0.5, 0.3, 0.2), pop_size=100)
-        chi = AssignmentVector(chi=(1, 1, 0), partition=pi, population=pop)
-        assert mh_ratio(chi, 1, 2) == pytest.approx(1.0)
-
-    def test_reference_value(self):
-        # ranks with p_i = 0.4 and p_j = 0.1 carrying classes of sizes 2
-        # and 1: swapping gives (0.4^1 0.1^2) / (0.1^1 0.4^2) = 0.25
-        pi = IntegerPartition((1, 2), (1, 1))
-        pop = PopulationVector(probs=(0.4, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1), pop_size=100)
-        chi_vec = AssignmentVector(chi=(2, 1, 0, 0, 0, 0, 0), partition=pi, population=pop)
-        assert mh_ratio(chi_vec, 1, 2) == pytest.approx(0.25)
-        # the reverse swap is uphill, capped at 1
-        swapped = AssignmentVector(chi=(1, 2, 0, 0, 0, 0, 0), partition=pi, population=pop)
-        assert mh_ratio(swapped, 1, 2) == 1.0
-
-    def test_same_rank_rejected(self):
-        pi, pop = self._setup()
-        chi = AssignmentVector(chi=(2, 1, 0, 0), partition=pi, population=pop)
-        with pytest.raises(ValueError):
-            mh_ratio(chi, 2, 2)
-
-
 class TestMhConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -305,12 +270,99 @@ class TestTrueLr:
         assert est.acceptance_rate == 0.0
 
 
+def brute_force_true_lr(pi, pop, strict_support=False):
+    """s1 / E[singleton mass] by summing over every labelling of the ranks
+    with classes 0..J, kept when it has the class counts r and every rank's
+    census count supports its class."""
+    caps = _support_caps(pop, strict_support)
+    a_ext = (0,) + pi.a
+    z = mass = 0.0
+    for chi in itertools.product(range(len(a_ext)), repeat=pop.m):
+        if any(chi.count(j) != r_j for j, r_j in enumerate(pi.r, start=1)):
+            continue
+        if any(caps[i] < a_ext[c] for i, c in enumerate(chi)):
+            continue
+        w = math.prod(p ** a_ext[c] for p, c in zip(pop.probs, chi))
+        z += w
+        mass += w * math.fsum(p for p, c in zip(pop.probs, chi) if c == 1)
+    if z == 0.0:
+        raise InfeasibleAssignmentError("no labelling meets the counts and caps")
+    return pi.s1 * z / mass
+
+
+def log_space_singletons_lr(probs, r):
+    """Known-population LR of the all-singleton partition (1,)^r when every
+    rank supports a singleton: the elementary-symmetric-polynomial
+    recursion carried in logs."""
+    log_z = np.full(r + 1, -np.inf)
+    log_z[0] = 0.0
+    log_mass = np.full(r + 1, -np.inf)
+    for lp in np.log(probs):
+        log_mass[1:] = np.logaddexp(
+            log_mass[1:], lp + np.logaddexp(log_mass[:-1], lp + log_z[:-1])
+        )
+        log_z[1:] = np.logaddexp(log_z[1:], lp + log_z[:-1])
+    return r * math.exp(log_z[r] - log_mass[r])
+
+
+@st.composite
+def small_instances(draw):
+    """A census of 2-7 types and a rare-type partition with block sizes
+    1-3 and at most as many blocks as types; blocks bigger than the census
+    counts (or, under the strict rule, equal to them) make it infeasible."""
+    counts = sorted(draw(st.lists(st.integers(1, 60), min_size=2, max_size=7)), reverse=True)
+    total = sum(counts)
+    pop = PopulationVector(probs=tuple(c / total for c in counts), pop_size=total)
+    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=len(counts) - 1))
+    return IntegerPartition.from_block_sizes(sizes + [1]), pop
+
+
 class TestExactEnumeration:
-    def test_cap_refusal(self):
+    @settings(max_examples=150, deadline=None)
+    @given(small_instances(), st.booleans())
+    def test_matches_brute_force(self, instance, strict):
+        pi, pop = instance
+        try:
+            expected = brute_force_true_lr(pi, pop, strict)
+        except InfeasibleAssignmentError:
+            with pytest.raises(InfeasibleAssignmentError):
+                exact_true_lr(pi, pop, strict_support=strict)
+            return
+        assert exact_true_lr(pi, pop, strict_support=strict) == pytest.approx(expected, rel=1e-12)
+
+    def test_large_uniform_instance_gives_m(self):
+        # 40!/(10! 5! 25!), about 1.2e14 assignments, all equally likely
         pi = IntegerPartition((1, 2), (10, 5))
         pop = uniform_population(40)
-        with pytest.raises(EnumerationCapExceededError):
+        assert exact_true_lr(pi, pop) == pytest.approx(40.0, rel=1e-12)
+
+    def test_steep_population_does_not_underflow(self):
+        # 400 singletons over p_i proportional to i^-2: scaling the weights
+        # by p_1 alone drives the total weight to 0
+        raw = np.arange(1, 1001, dtype=float) ** -2.0
+        probs = raw / raw.sum()
+        pop = PopulationVector(probs=tuple(probs.tolist()), pop_size=10**7)
+        lr = exact_true_lr(IntegerPartition((1,), (400,)), pop)
+        assert math.isfinite(lr)
+        assert lr == pytest.approx(log_space_singletons_lr(probs, 400), rel=1e-9)
+
+    def test_uniform_population_with_many_assignments(self):
+        # 5000 choose 400 is about 1e640 equally likely assignments, past
+        # any float; the pass must still return the number of types
+        pop = PopulationVector(probs=(1 / 5000,) * 5000, pop_size=10**6)
+        assert exact_true_lr(IntegerPartition((1,), (400,)), pop) == pytest.approx(
+            5000.0, rel=1e-12
+        )
+
+    def test_state_budget_refusal(self):
+        from raretype.workbench import dutch_fixture, population_from_partition
+
+        pi = dutch_fixture()
+        pop = population_from_partition(pi)
+        t0 = time.perf_counter()
+        with pytest.raises(ValueError, match="states"):
             exact_true_lr(pi, pop)
+        assert time.perf_counter() - t0 < 0.1
 
     def test_infeasible_population(self):
         pi = IntegerPartition((1, 8), (1, 1))
