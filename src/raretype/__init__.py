@@ -46,11 +46,9 @@ from .pitman import (
     PdParams,
     PopulationVector,
     SeatingPlan,
-    crp_predictive,
     crp_sample,
     eppf_log,
     gem_stick_breaking,
-    log_rising_factorial,
     powerlaw_reference,
     ranked_frequencies,
 )

@@ -32,8 +32,8 @@ from dataclasses import dataclass, replace
 from typing import Optional, Union
 
 import numpy as np
-from scipy.optimize import minimize
 
+from .mle import _newton
 from .partitions import IntegerPartition, SetPartition, as_integer_partition
 from .pitman import PdParams, PopulationVector
 from .rng import SeedLike, as_generator
@@ -429,8 +429,13 @@ def exact_true_lr(
         log_pi, log_norm = log_class_probs(eta)
         return log_norm.sum() - eta @ part.r, np.exp(log_pi[:, 1:]).sum(axis=0) - part.r
 
+    def dual_hessian(eta: np.ndarray):
+        # the class-count covariance, summed over ranks
+        q = np.exp(log_class_probs(eta)[0][:, 1:])
+        return np.diag(q.sum(axis=0)) - q.T @ q
+
     eta0 = np.array([-a_j * log_p[chi == j].mean() for j, a_j in enumerate(part.a, start=1)])
-    eta = minimize(dual, eta0, jac=True, method="L-BFGS-B").x
+    eta = _newton(dual, dual_hessian, eta0)[0]
     pi = np.exp(log_class_probs(eta)[0]).tolist()
     fits = eligible.sum(axis=1).tolist()
     shape = tuple(r_j + 1 for r_j in part.r)

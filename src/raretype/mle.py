@@ -3,10 +3,10 @@
 The log-likelihood of (alpha, theta) given a partition is the log
 partition law, a function of the block-size multiset alone. It is
 maximized in unconstrained coordinates (logit(alpha), log(theta+1)) by a
-quasi-Newton search with analytic gradients, started from the best point
-of a coarse 5x5 grid and finished by Newton steps on the analytic
-Hessian; the search is re-run from all 25 grid points when that single
-start does not converge.
+damped Newton search on the analytic gradient and Hessian, started from
+the best point of a coarse 5x5 grid; the search is re-run from all 25
+grid points when that single start does not converge. The same solver
+finds the saddle point of the exact known-population LR in ``lr``.
 
 The reparametrization phi = n(1-alpha)/(n+1+theta) is the posterior
 quantity the plug-in likelihood ratio divides into n; the observed
@@ -21,11 +21,10 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Union
 
 import numpy as np
-from scipy.optimize import minimize
-from scipy.special import digamma, expit, gammaln, logit, polygamma
+from scipy.special import expit, gammaln, logit
 
 from .partitions import IntegerPartition, SetPartition, as_integer_partition
-from .pitman import PdParams
+from .pitman import PdParams, _loglik_and_grad, _loglik_hess, _loglik_terms
 
 __all__ = [
     "MleFit",
@@ -62,66 +61,6 @@ def theta_alpha_of(phi: float, theta: float, n: int) -> PdParams:
     return PdParams(alpha=alpha, theta=theta)
 
 
-def _loglik_terms(part: IntegerPartition):
-    """Precompute the arrays the likelihood kernel needs."""
-    a = np.asarray(part.a, dtype=float)
-    r = np.asarray(part.r, dtype=float)
-    big = a > 1
-    return part.n, part.k, a[big], r[big]
-
-
-def _loglik_and_grad(n, k, a_big, r_big, alpha, theta):
-    """Partition log-likelihood and its gradient in (alpha, theta).
-
-    The two long rising factorials are summed directly (gamma-function
-    differences cancel catastrophically once theta dwarfs the counts);
-    the block-size products use gammaln, whose arguments stay small.
-    Returns (-inf, 0, 0) outside the open domain.
-    """
-    if not (0.0 < alpha < 1.0 and theta > -alpha) or not math.isfinite(theta):
-        return -math.inf, 0.0, 0.0
-    val = 0.0
-    g_alpha = 0.0
-    g_theta = 0.0
-    if k > 1:
-        i = np.arange(1.0, k)
-        factors = theta + alpha * i
-        val += float(np.log(factors).sum())
-        inv = 1.0 / factors
-        g_theta += float(inv.sum())
-        g_alpha += float((i * inv).sum())
-    i = np.arange(1.0, n)
-    factors = theta + i
-    val -= float(np.log(factors).sum())
-    g_theta -= float((1.0 / factors).sum())
-    if a_big.size:
-        val += float(r_big @ (gammaln(a_big - alpha) - gammaln(1.0 - alpha)))
-        g_alpha += float(r_big @ (digamma(1.0 - alpha) - digamma(a_big - alpha)))
-    return val, g_alpha, g_theta
-
-
-def _loglik_hess(n, k, a_big, r_big, alpha, theta) -> np.ndarray:
-    """Second derivatives of the partition log-likelihood in (alpha, theta).
-
-    Sums of i^p / (theta + alpha i)^2 (p = 0, 1, 2) and 1 / (theta + i)^2,
-    plus trigamma terms for the block-size products. Returns zeros outside
-    the open domain, as ``_loglik_and_grad`` returns a zero gradient.
-    """
-    if not (0.0 < alpha < 1.0 and theta > -alpha) or not math.isfinite(theta):
-        return np.zeros((2, 2))
-    h_aa = h_at = h_tt = 0.0
-    if k > 1:
-        i = np.arange(1.0, k)
-        inv2 = 1.0 / (theta + alpha * i) ** 2
-        h_tt -= float(inv2.sum())
-        h_at -= float((i * inv2).sum())
-        h_aa -= float((i * i * inv2).sum())
-    h_tt += float((1.0 / (theta + np.arange(1.0, n)) ** 2).sum())
-    if a_big.size:
-        h_aa += float(r_big @ (polygamma(1, a_big - alpha) - polygamma(1, 1.0 - alpha)))
-    return np.array([[h_aa, h_at], [h_at, h_tt]])
-
-
 def _phi_theta_hessian(n, k, a_big, r_big, alpha, theta) -> np.ndarray:
     """The log-likelihood's Hessian in (phi, theta) at (alpha, theta).
 
@@ -153,6 +92,7 @@ def _make_objective(part: IntegerPartition) -> tuple[Callable, Callable]:
     """Negative log-likelihood with its gradient, and its Hessian, in
     z = (logit alpha, log(theta + 1))."""
     terms = _loglik_terms(part)
+    last = {}  # the latest evaluated point and gradient, where the solver asks for H
 
     def point(z):
         alpha, theta = _from_z(z)
@@ -166,18 +106,24 @@ def _make_objective(part: IntegerPartition) -> tuple[Callable, Callable]:
         val, ga, gt = _loglik_and_grad(*terms, alpha, theta)
         if not math.isfinite(val):
             return _PENALTY, np.zeros(2)
+        last.update(point=(alpha, theta), grad=(ga, gt))
         # chain rule to (logit alpha, log(theta+1))
         grad = np.array([ga * alpha * (1.0 - alpha), gt * (theta + 1.0)])
         return -val, -grad
 
     def neg_hessian(z):
         alpha, theta = point(z)
-        _, ga, gt = _loglik_and_grad(*terms, alpha, theta)
-        h = _loglik_hess(*terms, alpha, theta)
+        if last.get("point") == (alpha, theta):
+            ga, gt = last["grad"]
+        else:
+            _, ga, gt = _loglik_and_grad(*terms, alpha, theta)
+        (h_aa, h_at), (_, h_tt) = _loglik_hess(*terms, alpha, theta)
         s = alpha * (1.0 - alpha)  # dalpha/dz0; d2alpha/dz0^2 = s (1 - 2 alpha)
         c = theta + 1.0  # dtheta/dz1 = d2theta/dz1^2
-        jac = np.diag([s, c])
-        return -(jac @ h @ jac + np.diag([ga * s * (1.0 - 2.0 * alpha), gt * c]))
+        mixed = -s * c * h_at
+        return np.array(
+            [[-s * s * h_aa - ga * s * (1.0 - 2.0 * alpha), mixed], [mixed, -c * c * h_tt - gt * c]]
+        )
 
     return neg_loglik, neg_hessian
 
@@ -191,9 +137,10 @@ class MleFit:
     covariance inv(-hessian) (observed information standing in for the
     Fisher information). ``n`` is the size of the fitted partition.
     ``grad_norm`` is the gradient norm at the optimum in the search
-    coordinates, and ``starts`` the number of L-BFGS-B starts the search
-    used: 1, or 25 when the single start did not converge (0 for a
-    degenerate partition, which is not searched).
+    coordinates, ``iterations`` the Newton steps summed over all
+    searches, and ``starts`` the number of Newton searches: 1, or 25 when
+    the single start did not converge (0 for a degenerate partition,
+    which is not searched).
     """
 
     n: int
@@ -250,76 +197,61 @@ _START_ALPHAS = (0.1, 0.3, 0.5, 0.7, 0.9)
 _START_THETAS = (0.0, 1.0, 10.0, 100.0, 1000.0)
 
 
-def _newton_polish(objective, hessian, z0, max_iter: int = 40):
-    """Newton refinement of the stationarity condition grad = 0.
+_NEWTON_MAX_ITER = 200
 
-    Near the optimum the objective value sits at its float noise floor, so
-    steps are judged by the analytic gradient norm instead; each step
-    solves against the analytic Hessian. Terminates once an accepted step
-    moves less than 1e-8 and changes the objective by less than 1e-9, or
-    the gradient is negligible. Returns
-    (z, f(z), iterations, terminated-cleanly flag).
+
+def _newton(objective, hessian, z0):
+    """Minimize a smooth function by damped Newton steps on |H|.
+
+    ``objective(z)`` returns (f, gradient) and ``hessian(z)`` the second
+    derivatives. Each step solves against H with every eigenvalue
+    replaced by its absolute value ("saddle-free" Newton), floored at the
+    gradient's component along its eigenvector: the plain Newton step near
+    a minimum, a descent direction at any curvature, and a unit step along
+    each direction where the slope exceeds the curvature. The step is
+    halved until f strictly decreases or, where f sits at its rounding
+    noise near a minimum, until f holds within that noise while the
+    gradient norm falls. The search stops when the gradient norm falls
+    below 1e-10, when a step moves z by less than 1e-10 and f by less
+    than 1e-12, or when no step is accepted. Returns (z, f(z), gradient,
+    iterations, stopped), where ``stopped`` is False when the iteration
+    cap ended the search.
     """
     z = np.asarray(z0, dtype=float)
     f, g = objective(z)
-    stable = False
-    it = 0
-    for it in range(1, max_iter + 1):
+    for it in range(_NEWTON_MAX_ITER):
         gnorm = float(np.linalg.norm(g))
         if gnorm < 1e-10:
-            stable = True
-            break
-        try:
-            step = np.linalg.solve(hessian(z), g)
-        except np.linalg.LinAlgError:
-            break
-        if not np.all(np.isfinite(step)):
-            break
+            return z, f, g, it, True
+        lam, vec = np.linalg.eigh(hessian(z))
+        vg = vec.T @ g
+        scale = np.maximum(np.abs(lam), np.abs(vg))
+        step = vec @ np.divide(vg, scale, out=np.zeros_like(vg), where=scale > 0)
+        noise = 1e-12 * (1.0 + abs(f))
         t = 1.0
-        accepted = False
-        while t > 1e-8:
+        while True:
             z_new = z - t * step
             f_new, g_new = objective(z_new)
-            # shrink the gradient without drifting uphill beyond noise
-            if float(np.linalg.norm(g_new)) < gnorm and f_new <= f + 1e-6:
-                accepted = True
+            if f_new < f or (f_new <= f + noise and np.linalg.norm(g_new) < gnorm):
                 break
             t *= 0.5
-        if not accepted:
-            stable = True  # gradient at its numerical floor
-            break
+            if t < 1e-10:
+                return z, f, g, it, True
         moved = float(np.max(np.abs(z_new - z)))
-        drifted = abs(float(f - f_new))
+        drop = float(f - f_new)
         z, f, g = z_new, f_new, g_new
-        if moved < 1e-8 and drifted < 1e-9:
-            stable = True
-            break
-    return z, f, it, stable
+        if moved < 1e-10 and drop < 1e-12:
+            return z, f, g, it + 1, True
+    return z, f, g, _NEWTON_MAX_ITER, False
 
 
 def _fit_from(part: IntegerPartition, objective, hessian, starts, warnings) -> MleFit:
-    """L-BFGS-B from each start, Newton polish on the best, diagnosis."""
-    best = None
-    total_iter = 0
-    for z0 in starts:
-        res = minimize(
-            objective,
-            z0,
-            jac=True,
-            method="L-BFGS-B",
-            options={"maxiter": 500, "ftol": 1e-14, "gtol": 1e-9},
-        )
-        total_iter += res.nit
-        if best is None or res.fun < best.fun:
-            best = res
-    # L-BFGS-B's own stopping rule leaves the gradient around 1e-5; a few
-    # damped Newton steps finish the job
-    z, fz, nit, stable = _newton_polish(objective, hessian, best.x)
-    total_iter += nit
+    """Newton search from each start; the lowest optimum is diagnosed."""
+    runs = [_newton(objective, hessian, z0) for z0 in starts]
+    z, fz, grad, _, stable = min(runs, key=lambda run: run[1])
 
     alpha_hat, theta_hat = _from_z(z)
     loglik = -float(fz)
-    _, grad = objective(z)
     grad_norm = float(np.linalg.norm(grad))
 
     diagnosis = None
@@ -355,7 +287,7 @@ def _fit_from(part: IntegerPartition, objective, hessian, starts, warnings) -> M
         phi_hat=phi_hat,
         hessian=hessian_pt,
         converged=converged,
-        iterations=total_iter,
+        iterations=sum(run[3] for run in runs),
         diagnosis=diagnosis,
         warnings=warnings,
         grad_norm=grad_norm,

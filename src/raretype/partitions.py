@@ -14,7 +14,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import chain
 from typing import Hashable, Iterator, Sequence, Union
+
+import numpy as np
 
 __all__ = [
     "SetPartition",
@@ -81,21 +84,27 @@ class SetPartition:
     blocks: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        seen: set[int] = set()
-        prev_least = 0
-        for block in self.blocks:
-            if not block:
-                raise ValueError("blocks must be nonempty")
-            if any(block[i] >= block[i + 1] for i in range(len(block) - 1)):
-                raise ValueError("blocks must be sorted ascending; use from_blocks")
-            if block[0] <= prev_least:
-                raise ValueError("blocks must be ordered by least element; use from_blocks")
-            prev_least = block[0]
-            for idx in block:
+        sizes = np.fromiter(map(len, self.blocks), dtype=np.int64, count=len(self.blocks))
+        if (sizes == 0).any():
+            raise ValueError("blocks must be nonempty")
+        flat = np.fromiter(chain.from_iterable(self.blocks), dtype=np.int64, count=int(sizes.sum()))
+        heads = np.cumsum(sizes) - sizes
+        rises = np.diff(flat) > 0
+        rises[heads[1:] - 1] = True  # a block boundary need not rise
+        if not rises.all():
+            raise ValueError("blocks must be sorted ascending; use from_blocks")
+        least = flat[heads]
+        if least.size and (least[0] <= 0 or (np.diff(least) <= 0).any()):
+            raise ValueError("blocks must be ordered by least element; use from_blocks")
+        # sorted blocks ordered by a positive least element hold only
+        # indices >= 1; n of them cover 1..n when none exceeds n or repeats
+        in_range = flat.size == self.n and flat.max(initial=0) <= self.n
+        if not (in_range and np.bincount(flat, minlength=self.n + 1)[1:].all()):
+            seen: set[int] = set()
+            for idx in flat.tolist():
                 if idx in seen:
                     raise ValueError(f"index {idx} appears in two blocks")
                 seen.add(idx)
-        if seen != set(range(1, self.n + 1)):
             raise ValueError(f"blocks must cover 1..{self.n} exactly")
 
     @classmethod
@@ -182,15 +191,8 @@ class IntegerPartition:
 
     def add_singleton(self) -> "IntegerPartition":
         """Multiset with one extra block of size 1 (suspect-only augmentation)."""
-        return self._bump(1)
-
-    def add_pair(self) -> "IntegerPartition":
-        """Multiset with one extra block of size 2 (suspect-and-trace augmentation)."""
-        return self._bump(2)
-
-    def _bump(self, size: int) -> "IntegerPartition":
         counts = dict(zip(self.a, self.r))
-        counts[size] = counts.get(size, 0) + 1
+        counts[1] = counts.get(1, 0) + 1
         a = tuple(sorted(counts))
         return IntegerPartition(a=a, r=tuple(counts[x] for x in a))
 

@@ -8,7 +8,9 @@ from a ranked frequency vector with this prior is
                    * prod_i [1-alpha]_{n_i-1;1}
 
 with rising factorials [x]_{a;b} = prod_{i<a} (x + i*b), and it only
-depends on the block-size multiset. The same law arises from the
+depends on the block-size multiset. One likelihood kernel evaluates its
+logarithm with the gradient and Hessian in (alpha, theta); ``eppf_log``
+and the fit in ``mle`` both call it. The same law arises from the
 sequential seating scheme: customer n+1 opens a new table with
 probability (theta + k*alpha)/(n + theta) and joins table i with
 probability (n_i - alpha)/(n + theta).
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 from typing import Hashable, Iterable, Optional, Sequence, Union
 
 import numpy as np
-from scipy.special import gammaln
+from scipy.special import digamma, gammaln, zeta
 
 from .partitions import (
     IntegerPartition,
@@ -39,9 +41,7 @@ __all__ = [
     "PdParams",
     "PopulationVector",
     "SeatingPlan",
-    "log_rising_factorial",
     "eppf_log",
-    "crp_predictive",
     "crp_sample",
     "gem_stick_breaking",
     "powerlaw_reference",
@@ -146,59 +146,76 @@ class SeatingPlan:
         return reduce_sample(self.assignments)
 
 
-def log_rising_factorial(x: float, a: int, b: float) -> float:
-    """log of prod_{i=0}^{a-1} (x + i*b); exactly 0 when a == 0.
+def _loglik_terms(part: IntegerPartition):
+    """Precompute the arrays the likelihood kernel needs."""
+    a = np.asarray(part.a, dtype=float)
+    r = np.asarray(part.r, dtype=float)
+    big = a > 1
+    return part.n, part.k, a[big], r[big]
 
-    Every factor must be positive; a nonpositive factor raises ValueError,
-    which is how invalid (alpha, theta) pairs surface for a given
-    partition.
+
+def _loglik_and_grad(n, k, a_big, r_big, alpha, theta):
+    """Partition log-likelihood and its gradient in (alpha, theta).
+
+    The two long rising factorials are summed directly (gamma-function
+    differences cancel catastrophically once theta dwarfs the counts);
+    the block-size products use gammaln, whose arguments stay small.
+    Returns (-inf, 0, 0) outside the open domain.
     """
-    if a < 0:
-        raise ValueError("a must be a nonnegative count")
-    if a == 0:
-        return 0.0
-    lowest = x if b >= 0 else x + (a - 1) * b
-    if not lowest > 0:
-        raise ValueError(f"nonpositive factor in rising factorial: x={x}, a={a}, b={b}")
-    if b == 0:
-        return a * math.log(x)
-    # the gammaln form loses absolute precision when x/b dwarfs a, so short
-    # products are summed directly (pairwise summation, C speed)
-    if b > 0 and a > 4096:
-        z = x / b
-        return a * math.log(b) + float(gammaln(z + a) - gammaln(z))
-    return float(np.log(x + b * np.arange(a)).sum())
+    if not (0.0 < alpha < 1.0 and theta > -alpha) or not math.isfinite(theta):
+        return -math.inf, 0.0, 0.0
+    val = 0.0
+    g_alpha = 0.0
+    g_theta = 0.0
+    if k > 1:
+        i = np.arange(1.0, k)
+        factors = theta + alpha * i
+        val += float(np.log(factors).sum())
+        inv = 1.0 / factors
+        g_theta += float(inv.sum())
+        g_alpha += float((i * inv).sum())
+    i = np.arange(1.0, n)
+    factors = theta + i
+    val -= float(np.log(factors).sum())
+    g_theta -= float((1.0 / factors).sum())
+    if a_big.size:
+        val += float(r_big @ (gammaln(a_big - alpha) - gammaln(1.0 - alpha)))
+        g_alpha += float(r_big @ (digamma(1.0 - alpha) - digamma(a_big - alpha)))
+    return val, g_alpha, g_theta
+
+
+def _loglik_hess(n, k, a_big, r_big, alpha, theta) -> np.ndarray:
+    """Second derivatives of the partition log-likelihood in (alpha, theta).
+
+    Sums of i^p / (theta + alpha i)^2 (p = 0, 1, 2) and 1 / (theta + i)^2,
+    plus trigamma terms for the block-size products (the Hurwitz zeta
+    zeta(2, x) is the trigamma function, at a fraction of polygamma's
+    cost). Returns zeros outside the open domain, as ``_loglik_and_grad``
+    returns a zero gradient.
+    """
+    if not (0.0 < alpha < 1.0 and theta > -alpha) or not math.isfinite(theta):
+        return np.zeros((2, 2))
+    h_aa = h_at = h_tt = 0.0
+    if k > 1:
+        i = np.arange(1.0, k)
+        inv2 = 1.0 / (theta + alpha * i) ** 2
+        h_tt -= float(inv2.sum())
+        h_at -= float((i * inv2).sum())
+        h_aa -= float((i * i * inv2).sum())
+    h_tt += float((1.0 / (theta + np.arange(1.0, n)) ** 2).sum())
+    if a_big.size:
+        h_aa += float(r_big @ (zeta(2.0, a_big - alpha) - zeta(2.0, 1.0 - alpha)))
+    return np.array([[h_aa, h_at], [h_at, h_tt]])
 
 
 def eppf_log(pi: Union[IntegerPartition, SetPartition], params: PdParams) -> float:
     """Log probability of a partition under the sampling formula.
 
     Depends only on the block-size multiset, never on labels or block
-    order.
+    order: it is the likelihood kernel's value at ``params``.
     """
-    part = as_integer_partition(pi)
-    n, k = part.n, part.k
-    out = log_rising_factorial(params.theta + params.alpha, k - 1, params.alpha)
-    out -= log_rising_factorial(params.theta + 1.0, n - 1, 1.0)
-    for aj, rj in zip(part.a, part.r):
-        if aj > 1:
-            out += rj * log_rising_factorial(1.0 - params.alpha, aj - 1, 1.0)
-    return out
-
-
-def crp_predictive(table_counts: Sequence[int], params: PdParams) -> np.ndarray:
-    """Next-customer distribution over tables 1..k plus a new table at k+1."""
-    counts = np.asarray(table_counts, dtype=float)
-    if counts.size == 0:
-        return np.array([1.0])
-    if (counts < 1).any():
-        raise ValueError("table counts must be >= 1")
-    n = counts.sum()
-    k = counts.size
-    out = np.empty(k + 1)
-    out[:k] = (counts - params.alpha) / (n + params.theta)
-    out[k] = (params.theta + k * params.alpha) / (n + params.theta)
-    return out
+    terms = _loglik_terms(as_integer_partition(pi))
+    return _loglik_and_grad(*terms, params.alpha, params.theta)[0]
 
 
 def crp_sample(n: int, params: PdParams, seed: SeedLike = None) -> SeatingPlan:

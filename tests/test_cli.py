@@ -150,3 +150,12 @@ class TestSubprocessDeterminism:
         b = run_cli(argv)
         assert a.returncode == 0, a.stderr
         assert a.stdout == b.stdout
+
+
+def test_import_loads_no_optimizer_library():
+    # both solves use the package's own Newton search; scipy.optimize would
+    # add ~0.3 s to every process start
+    code = "import sys, raretype; print([m for m in sys.modules if m.startswith('scipy.optimize')])"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"

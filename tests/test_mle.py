@@ -6,14 +6,15 @@ import pytest
 from hypothesis import assume, example, given, strategies as st
 
 from raretype.mle import (
+    _NEWTON_MAX_ITER,
+    _PENALTY,
     _START_ALPHAS,
     _START_THETAS,
     LoglikSurface,
     SurfaceGrid,
     _fit_from,
-    _loglik_and_grad,
-    _loglik_terms,
     _make_objective,
+    _newton,
     _phi_theta_hessian,
     _to_z,
     fit_mle,
@@ -23,7 +24,7 @@ from raretype.mle import (
     theta_alpha_of,
 )
 from raretype.partitions import IntegerPartition, SetPartition, to_integer_partition
-from raretype.pitman import PdParams, crp_sample, eppf_log
+from raretype.pitman import PdParams, _loglik_and_grad, _loglik_terms, crp_sample, eppf_log
 from raretype.workbench import dutch_fixture
 
 
@@ -117,8 +118,9 @@ class TestFit:
         assert abs(np.mean(hats) - 0.5) < 0.06
 
     def test_overflowing_step_is_out_of_domain(self):
-        # from the (0.1, 10) start L-BFGS-B steps to log(theta + 1) > 709.78,
-        # where expm1 overflows; that step must count as theta = inf
+        # a quasi-Newton search from the (0.1, 10) start once stepped to
+        # log(theta + 1) > 709.78, where expm1 overflows; the fit must still
+        # end in the boundary diagnosis (the guard itself is tested below)
         fit = fit_mle(IntegerPartition(a=(1, 2), r=(120, 10)))
         assert not fit.converged
         assert fit.alpha_hat < 1e-4
@@ -162,6 +164,69 @@ class TestFit:
         assert 0.0 <= back["grad_norm"] < 1e-6
 
 
+@pytest.fixture(scope="module")
+def crp_18925():
+    plan = crp_sample(18925, PdParams(0.51, 216.0), seed=0)
+    return IntegerPartition.from_block_sizes(plan.table_counts)
+
+
+class TestNewton:
+    @pytest.mark.parametrize("which", ["dutch", "crp_18925"])
+    def test_every_grid_start_reaches_the_fit(self, which, crp_18925):
+        # Newton on H shifted to be positive definite stalls from (0.1, 1) on
+        # the Dutch fixture and runs off to alpha -> 0 from (0.9, 1000) on the
+        # draw; each start alone must reach the one interior optimum
+        pi = dutch_fixture() if which == "dutch" else crp_18925
+        fit = fit_mle(pi)
+        objective, hessian = _make_objective(pi)
+        for a0 in _START_ALPHAS:
+            for t0 in _START_THETAS:
+                alone = _fit_from(pi, objective, hessian, [_to_z(a0, t0)], fit.warnings)
+                assert alone.converged, (a0, t0, alone.diagnosis)
+                assert alone.alpha_hat == pytest.approx(fit.alpha_hat, rel=0, abs=1e-9)
+
+    def test_boundary_searches_stop_before_the_cap(self):
+        # the likelihood peaks at alpha -> 0, where f flattens to its float
+        # floor; every search must still stop on its own
+        part = IntegerPartition(a=(1, 2), r=(120, 10))
+        objective, hessian = _make_objective(part)
+        for a0 in _START_ALPHAS:
+            for t0 in _START_THETAS:
+                *_, iterations, stopped = _newton(objective, hessian, _to_z(a0, t0))
+                assert stopped and iterations < _NEWTON_MAX_ITER, (a0, t0)
+
+    def test_overflowing_theta_returns_the_penalty(self):
+        # log(theta + 1) = 800 overflows expm1: theta = inf is outside the domain
+        objective, _ = _make_objective(dutch_fixture())
+        f, g = objective(np.array([0.0, 800.0]))
+        assert f == _PENALTY
+        assert not g.any()
+
+    def test_newton_step_near_a_minimum(self):
+        # where the gradient is small against the curvature, one plain
+        # Newton step solves a quadratic
+        a = np.array([[3.0, 1.0], [1.0, 2.0]])
+        b = np.array([1.0, -4.0])
+        z_min = np.linalg.solve(a, b)
+        for z0, most in ((z_min + [0.1, -0.2], 1), (np.array([40.0, -70.0]), _NEWTON_MAX_ITER)):
+            z, _, _, iterations, stopped = _newton(
+                lambda z: (0.5 * z @ a @ z - b @ z, a @ z - b), lambda z: a, z0
+            )
+            assert stopped and iterations <= most
+            assert np.abs(z - z_min).max() < 1e-12
+
+    def test_leaves_a_saddle(self):
+        # f = x^4/4 - x^2/2 + y^2/2 has a saddle at 0 and minima at x = +-1; a
+        # plain Newton step from (0.1, 1) heads for the saddle
+        def objective(z):
+            x, y = z
+            return x**4 / 4 - x**2 / 2 + y**2 / 2, np.array([x**3 - x, y])
+
+        z, *_, stopped = _newton(objective, lambda z: np.diag([3 * z[0] ** 2 - 1, 1.0]), [0.1, 1.0])
+        assert stopped
+        assert np.abs(z - [1.0, 0.0]).max() < 1e-9
+
+
 def _diagnosis_kind(diagnosis):
     """The diagnosis without its numbers: 'alpha_hat', 'theta_hat', 'theta'
     (diverged) or 'gradient'."""
@@ -177,11 +242,9 @@ class TestGradientKernel:
     # (h/2)|d2l/dalpha2|, is 2.4e-5 here, above abs=1e-5
     @example(0.5091726870785914, 0.9360965631815882)
     def test_analytic_gradient_matches_direct_sum_differences(self, alpha, theta):
-        # cross-route check: digamma-based gradient against central
-        # differences of the rising-factorial evaluation; alpha >= 0.1 and
-        # theta >= 0.5 keep the x - h points inside the parameter space
-        from raretype.mle import _loglik_and_grad, _loglik_terms
-
+        # digamma-based gradient against central differences of the
+        # kernel's value (eppf_log); alpha >= 0.1 and theta >= 0.5 keep the
+        # x - h points inside the parameter space
         pi = IntegerPartition((1, 2, 3, 7), (6, 3, 2, 1))
         n, k, a_big, r_big = _loglik_terms(pi)
 
@@ -196,8 +259,6 @@ class TestGradientKernel:
         assert gt == pytest.approx(fd_t, rel=1e-3, abs=1e-5)
 
     def test_tight_central_difference_agreement(self):
-        from raretype.mle import _loglik_and_grad, _loglik_terms
-
         pi = IntegerPartition((1, 2, 5), (9, 4, 2))
         n, k, a_big, r_big = _loglik_terms(pi)
         rng = np.random.default_rng(5)
@@ -224,7 +285,7 @@ class TestHessianKernel:
     )
     def test_analytic_hessian_matches_gradient_differences(self, pi, alpha, theta):
         # both coordinate systems: (phi, theta) for the reported information,
-        # z = (logit alpha, log(theta + 1)) for the Newton polish
+        # z = (logit alpha, log(theta + 1)) for the Newton search
         terms = _loglik_terms(pi)
         n = terms[0]
         theta -= alpha  # theta > -alpha by at least 0.05

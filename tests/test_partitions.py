@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from raretype.partitions import (
     IntegerPartition,
@@ -106,9 +106,12 @@ def test_integer_partition_validation():
 def test_add_singleton_and_pair():
     ip = IntegerPartition((2,), (3,))  # three pairs
     assert ip.add_singleton() == IntegerPartition((1, 2), (1, 3))
-    assert ip.add_pair() == IntegerPartition((2,), (4,))
     assert ip.add_singleton().n == ip.n + 1
-    assert ip.add_pair().n == ip.n + 2
+    assert ip.add_singleton().add_singleton() == IntegerPartition((1, 2), (2, 3))
+    # the pair augmentation acts on set partitions
+    p = SetPartition.from_blocks([[1, 2], [3, 4], [5, 6]])
+    assert to_integer_partition(augment(p, "suspect_and_trace")) == IntegerPartition((2,), (4,))
+    assert to_integer_partition(augment(p, "suspect_only")) == ip.add_singleton()
 
 
 @pytest.mark.parametrize("n,count", [(1, 1), (3, 5), (4, 15)])
@@ -167,14 +170,18 @@ def test_set_partition_json_round_trip(labels):
 
 
 def test_set_partition_canonical_construction_enforced():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="ordered by least element"):
         SetPartition(n=2, blocks=((2,), (1,)))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="sorted ascending"):
         SetPartition(n=2, blocks=((2, 1),))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="cover 1..3"):
         SetPartition(n=3, blocks=((1, 2),))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="index 2 appears in two blocks"):
         SetPartition(n=2, blocks=((1, 2), (2,)) )
+    with pytest.raises(ValueError, match="index 3 appears in two blocks"):
+        SetPartition(n=3, blocks=((1, 3), (2, 3)))
+    with pytest.raises(ValueError, match="nonempty"):
+        SetPartition(n=1, blocks=((1,), ()))
     # from_blocks canonicalizes the same data fine
     assert SetPartition.from_blocks([[2], [1]]).blocks == ((1,), (2,))
 
@@ -182,3 +189,70 @@ def test_set_partition_canonical_construction_enforced():
 def test_from_dict_checks_declared_n():
     with pytest.raises(ValueError):
         SetPartition.from_dict({"n": 3, "blocks": [[1, 2]]})
+
+
+def _loop_validation(n, blocks):
+    """Block-by-block validation, the reference for SetPartition's
+    vectorised checks."""
+    seen = set()
+    prev_least = 0
+    for block in blocks:
+        if not block:
+            raise ValueError("blocks must be nonempty")
+        if any(block[i] >= block[i + 1] for i in range(len(block) - 1)):
+            raise ValueError("blocks must be sorted ascending")
+        if block[0] <= prev_least:
+            raise ValueError("blocks must be ordered by least element")
+        prev_least = block[0]
+        for idx in block:
+            if idx in seen:
+                raise ValueError(f"index {idx} appears in two blocks")
+            seen.add(idx)
+    if seen != set(range(1, n + 1)):
+        raise ValueError(f"blocks must cover 1..{n} exactly")
+
+
+@st.composite
+def near_canonical_blocks(draw):
+    """A canonical partition of some labels, then at most one small edit."""
+    blocks = [list(b) for b in reduce_sample(draw(labels_st)).blocks]
+    n = sum(len(b) for b in blocks) + draw(st.sampled_from([0, 0, 0, -1, 1]))
+    i = draw(st.integers(0, len(blocks) - 1))
+    edit = draw(st.sampled_from(["none", "dup", "drop", "reverse", "swap", "empty", "value"]))
+    if edit == "dup":
+        blocks[i].append(draw(st.integers(0, n + 1)))
+    elif edit == "drop":
+        blocks[i].pop()
+    elif edit == "reverse":
+        blocks[i].reverse()
+    elif edit == "swap":
+        j = draw(st.integers(0, len(blocks) - 1))
+        blocks[i], blocks[j] = blocks[j], blocks[i]
+    elif edit == "empty":
+        blocks.insert(i, [])
+    elif edit == "value":
+        blocks[i][-1] = draw(st.integers(-1, n + 2))
+    return n, tuple(tuple(b) for b in blocks)
+
+
+raw_blocks = st.tuples(
+    st.integers(0, 8),
+    st.lists(st.lists(st.integers(-1, 9), max_size=4).map(tuple), max_size=5).map(tuple),
+)
+
+
+@given(st.one_of(near_canonical_blocks(), raw_blocks))
+@example((3, ((1, 2), (2,))))  # n indices, none above n, one repeated
+def test_set_partition_checks_match_loop_reference(case):
+    n, blocks = case
+    try:
+        _loop_validation(n, blocks)
+        expected_ok = True
+    except ValueError:
+        expected_ok = False
+    try:
+        SetPartition(n=n, blocks=blocks)
+        ok = True
+    except ValueError:
+        ok = False
+    assert ok == expected_ok

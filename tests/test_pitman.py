@@ -16,16 +16,22 @@ from raretype.pitman import (
     PdParams,
     PopulationVector,
     SeatingPlan,
-    crp_predictive,
     crp_sample,
     eppf_log,
     gem_stick_breaking,
-    log_rising_factorial,
     powerlaw_reference,
     ranked_frequencies,
 )
 
 PARAM_GRID = [PdParams(a, t) for a in (0.2, 0.5, 0.8) for t in (-0.1, 1.0, 50.0)]
+
+
+def _seating_rule(table_counts, params):
+    """Next-customer law: join table i with weight n_i - alpha, open a new
+    one (last entry) with weight theta + k alpha, over n + theta."""
+    counts = np.asarray(table_counts, dtype=float)
+    weights = np.append(counts - params.alpha, params.theta + counts.size * params.alpha)
+    return weights / (counts.sum() + params.theta)
 
 
 params_st = st.builds(
@@ -46,35 +52,6 @@ class TestPdParams:
             PdParams(0.3, -0.3)
         with pytest.raises(ValueError):
             PdParams(0.5, float("nan"))
-
-
-class TestRisingFactorial:
-    def test_empty_product_is_zero(self):
-        assert log_rising_factorial(7.3, 0, 2.2) == 0.0
-
-    def test_integer_case(self):
-        assert log_rising_factorial(2, 3, 1) == pytest.approx(math.log(24), abs=1e-13)
-
-    def test_fractional_step(self):
-        assert log_rising_factorial(1, 2, 0.5) == pytest.approx(math.log(1.5), abs=1e-13)
-
-    def test_zero_step(self):
-        assert log_rising_factorial(3.0, 4, 0.0) == pytest.approx(4 * math.log(3.0))
-
-    def test_negative_step_direct_sum(self):
-        # factors 5, 4.5, 4
-        assert log_rising_factorial(5.0, 3, -0.5) == pytest.approx(math.log(5 * 4.5 * 4))
-
-    def test_nonpositive_factor_rejected(self):
-        with pytest.raises(ValueError):
-            log_rising_factorial(-1.0, 2, 1.0)
-        with pytest.raises(ValueError):
-            log_rising_factorial(1.0, 4, -0.5)  # last factor would be -0.5
-
-    @given(st.floats(0.1, 50), st.integers(1, 40), st.floats(0.0, 3.0))
-    def test_matches_direct_sum(self, x, a, b):
-        direct = sum(math.log(x + i * b) for i in range(a))
-        assert log_rising_factorial(x, a, b) == pytest.approx(direct, rel=1e-12, abs=1e-12)
 
 
 class TestEppf:
@@ -118,7 +95,7 @@ class TestEppf:
         for n in range(1, 8):
             for p in enumerate_partitions(n):
                 base = math.exp(eppf_log(p, params))
-                pred = crp_predictive(p.block_sizes(), params)
+                pred = _seating_rule(p.block_sizes(), params)
                 for choice in range(p.k + 1):
                     if choice < p.k:
                         blocks = list(list(b) for b in p.blocks)
@@ -141,24 +118,6 @@ class TestEppf:
         delta = eppf_log(plusplus, params) - eppf_log(plus, params)
         expected = math.log((1.0 - params.alpha) / (db.n + 1 + params.theta))
         assert delta == pytest.approx(expected, abs=1e-12)
-
-
-class TestCrpPredictive:
-    def test_empty_restaurant(self):
-        out = crp_predictive([], PdParams(0.5, 1.0))
-        assert out.tolist() == [1.0]
-
-    def test_single_table(self):
-        params = PdParams(0.3, 2.0)
-        out = crp_predictive([1], params)
-        assert out[1] == pytest.approx((2.0 + 0.3) / 3.0)
-        assert out[0] == pytest.approx((1 - 0.3) / 3.0)
-
-    @given(params_st, st.lists(st.integers(1, 9), min_size=0, max_size=8))
-    def test_sums_to_one(self, params, counts):
-        out = crp_predictive(counts, params)
-        assert out.sum() == pytest.approx(1.0, abs=1e-12)
-        assert (out >= 0).all()
 
 
 class TestCrpSample:
