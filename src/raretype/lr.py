@@ -23,7 +23,11 @@ proposed to the current assignment under p(a, r | chi, p) proportional
 to prod_i p_i^{a_{chi_i}}.
 Swapping two zero-class ranks is a no-op and is never proposed (zero-zero
 pairs carry equal classes). Class counts are conserved by construction,
-so the chain never leaves the constraint set it starts in.
+so the chain never leaves the constraint set it starts in. The pair is
+drawn directly, with no rejection of same-class pairs: the class pair
+(c, d), c < d, with weight n_c n_d from a table built once (class sizes
+never change), then a uniform member of each class from per-class member
+lists, in which an accepted swap is two writes.
 """
 from __future__ import annotations
 
@@ -124,20 +128,22 @@ class AssignmentVector:
         if len(self.chi) != pop.m:
             raise ValueError(f"chi must have one entry per population rank ({pop.m})")
         J = part.num_size_classes
-        counts = [0] * (J + 1)
-        for c in self.chi:
-            if not 0 <= c <= J:
-                raise ValueError(f"class labels must lie in 0..{J}, got {c}")
-            counts[c] += 1
-        if tuple(counts[1:]) != part.r:
-            raise ValueError(f"class counts {tuple(counts[1:])} must equal r={part.r}")
+        chi = np.asarray(self.chi, dtype=np.int64)
+        outside = (chi < 0) | (chi > J)
+        if outside.any():
+            raise ValueError(f"class labels must lie in 0..{J}, got {chi[outside.argmax()]}")
+        counts = tuple(np.bincount(chi, minlength=J + 1)[1:].tolist())
+        if counts != part.r:
+            raise ValueError(f"class counts {counts} must equal r={part.r}")
         caps = _support_caps(pop, self.strict_support)
-        for i, c in enumerate(self.chi):
-            if c > 0 and caps[i] < part.a[c - 1]:
-                raise InfeasibleAssignmentError(
-                    f"rank {i + 1} cannot carry block size {part.a[c - 1]} "
-                    f"(supported count {caps[i]})"
-                )
+        need = np.asarray((0,) + part.a)[chi]
+        short = (chi > 0) & (caps < need)
+        if short.any():
+            i = int(short.argmax())
+            raise InfeasibleAssignmentError(
+                f"rank {i + 1} cannot carry block size {need[i]} "
+                f"(supported count {caps[i]})"
+            )
 
     def singleton_mass(self) -> float:
         """Total frequency of ranks assigned to the singleton class."""
@@ -161,27 +167,30 @@ def chi_init(
     """
     part = as_integer_partition(pi)
     caps = _support_caps(p, strict_support)
-    chi = [0] * p.m
-    cursor = 0
-    for a_j, r_j, j in sorted(zip(part.a, part.r, range(1, part.num_size_classes + 1)), reverse=True):
-        placed = 0
-        while placed < r_j:
-            if cursor >= p.m or caps[cursor] < a_j:
-                raise InfeasibleAssignmentError(
-                    f"class of block size {a_j} needs {r_j} ranks with supported "
-                    f"count >= {a_j}; only {placed} available"
-                )
-            chi[cursor] = j
-            cursor += 1
-            placed += 1
+    # the greedy fill: class labels in decreasing block size, rank by rank
+    labels = np.repeat(np.arange(part.num_size_classes, 0, -1), part.r[::-1])
+    need = np.asarray(part.a)[labels - 1]
+    fits = caps[: labels.size] >= need[: p.m]
+    if labels.size > p.m or not fits.all():
+        first = int(fits.argmin()) if not fits.all() else p.m
+        j = int(labels[first])
+        a_j, r_j = part.a[j - 1], part.r[j - 1]
+        placed = first - int(np.count_nonzero(labels > j))
+        raise InfeasibleAssignmentError(
+            f"class of block size {a_j} needs {r_j} ranks with supported "
+            f"count >= {a_j}; only {placed} available"
+        )
+    chi = np.zeros(p.m, dtype=np.int64)
+    chi[: labels.size] = labels
     return AssignmentVector(
-        chi=tuple(chi), partition=part, population=p, strict_support=strict_support
+        chi=tuple(chi.tolist()), partition=part, population=p, strict_support=strict_support
     )
 
 
 @dataclass(frozen=True)
 class MhConfig:
-    """Chain schedule; defaults: 1e5 sweeps, burn-in 2e4, thinning 1e3."""
+    """Chain schedule, counted in proposals (one swap proposal per
+    iteration); defaults: 1e5 iterations, burn-in 2e4, thinning 1e3."""
 
     iterations: int = 100_000
     burn_in: int = 20_000
@@ -226,36 +235,8 @@ class TrueLrEstimate:
         }
 
 
-class _Buffered:
-    """Block-buffered draws from one generator; consumption order is fixed,
-    so results are reproducible for a given seed."""
-
-    __slots__ = ("_rng", "_m", "_ints", "_unis", "_ii", "_ui")
-    _BLOCK = 8192
-
-    def __init__(self, rng: np.random.Generator, m: int):
-        self._rng = rng
-        self._m = m
-        self._ints: list[int] = []
-        self._unis: list[float] = []
-        self._ii = 0
-        self._ui = 0
-
-    def next_rank(self) -> int:
-        if self._ii == len(self._ints):
-            self._ints = self._rng.integers(0, self._m, size=self._BLOCK).tolist()
-            self._ii = 0
-        v = self._ints[self._ii]
-        self._ii += 1
-        return v
-
-    def next_uniform(self) -> float:
-        if self._ui == len(self._unis):
-            self._unis = self._rng.random(size=self._BLOCK).tolist()
-            self._ui = 0
-        v = self._unis[self._ui]
-        self._ui += 1
-        return v
+# draws come from numpy in blocks of this many proposals
+_BLOCK = 8192
 
 
 def _run_swap_chain(start: AssignmentVector, cfg: MhConfig):
@@ -265,49 +246,58 @@ def _run_swap_chain(start: AssignmentVector, cfg: MhConfig):
     probs = pop.as_array()
     log_probs = np.log(probs).tolist()
     caps = _support_caps(pop, start.strict_support).tolist()
-    a_ext = [0] + list(part.a)
-    chi = list(start.chi)
-    m = len(chi)
+    a_ext = np.array((0,) + part.a)
+    chi = np.asarray(start.chi)
+    # members[c] lists the ranks carrying class c; a swap rewrites one
+    # slot in each of two lists
+    members = [np.flatnonzero(chi == c).tolist() for c in range(a_ext.size)]
+    sizes = np.array([len(ranks) for ranks in members])
+    # class sizes never change, so neither does the law of the class pair
+    # (c, d), c < d, of a uniform cross-class rank pair: weight n_c n_d
+    c_of, d_of = np.nonzero(np.triu(np.outer(sizes, sizes), k=1))
+    weights = sizes[c_of] * sizes[d_of]
+    cum = np.cumsum(weights) / weights.sum()
 
     def singleton_mass() -> float:
-        return float(probs[np.asarray(chi) == 1].sum())
+        return float(probs[members[1]].sum())
 
-    # with every rank in the same class there is nothing to swap; the
-    # single state is the whole constraint set
-    distinct = len(set(chi)) > 1
+    retained = range(cfg.burn_in + cfg.thinning, cfg.iterations + 1, cfg.thinning)
+    if c_of.size == 0:
+        # no cross-class pair exists: the start is the whole constraint set
+        return [(t, singleton_mass()) for t in retained], 0.0
     rng = as_generator(cfg.seed)
-    draws = _Buffered(rng, m)
-
     trace: list[tuple[int, float]] = []
     accepted = 0
-    for t in range(1, cfg.iterations + 1):
-        if distinct:
-            while True:
-                i = draws.next_rank()
-                j = draws.next_rank()
-                if i == j:
-                    continue
-                ci = chi[i]
-                cj = chi[j]
-                if ci != cj:
-                    break
-            u = draws.next_uniform()
-            ai = a_ext[ci]
-            aj = a_ext[cj]
+    for t0 in range(0, cfg.iterations, _BLOCK):
+        block = min(_BLOCK, cfg.iterations - t0)
+        pair = np.searchsorted(cum, rng.random(block), side="right")
+        cs, ds = c_of[pair], d_of[pair]
+        us = rng.integers(sizes[cs])
+        vs = rng.integers(sizes[ds])
+        draws = zip(
+            range(t0 + 1, t0 + block + 1),
+            cs.tolist(), ds.tolist(), a_ext[cs].tolist(), a_ext[ds].tolist(),
+            us.tolist(), vs.tolist(), rng.random(block).tolist(),
+        )
+        for t, c, d, ac, ad, u, v, w in draws:
+            i = members[c][u]
+            j = members[d][v]
             # census support is enforced by rejecting the proposal outright
-            if caps[i] >= aj and caps[j] >= ai:
-                log_r = (ai - aj) * (log_probs[j] - log_probs[i])
-                if log_r >= 0.0 or u < math.exp(log_r):
-                    chi[i] = cj
-                    chi[j] = ci
+            if caps[i] >= ad and caps[j] >= ac:
+                log_r = (ac - ad) * (log_probs[j] - log_probs[i])
+                if log_r >= 0.0 or w < math.exp(log_r):
+                    members[c][u] = j
+                    members[d][v] = i
                     accepted += 1
-        if t > cfg.burn_in and (t - cfg.burn_in) % cfg.thinning == 0:
-            trace.append((t, singleton_mass()))
+            if t in retained:
+                trace.append((t, singleton_mass()))
     # swaps conserve class counts and rejected proposals never land, so the
     # final state must still satisfy every constraint; constructing the
     # AssignmentVector re-checks that
+    for c, ranks in enumerate(members):
+        chi[ranks] = c
     AssignmentVector(
-        chi=tuple(chi),
+        chi=tuple(chi.tolist()),
         partition=part,
         population=pop,
         strict_support=start.strict_support,

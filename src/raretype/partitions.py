@@ -226,7 +226,9 @@ def reduce_sample(sample: SampleLike) -> SetPartition:
     groups: dict[Hashable, list[int]] = {}
     for idx, label in enumerate(labels, start=1):
         groups.setdefault(label, []).append(idx)
-    return SetPartition.from_blocks(list(groups.values()))
+    # dicts keep first-occurrence order and indices arrive ascending, so the
+    # blocks are already canonical; construction still checks that
+    return SetPartition(n=len(labels), blocks=tuple(map(tuple, groups.values())))
 
 
 def augment(p: SetPartition, mode: str) -> SetPartition:

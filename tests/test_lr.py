@@ -23,6 +23,13 @@ from raretype.lr import _support_caps
 from raretype.mle import phi_of
 from raretype.partitions import IntegerPartition
 from raretype.pitman import PdParams, PopulationVector
+from raretype.rng import spawn_seeds
+from raretype.workbench import (
+    ExperimentSpec,
+    _experiment_population,
+    _run_replicate,
+    dutch_fixture,
+)
 
 
 def uniform_population(m, pop_size=None):
@@ -268,6 +275,167 @@ class TestTrueLr:
         est = lr_true_mh(pi, pop, small_cfg(0, 5_000))
         assert est.lr == pytest.approx(4.0, rel=1e-12)
         assert est.acceptance_rate == 0.0
+
+
+def _loop_chi_init(pi, pop, strict_support=False):
+    """Rank-by-rank greedy fill, the reference for chi_init's vectorised fill."""
+    caps = _support_caps(pop, strict_support)
+    chi = [0] * pop.m
+    cursor = 0
+    for a_j, r_j, j in sorted(zip(pi.a, pi.r, range(1, pi.num_size_classes + 1)), reverse=True):
+        placed = 0
+        while placed < r_j:
+            if cursor >= pop.m or caps[cursor] < a_j:
+                raise InfeasibleAssignmentError(
+                    f"class of block size {a_j} needs {r_j} ranks with supported "
+                    f"count >= {a_j}; only {placed} available"
+                )
+            chi[cursor] = j
+            cursor += 1
+            placed += 1
+    return tuple(chi)
+
+
+def _loop_assignment_check(chi, pi, pop, strict_support=False):
+    """Rank-by-rank validation, the reference for AssignmentVector's
+    vectorised checks."""
+    if len(chi) != pop.m:
+        raise ValueError(f"chi must have one entry per population rank ({pop.m})")
+    J = pi.num_size_classes
+    counts = [0] * (J + 1)
+    for c in chi:
+        if not 0 <= c <= J:
+            raise ValueError(f"class labels must lie in 0..{J}, got {c}")
+        counts[c] += 1
+    if tuple(counts[1:]) != pi.r:
+        raise ValueError(f"class counts {tuple(counts[1:])} must equal r={pi.r}")
+    caps = _support_caps(pop, strict_support)
+    for i, c in enumerate(chi):
+        if c > 0 and caps[i] < pi.a[c - 1]:
+            raise InfeasibleAssignmentError(
+                f"rank {i + 1} cannot carry block size {pi.a[c - 1]} "
+                f"(supported count {caps[i]})"
+            )
+
+
+def _outcome(f, *args, **kwargs):
+    """What a call returns, or the type and message of what it raises."""
+    try:
+        return f(*args, **kwargs)
+    except (ValueError, InfeasibleAssignmentError) as err:
+        return type(err), str(err)
+
+
+@st.composite
+def assignment_cases(draw):
+    """A census of 1-8 types, a partition of 1-6 blocks of sizes 1-4, and a
+    labelling that is the greedy start, a shuffle of it or a small edit."""
+    counts = sorted(draw(st.lists(st.integers(1, 6), min_size=1, max_size=8)), reverse=True)
+    pop = PopulationVector(probs=tuple(c / sum(counts) for c in counts), pop_size=sum(counts))
+    pi = IntegerPartition.from_block_sizes(draw(st.lists(st.integers(1, 4), min_size=1, max_size=6)))
+    chi = [0] * pop.m
+    labels = [j for j, r_j in enumerate(pi.r, start=1) for _ in range(r_j)][: pop.m]
+    chi[: len(labels)] = labels
+    chi = draw(st.permutations(chi))
+    edit = draw(st.sampled_from(["none", "none", "value", "drop", "append"]))
+    if edit == "value":
+        chi[draw(st.integers(0, len(chi) - 1))] = draw(st.integers(-1, pi.num_size_classes + 1))
+    elif edit == "drop":
+        chi.pop()
+    elif edit == "append":
+        chi.append(draw(st.integers(0, pi.num_size_classes)))
+    return pi, pop, tuple(chi)
+
+
+class TestVectorisedChecks:
+    @settings(max_examples=300, deadline=None)
+    @given(assignment_cases(), st.booleans())
+    def test_chi_init_matches_loop_reference(self, case, strict):
+        pi, pop, _ = case
+        expected = _outcome(_loop_chi_init, pi, pop, strict)
+        got = _outcome(chi_init, pi, pop, strict)
+        assert (got.chi if isinstance(got, AssignmentVector) else got) == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(assignment_cases(), st.booleans())
+    def test_assignment_checks_match_loop_reference(self, case, strict):
+        pi, pop, chi = case
+        expected = _outcome(_loop_assignment_check, chi, pi, pop, strict)
+        got = _outcome(AssignmentVector, chi, pi, pop, strict)
+        assert (None if isinstance(got, AssignmentVector) else got) == expected
+
+
+def stationary_acceptance(pi, pop, class_pair_weight):
+    """Exact long-run acceptance rate of the swap chain, summed over every
+    feasible assignment x under its law pi(x) and over every cross-class rank
+    pair, each proposed with probability proportional to
+    class_pair_weight(n_c, n_d) / (n_c n_d) for its class sizes."""
+    caps = _support_caps(pop, False)
+    a_ext = (0,) + pi.a
+    sizes = (pop.m - pi.k,) + pi.r
+    states = []
+    for chi in set(itertools.permutations(sorted(chi_init(pi, pop).chi))):
+        if all(caps[i] >= a_ext[c] for i, c in enumerate(chi)):
+            states.append((chi, math.prod(p ** a_ext[c] for p, c in zip(pop.probs, chi))))
+    z = math.fsum(w for _, w in states)
+    pairs = [(c, d) for c, d in itertools.combinations(range(len(sizes)), 2) if sizes[c] * sizes[d]]
+    total = math.fsum(class_pair_weight(sizes[c], sizes[d]) for c, d in pairs)
+    rate = 0.0
+    for chi, w in states:
+        for i, j in itertools.combinations(range(pop.m), 2):
+            ci, cj = chi[i], chi[j]
+            if ci == cj or caps[i] < a_ext[cj] or caps[j] < a_ext[ci]:
+                continue
+            q = class_pair_weight(sizes[ci], sizes[cj]) / (total * sizes[ci] * sizes[cj])
+            ratio = (pop.probs[j] / pop.probs[i]) ** (a_ext[ci] - a_ext[cj])
+            rate += w / z * q * min(1.0, ratio)
+    return rate
+
+
+class TestProposalLaw:
+    POP = PopulationVector(probs=(0.35, 0.25, 0.15, 0.12, 0.08, 0.05), pop_size=1000)
+
+    @pytest.mark.parametrize(
+        "pi, exact, uniform_pairs",
+        [
+            (IntegerPartition((1, 2, 3), (1, 1, 1)), 0.4161, 0.4644),
+            (IntegerPartition((1, 3), (3, 1)), 0.4602, 0.3745),
+        ],
+    )
+    def test_acceptance_matches_uniform_cross_class_rank_pairs(self, pi, exact, uniform_pairs):
+        # a uniform cross-class rank pair puts weight n_c n_d on the class
+        # pair; drawing class pairs uniformly is also symmetric, but accepts
+        # at another rate, which this test would see
+        assert stationary_acceptance(pi, self.POP, lambda nc, nd: nc * nd) == pytest.approx(
+            exact, abs=1e-4
+        )
+        assert stationary_acceptance(pi, self.POP, lambda nc, nd: 1.0) == pytest.approx(
+            uniform_pairs, abs=1e-4
+        )
+        est = lr_true_mh(pi, self.POP, MhConfig(200_000, 1_000, 1_000, seed=5))
+        assert abs(est.acceptance_rate - exact) < 0.01
+
+
+@pytest.mark.slow
+def test_chain_agrees_with_exact_pass_over_dutch_replicates():
+    # 24 validation replicates of a database of 100 from the Dutch population;
+    # each fits the exact pass's state budget
+    spec = ExperimentSpec(population=dutch_fixture(), replicates=24, seed=2024)
+    pop, counts = _experiment_population(spec)
+    individuals = np.repeat(np.arange(1, pop.m + 1), counts)
+    errors = []
+    for i, (seed, twin) in enumerate(zip(*(spawn_seeds(spec.seed, 24) for _ in range(2)))):
+        chain = _run_replicate(spec, pop, counts, i, seed).log10_lr_true
+        # the replicate's database and suspect, drawn as _run_replicate draws them
+        rng = np.random.default_rng(twin.spawn(2)[0])
+        while True:
+            drawn = rng.choice(individuals, size=spec.sample_size, replace=False)
+            if drawn[-1] not in drawn[:-1]:
+                break
+        sizes = np.bincount(drawn[:-1])
+        db_plus = IntegerPartition.from_block_sizes(sizes[sizes > 0]).add_singleton()
+        errors.append(chain - math.log10(exact_true_lr(db_plus, pop)))
+    assert math.sqrt(np.mean(np.square(errors))) <= 0.03
 
 
 def brute_force_true_lr(pi, pop, strict_support=False):
