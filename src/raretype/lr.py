@@ -26,13 +26,18 @@ pairs carry equal classes). Class counts are conserved by construction,
 so the chain never leaves the constraint set it starts in. The pair is
 drawn directly, with no rejection of same-class pairs: the class pair
 (c, d), c < d, with weight n_c n_d from a table built once (class sizes
-never change), then a uniform member of each class from per-class member
-lists, in which an accepted swap is two writes.
+never change), then a uniform member of each class. The ranks sit in one
+flat slot list, grouped by class, so numpy turns each draw into a slot
+index and an accepted swap is two writes. Draws come in blocks, and each
+block runs in segments that end at the retained steps, where the
+singleton mass is read off the class-1 slots; per proposal, Python does
+only the accept/reject decision.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import islice
 from typing import Optional, Union
 
 import numpy as np
@@ -235,7 +240,8 @@ class TrueLrEstimate:
         }
 
 
-# draws come from numpy in blocks of this many proposals
+# draws come from numpy in blocks of this many proposals; the loop over a
+# block runs in segments that end at the retained steps
 _BLOCK = 8192
 
 
@@ -248,10 +254,13 @@ def _run_swap_chain(start: AssignmentVector, cfg: MhConfig):
     caps = _support_caps(pop, start.strict_support).tolist()
     a_ext = np.array((0,) + part.a)
     chi = np.asarray(start.chi)
-    # members[c] lists the ranks carrying class c; a swap rewrites one
-    # slot in each of two lists
-    members = [np.flatnonzero(chi == c).tolist() for c in range(a_ext.size)]
-    sizes = np.array([len(ranks) for ranks in members])
+    # one flat slot list: class 0's ranks, then class 1's, and so on, each
+    # in rank order; class c owns slots offset[c] .. offset[c] + sizes[c] - 1
+    # and an accepted swap rewrites two slots
+    sizes = np.bincount(chi, minlength=a_ext.size)
+    offset = np.cumsum(sizes) - sizes
+    slots = np.argsort(chi, kind="stable").tolist()
+    ones = slice(offset[1], offset[1] + sizes[1])
     # class sizes never change, so neither does the law of the class pair
     # (c, d), c < d, of a uniform cross-class rank pair: weight n_c n_d
     c_of, d_of = np.nonzero(np.triu(np.outer(sizes, sizes), k=1))
@@ -259,43 +268,52 @@ def _run_swap_chain(start: AssignmentVector, cfg: MhConfig):
     cum = np.cumsum(weights) / weights.sum()
 
     def singleton_mass() -> float:
-        return float(probs[members[1]].sum())
+        return float(probs[slots[ones]].sum())
 
     retained = range(cfg.burn_in + cfg.thinning, cfg.iterations + 1, cfg.thinning)
     if c_of.size == 0:
         # no cross-class pair exists: the start is the whole constraint set
         return [(t, singleton_mass()) for t in retained], 0.0
     rng = as_generator(cfg.seed)
-    trace: list[tuple[int, float]] = []
-    accepted = 0
-    for t0 in range(0, cfg.iterations, _BLOCK):
-        block = min(_BLOCK, cfg.iterations - t0)
+
+    def draw_block(block: int):
         pair = np.searchsorted(cum, rng.random(block), side="right")
         cs, ds = c_of[pair], d_of[pair]
-        us = rng.integers(sizes[cs])
-        vs = rng.integers(sizes[ds])
-        draws = zip(
-            range(t0 + 1, t0 + block + 1),
-            cs.tolist(), ds.tolist(), a_ext[cs].tolist(), a_ext[ds].tolist(),
-            us.tolist(), vs.tolist(), rng.random(block).tolist(),
+        xs = offset[cs] + rng.integers(sizes[cs])
+        ys = offset[ds] + rng.integers(sizes[ds])
+        a_c, a_d = a_ext[cs], a_ext[ds]
+        return zip(
+            xs.tolist(), ys.tolist(), a_d.tolist(), (a_c - a_d).tolist(),
+            rng.random(block).tolist(),
         )
-        for t, c, d, ac, ad, u, v, w in draws:
-            i = members[c][u]
-            j = members[d][v]
-            # census support is enforced by rejecting the proposal outright
-            if caps[i] >= ad and caps[j] >= ac:
-                log_r = (ac - ad) * (log_probs[j] - log_probs[i])
-                if log_r >= 0.0 or w < math.exp(log_r):
-                    members[c][u] = j
-                    members[d][v] = i
+
+    stops = sorted({*retained, *range(_BLOCK, cfg.iterations, _BLOCK), cfg.iterations})
+    trace: list[tuple[int, float]] = []
+    accepted = 0
+    exp = math.exp
+    t = 0
+    for stop in stops:
+        if t % _BLOCK == 0:
+            draws = draw_block(min(_BLOCK, cfg.iterations - t))
+        for x, y, ad, da, w in islice(draws, stop - t):
+            i = slots[x]
+            j = slots[y]
+            # census support is enforced by rejecting the proposal outright.
+            # The state is feasible and c < d, so j's cap covers a_d > a_c:
+            # only i, moving up to class d, can lack support
+            if caps[i] >= ad:
+                log_r = da * (log_probs[j] - log_probs[i])
+                if log_r >= 0.0 or w < exp(log_r):
+                    slots[x] = j
+                    slots[y] = i
                     accepted += 1
-            if t in retained:
-                trace.append((t, singleton_mass()))
+        if stop in retained:
+            trace.append((stop, singleton_mass()))
+        t = stop
     # swaps conserve class counts and rejected proposals never land, so the
     # final state must still satisfy every constraint; constructing the
     # AssignmentVector re-checks that
-    for c, ranks in enumerate(members):
-        chi[ranks] = c
+    chi[slots] = np.repeat(np.arange(a_ext.size), sizes)
     AssignmentVector(
         chi=tuple(chi.tolist()),
         partition=part,

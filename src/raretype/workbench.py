@@ -102,8 +102,9 @@ def load_profiles(path: str, format: str = "tsv", columns="all") -> ProfileDatab
     """Read a delimited profile table into opaque record strings.
 
     ``columns`` selects header names joined (in the given order) into each
-    record, or "all" for every column. Selecting a different column subset
-    changes profile identity; values are never interpreted numerically.
+    record, or "all" for every column; a bare string other than "all" names
+    one column. Selecting a different column subset changes profile
+    identity; values are never interpreted numerically.
     """
     if format not in ("tsv", "csv"):
         raise ValueError(f"format must be 'tsv' or 'csv', got {format!r}")
@@ -116,6 +117,8 @@ def load_profiles(path: str, format: str = "tsv", columns="all") -> ProfileDatab
             raise EmptyFileError(f"{path}: no header row")
         if columns == "all":
             wanted = list(header)
+        elif isinstance(columns, str):
+            wanted = [columns]
         else:
             wanted = list(columns)
         indices = []
@@ -123,13 +126,16 @@ def load_profiles(path: str, format: str = "tsv", columns="all") -> ProfileDatab
             if name not in header:
                 raise MissingColumnError(f"{path}: column {name!r} not in header {header}")
             indices.append(header.index(name))
+        # the whole header in header order joins each row as it stands
+        whole = indices == list(range(len(header)))
+        join = _FIELD_JOIN.join
         records = []
         for lineno, row in enumerate(reader, start=2):
             if len(row) != len(header):
                 raise RaggedRowError(
                     f"{path}:{lineno}: expected {len(header)} fields, found {len(row)}"
                 )
-            records.append(_FIELD_JOIN.join(row[i] for i in indices))
+            records.append(join(row) if whole else join([row[i] for i in indices]))
     if not records:
         raise EmptyFileError(f"{path}: no data rows")
     return ProfileDatabase(
@@ -460,6 +466,10 @@ def _worker_count(replicates: int) -> int:
         cap = int(env)
         if cap < 1:
             raise ValueError(f"{THREADS_ENV_VAR} must be >= 1, got {env!r}")
+    elif hasattr(os, "sched_getaffinity"):
+        # the CPUs this process may run on, fewer than os.cpu_count() under
+        # taskset or a cpuset
+        cap = len(os.sched_getaffinity(0))
     else:
         cap = os.cpu_count() or 1
     return max(1, min(cap, replicates))

@@ -19,11 +19,11 @@ from raretype.lr import (
     lr_posterior_form,
     lr_true_mh,
 )
-from raretype.lr import _support_caps
+from raretype.lr import _BLOCK, _run_swap_chain, _support_caps
 from raretype.mle import phi_of
 from raretype.partitions import IntegerPartition
-from raretype.pitman import PdParams, PopulationVector
-from raretype.rng import spawn_seeds
+from raretype.pitman import PdParams, PopulationVector, crp_sample
+from raretype.rng import as_generator, spawn_seeds
 from raretype.workbench import (
     ExperimentSpec,
     _experiment_population,
@@ -416,26 +416,149 @@ class TestProposalLaw:
         assert abs(est.acceptance_rate - exact) < 0.01
 
 
+def dutch_replicates(spec):
+    """Population and suspect-augmented database of each of spec's
+    replicates, drawn as _run_replicate draws them."""
+    pop, counts = _experiment_population(spec)
+    individuals = np.repeat(np.arange(1, pop.m + 1), counts)
+    for seed in spawn_seeds(spec.seed, spec.replicates):
+        rng = np.random.default_rng(seed.spawn(2)[0])
+        while True:
+            drawn = rng.choice(individuals, size=spec.sample_size, replace=False)
+            if drawn[-1] not in drawn[:-1]:
+                break
+        sizes = np.bincount(drawn[:-1])
+        yield pop, IntegerPartition.from_block_sizes(sizes[sizes > 0]).add_singleton()
+
+
 @pytest.mark.slow
 def test_chain_agrees_with_exact_pass_over_dutch_replicates():
     # 24 validation replicates of a database of 100 from the Dutch population;
     # each fits the exact pass's state budget
     spec = ExperimentSpec(population=dutch_fixture(), replicates=24, seed=2024)
     pop, counts = _experiment_population(spec)
-    individuals = np.repeat(np.arange(1, pop.m + 1), counts)
     errors = []
-    for i, (seed, twin) in enumerate(zip(*(spawn_seeds(spec.seed, 24) for _ in range(2)))):
+    replicates = zip(spawn_seeds(spec.seed, 24), dutch_replicates(spec))
+    for i, (seed, (_, db_plus)) in enumerate(replicates):
         chain = _run_replicate(spec, pop, counts, i, seed).log10_lr_true
-        # the replicate's database and suspect, drawn as _run_replicate draws them
-        rng = np.random.default_rng(twin.spawn(2)[0])
-        while True:
-            drawn = rng.choice(individuals, size=spec.sample_size, replace=False)
-            if drawn[-1] not in drawn[:-1]:
-                break
-        sizes = np.bincount(drawn[:-1])
-        db_plus = IntegerPartition.from_block_sizes(sizes[sizes > 0]).add_singleton()
         errors.append(chain - math.log10(exact_true_lr(db_plus, pop)))
     assert math.sqrt(np.mean(np.square(errors))) <= 0.03
+
+
+def _members_swap_chain(start, cfg):
+    """The swap chain on one member list per class, tested for the retained
+    step at every proposal: the reference for _run_swap_chain's flat slot
+    list and retained-step segments, which must match it draw for draw."""
+    part, pop = start.partition, start.population
+    probs = pop.as_array()
+    log_probs = np.log(probs).tolist()
+    caps = _support_caps(pop, start.strict_support).tolist()
+    a_ext = np.array((0,) + part.a)
+    chi = np.asarray(start.chi)
+    members = [np.flatnonzero(chi == c).tolist() for c in range(a_ext.size)]
+    sizes = np.array([len(ranks) for ranks in members])
+    c_of, d_of = np.nonzero(np.triu(np.outer(sizes, sizes), k=1))
+    weights = sizes[c_of] * sizes[d_of]
+    cum = np.cumsum(weights) / weights.sum()
+
+    def singleton_mass():
+        return float(probs[members[1]].sum())
+
+    retained = range(cfg.burn_in + cfg.thinning, cfg.iterations + 1, cfg.thinning)
+    if c_of.size == 0:
+        return [(t, singleton_mass()) for t in retained], 0.0
+    rng = as_generator(cfg.seed)
+    trace = []
+    accepted = 0
+    for t0 in range(0, cfg.iterations, _BLOCK):
+        block = min(_BLOCK, cfg.iterations - t0)
+        pair = np.searchsorted(cum, rng.random(block), side="right")
+        cs, ds = c_of[pair], d_of[pair]
+        us = rng.integers(sizes[cs])
+        vs = rng.integers(sizes[ds])
+        draws = zip(
+            range(t0 + 1, t0 + block + 1),
+            cs.tolist(), ds.tolist(), a_ext[cs].tolist(), a_ext[ds].tolist(),
+            us.tolist(), vs.tolist(), rng.random(block).tolist(),
+        )
+        for t, c, d, ac, ad, u, v, w in draws:
+            i = members[c][u]
+            j = members[d][v]
+            if caps[i] >= ad and caps[j] >= ac:
+                log_r = (ac - ad) * (log_probs[j] - log_probs[i])
+                if log_r >= 0.0 or w < math.exp(log_r):
+                    members[c][u] = j
+                    members[d][v] = i
+                    accepted += 1
+            if t in retained:
+                trace.append((t, singleton_mass()))
+    return trace, accepted / cfg.iterations
+
+
+SCHEDULES = [
+    MhConfig(16384, 0, 8192),  # retained steps on both block boundaries
+    MhConfig(3000, 600, 30),  # one short block
+    MhConfig(9000, 8999, 1),  # only the last step kept, in the second block
+    MhConfig(20000, 1234, 97),  # retained steps off the block grid
+    MhConfig(8193, 0, 1),  # every step kept, one proposal in the last block
+]
+
+
+@st.composite
+def chain_instances(draw):
+    """A feasible start on a census of 2-9 types (at times all singletons
+    over every type, the frozen case) and one of SCHEDULES with a seed."""
+    counts = sorted(draw(st.lists(st.integers(1, 12), min_size=2, max_size=9)), reverse=True)
+    pop = PopulationVector(probs=tuple(c / sum(counts) for c in counts), pop_size=sum(counts))
+    if draw(st.integers(0, 9)) == 0:
+        pi = IntegerPartition((1,), (len(counts),))
+    else:
+        sizes = draw(st.lists(st.integers(1, 4), min_size=0, max_size=len(counts) - 1))
+        pi = IntegerPartition.from_block_sizes(sizes + [1])
+    strict = draw(st.booleans())
+    try:
+        start = chi_init(pi, pop, strict)
+    except InfeasibleAssignmentError:
+        start = chi_init(IntegerPartition((1,), (1,)), pop)
+    cfg = draw(st.sampled_from(SCHEDULES))
+    return start, MhConfig(cfg.iterations, cfg.burn_in, cfg.thinning, seed=draw(st.integers(0, 999)))
+
+
+class TestChainReference:
+    @settings(max_examples=150, deadline=None)
+    @given(chain_instances())
+    def test_matches_members_chain(self, instance):
+        start, cfg = instance
+        trace, acceptance = _run_swap_chain(start, cfg)
+        expected_trace, expected_acceptance = _members_swap_chain(start, cfg)
+        assert tuple(trace) == tuple(expected_trace)
+        assert acceptance == expected_acceptance
+
+    def test_frozen_start_matches(self):
+        start = chi_init(IntegerPartition((1,), (5,)), uniform_population(5))
+        cfg = MhConfig(16384, 0, 8192, seed=3)
+        assert _run_swap_chain(start, cfg) == _members_swap_chain(start, cfg)
+
+
+@pytest.mark.slow
+def test_chain_matches_members_chain_at_scale():
+    # the 24 Dutch-101 replicates and one census-like population of ~9k
+    # ranks: a database of 18925 drawn from 100,000 people seated
+    # under PD(0.51, 216)
+    spec = ExperimentSpec(population=dutch_fixture(), replicates=24, seed=2024)
+    starts = [chi_init(db_plus, pop) for pop, db_plus in dutch_replicates(spec)]
+    plan = crp_sample(100_000, PdParams(0.51, 216.0), seed=11)
+    census = np.sort(plan.table_counts)[::-1]
+    people = np.repeat(np.arange(census.size), census)
+    drawn = np.random.default_rng(12).choice(people, size=18_925, replace=False)
+    sizes = np.bincount(drawn)
+    db_plus = IntegerPartition.from_block_sizes(sizes[sizes > 0]).add_singleton()
+    pop = PopulationVector(probs=tuple((census / census.sum()).tolist()), pop_size=100_000)
+    starts.append(chi_init(db_plus, pop))
+    assert starts[-1].population.m > 9_000
+    for k, start in enumerate(starts):
+        cfg = MhConfig(seed=k)
+        assert _run_swap_chain(start, cfg) == _members_swap_chain(start, cfg)
 
 
 def brute_force_true_lr(pi, pop, strict_support=False):

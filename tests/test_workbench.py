@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from raretype.workbench import (
     ExperimentSpec,
     MissingColumnError,
     RaggedRowError,
+    _worker_count,
     dutch_fixture,
     load_profiles,
     population_from_partition,
@@ -69,6 +71,33 @@ class TestLoadProfiles:
             load_profiles(write(tmp_path / "empty.tsv", ""))
         with pytest.raises(EmptyFileError):
             load_profiles(write(tmp_path / "header_only.tsv", "L1\tL2\n"))
+
+    def test_explicit_full_header_equals_all(self, tmp_path):
+        path = write(tmp_path / "db.tsv", "L1\tL2\tL3\na\tb\tc\nd\te\tf\n")
+        assert load_profiles(path, columns=["L1", "L2", "L3"]).records == (
+            load_profiles(path).records
+        )
+
+    def test_reordered_subset_joins_in_given_order(self, tmp_path):
+        path = write(tmp_path / "db.tsv", "L1\tL2\tL3\na\tb\tc\nd\te\tf\n")
+        db = load_profiles(path, columns=["L3", "L1"])
+        assert db.records == ("c\x1fa", "f\x1fd")
+        assert db.source.columns == ("L3", "L1")
+
+    def test_bare_string_names_one_column(self, tmp_path):
+        path = write(tmp_path / "db.tsv", "L1\tL2\nA\tx\nA\ty\n")
+        assert load_profiles(path, columns="L1") == load_profiles(path, columns=["L1"])
+
+    def test_missing_column_names_it(self, tmp_path):
+        path = write(tmp_path / "db.tsv", "L1\tL2\nx\ty\n")
+        with pytest.raises(MissingColumnError, match="column 'L3' not in header"):
+            load_profiles(path, columns="L3")
+
+    def test_ragged_row_names_line_and_counts(self, tmp_path):
+        path = write(tmp_path / "db.tsv", "L1\tL2\nx\ty\nonly_one\n")
+        for columns in ("all", ["L2"]):
+            with pytest.raises(RaggedRowError, match=r"db.tsv:3: expected 2 fields, found 1"):
+                load_profiles(path, columns=columns)
 
     def test_unknown_format(self, tmp_path):
         with pytest.raises(ValueError):
@@ -147,6 +176,29 @@ class TestRunCase:
         assert report.log10_lr_freq is not None
         assert report.diff1 == pytest.approx(report.log10_lr_eb - report.log10_lr_true)
         assert report.diff2 == pytest.approx(report.log10_lr_eb - report.log10_lr_freq)
+
+
+class TestWorkerCount:
+    def test_counts_usable_cpus(self, monkeypatch):
+        monkeypatch.delenv("RARETYPE_THREADS", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3}, raising=False)
+        assert _worker_count(96) == 2
+        assert _worker_count(1) == 1
+
+    def test_falls_back_to_cpu_count(self, monkeypatch):
+        monkeypatch.delenv("RARETYPE_THREADS", raising=False)
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 5)
+        assert _worker_count(96) == 5
+
+    def test_env_var_overrides_affinity(self, monkeypatch):
+        monkeypatch.setenv("RARETYPE_THREADS", "3")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert _worker_count(96) == 3
+        monkeypatch.setenv("RARETYPE_THREADS", "0")
+        with pytest.raises(ValueError, match="RARETYPE_THREADS"):
+            _worker_count(96)
 
 
 def tiny_spec(replicates=2, seed=99):
