@@ -4,9 +4,10 @@ The log-likelihood of (alpha, theta) given a partition is the log
 partition law, a function of the block-size multiset alone. It is
 maximized in unconstrained coordinates (logit(alpha), log(theta+1)) by a
 damped Newton search on the analytic gradient and Hessian, started from
-the best point of a coarse 5x5 grid; the search is re-run from all 25
-grid points when that single start does not converge. The same solver
-finds the saddle point of the exact known-population LR in ``lr``.
+the best point of a coarse 5x5 grid, whose 25 likelihood values come
+from one vectorised closed-form evaluation; the search is re-run from
+all 25 grid points when that single start does not converge. The same
+solver finds the saddle point of the exact known-population LR in ``lr``.
 
 The reparametrization phi = n(1-alpha)/(n+1+theta) is the posterior
 quantity the plug-in likelihood ratio divides into n; the observed
@@ -21,10 +22,10 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Union
 
 import numpy as np
-from scipy.special import expit, gammaln, logit
+from scipy.special import expit, logit
 
 from .partitions import IntegerPartition, SetPartition, as_integer_partition
-from .pitman import PdParams, _loglik_and_grad, _loglik_hess, _loglik_terms
+from .pitman import PdParams, _loglik_and_grad, _loglik_hess, _loglik_terms, _loglik_value
 
 __all__ = [
     "MleFit",
@@ -197,6 +198,15 @@ _START_ALPHAS = (0.1, 0.3, 0.5, 0.7, 0.9)
 _START_THETAS = (0.0, 1.0, 10.0, 100.0, 1000.0)
 
 
+def _best_start(part: IntegerPartition) -> np.ndarray:
+    """The start grid point with the highest likelihood (the first of
+    equals), in search coordinates."""
+    alphas, thetas = np.meshgrid(_START_ALPHAS, _START_THETAS, indexing="ij")
+    values = _loglik_value(*_loglik_terms(part), alphas, thetas)
+    i, j = np.unravel_index(np.argmax(values), values.shape)
+    return _to_z(_START_ALPHAS[i], _START_THETAS[j])
+
+
 _NEWTON_MAX_ITER = 200
 
 
@@ -337,11 +347,10 @@ def fit_mle(
         )
 
     objective, hessian = _make_objective(part)
-    grid = [_to_z(a0, t0) for a0 in _START_ALPHAS for t0 in _START_THETAS]
-    start = min(grid, key=lambda z: objective(z)[0])
-    fit = _fit_from(part, objective, hessian, [start], warnings)
+    fit = _fit_from(part, objective, hessian, [_best_start(part)], warnings)
     if fit.converged:
         return fit
+    grid = [_to_z(a0, t0) for a0 in _START_ALPHAS for t0 in _START_THETAS]
     wide = _fit_from(part, objective, hessian, grid, warnings)
     better = wide if wide.loglik_at_max >= fit.loglik_at_max else fit
     return replace(better, iterations=fit.iterations + wide.iterations, starts=len(grid))
@@ -419,27 +428,14 @@ def loglik_surface(
     phis = phi0 + sd_phi * np.linspace(-w, w, grid.n_phi)
     thetas = theta0 + sd_theta * np.linspace(-w, w, grid.n_theta)
 
-    # one theta column at a time, in one reused n_phi x (k - 1) buffer
-    # (a fresh array per column costs more in page faults than the logs)
-    n, k, a_big, r_big = _loglik_terms(part)
-    i = np.arange(1.0, k)
-    steps = np.arange(1.0, n)
-    work = np.empty((grid.n_phi, k - 1))
-    values = np.full((grid.n_phi, grid.n_theta), np.nan)
-    for j, theta in enumerate(thetas):
-        alphas = 1.0 - phis * (n + 1.0 + theta) / n
-        inside = (alphas > 0.0) & (alphas < 1.0) & (theta > -alphas)
-        if not inside.any():
-            continue
-        al = alphas[inside]
-        factors = work[: al.size]
-        np.multiply.outer(al, i, out=factors)
-        factors += theta
-        col = np.log(factors, out=factors).sum(axis=1)
-        col -= np.log(theta + steps).sum()
-        if a_big.size:
-            col += (gammaln(a_big - al[:, None]) - gammaln(1.0 - al)[:, None]) @ r_big
-        values[inside, j] = col
+    # one closed-form evaluation over every grid point inside the domain
+    terms = _loglik_terms(part)
+    n = terms[0]
+    alphas = 1.0 - phis[:, None] * (n + 1.0 + thetas) / n
+    theta_grid = np.broadcast_to(thetas, alphas.shape)
+    inside = (alphas > 0.0) & (alphas < 1.0) & (theta_grid > -alphas)
+    values = np.full(alphas.shape, np.nan)
+    values[inside] = _loglik_value(*terms, alphas[inside], theta_grid[inside])
     valid = np.isfinite(values)
     if not valid.any():
         raise ValueError("no grid point lies inside the parameter domain")

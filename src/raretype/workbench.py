@@ -34,6 +34,7 @@ from .rng import SeedLike, as_generator, spawn_seeds
 __all__ = [
     "ProfileParseError",
     "MissingColumnError",
+    "DuplicateColumnError",
     "RaggedRowError",
     "EmptyFileError",
     "ProfileSource",
@@ -64,6 +65,10 @@ class ProfileParseError(ValueError):
 
 
 class MissingColumnError(ProfileParseError):
+    pass
+
+
+class DuplicateColumnError(ProfileParseError):
     pass
 
 
@@ -104,7 +109,8 @@ def load_profiles(path: str, format: str = "tsv", columns="all") -> ProfileDatab
     ``columns`` selects header names joined (in the given order) into each
     record, or "all" for every column; a bare string other than "all" names
     one column. Selecting a different column subset changes profile
-    identity; values are never interpreted numerically.
+    identity; values are never interpreted numerically. A header that
+    repeats a name is rejected, whichever columns are selected.
     """
     if format not in ("tsv", "csv"):
         raise ValueError(f"format must be 'tsv' or 'csv', got {format!r}")
@@ -115,6 +121,10 @@ def load_profiles(path: str, format: str = "tsv", columns="all") -> ProfileDatab
             header = next(reader)
         except StopIteration:
             raise EmptyFileError(f"{path}: no header row")
+        # a repeated name would read its first column twice and never the next
+        for i, name in enumerate(header):
+            if name in header[:i]:
+                raise DuplicateColumnError(f"{path}: column {name!r} repeated in header {header}")
         if columns == "all":
             wanted = list(header)
         elif isinstance(columns, str):

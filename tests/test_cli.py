@@ -82,6 +82,12 @@ class TestDispatch:
         assert code in (0, 3)  # tiny sample may legitimately sit on a boundary
         capsys.readouterr()
 
+    def test_repeated_header_name_exits_2(self, capsys, tmp_path):
+        profiles = tmp_path / "profiles.tsv"
+        profiles.write_text("L1\tL1\na\tb\na\tc\n")
+        assert cli_dispatch(["reduce", "--input", str(profiles), "--quiet"]) == 2
+        assert "repeated in header" in capsys.readouterr().err
+
     def test_freq_lr(self, capsys, tmp_path):
         pop = tmp_path / "pop.json"
         pop.write_text(json.dumps({"probs": [0.5, 0.3, 0.2], "pop_size": 10}))

@@ -1,9 +1,11 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
+from scipy.special import gammaln
 
 from raretype.mle import (
     _NEWTON_MAX_ITER,
@@ -12,6 +14,7 @@ from raretype.mle import (
     _START_THETAS,
     LoglikSurface,
     SurfaceGrid,
+    _best_start,
     _fit_from,
     _make_objective,
     _newton,
@@ -147,6 +150,23 @@ class TestFit:
             assert fit.starts == 1
             assert fit.alpha_hat == pytest.approx(wide.alpha_hat, rel=0, abs=1e-9)
             assert fit.theta_hat == pytest.approx(wide.theta_hat, rel=1e-9, abs=1e-9)
+
+    @given(
+        st.integers(5, 20000),
+        st.floats(0.02, 0.98),
+        st.floats(-0.01, 3000.0),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_start_scan_matches_pointwise_rule(self, n, alpha, theta, seed):
+        # the vectorised scan picks the start the per-point objective picks
+        plan = crp_sample(n, PdParams(alpha, theta), seed=seed)
+        part = IntegerPartition.from_block_sizes(plan.table_counts)
+        assume(1 < part.k < part.n)
+        objective, _ = _make_objective(part)
+        grid = [_to_z(a0, t0) for a0 in _START_ALPHAS for t0 in _START_THETAS]
+        start = min(grid, key=lambda z: objective(z)[0])
+        assert np.array_equal(_best_start(part), start)
 
     def test_params_accessor_raises_on_degenerate(self):
         fit = fit_mle(IntegerPartition((1,), (3,)))
@@ -329,6 +349,16 @@ def _strict_local_maxima(surface):
     return out
 
 
+def _direct_loglik(n, k, a_big, r_big, alpha, theta):
+    """The partition log-likelihood with both long rising factorials summed
+    term by term (-inf outside the open domain)."""
+    if not (0.0 < alpha < 1.0 and theta > -alpha):
+        return -math.inf
+    val = float(np.log(theta + alpha * np.arange(1.0, k)).sum())
+    val -= float(np.log(theta + np.arange(1.0, n)).sum())
+    return val + float(r_big @ (gammaln(a_big - alpha) - gammaln(1.0 - alpha)))
+
+
 class TestSurface:
     def test_mode_value_zero_and_centered(self, dutch_fit):
         surf = loglik_surface(dutch_fixture(), dutch_fit)
@@ -352,10 +382,15 @@ class TestSurface:
 
     def test_matches_pointwise_loglik(self, dutch_fit):
         big = to_integer_partition(crp_sample(18925, PdParams(0.51, 216.0), seed=11).to_set_partition())
+        # fitted theta/alpha ~ 3e5 against k = 3408
+        flat = IntegerPartition.from_block_sizes(crp_sample(4000, PdParams(0.1, 1e4), seed=2).table_counts)
+        flat_fit = fit_mle(flat)
+        assert flat_fit.converged and flat_fit.theta_hat / flat_fit.alpha_hat > 50 * flat.k
         cases = (
             (dutch_fixture(), dutch_fit, SurfaceGrid()),
             (dutch_fixture(), dutch_fit, SurfaceGrid(21, 21, 6.0)),  # has invalid points
             (big, fit_mle(big), SurfaceGrid()),
+            (flat, flat_fit, SurfaceGrid()),
         )
         for pi, fit, grid in cases:
             surf = loglik_surface(pi, fit, grid)
@@ -363,10 +398,7 @@ class TestSurface:
             n = terms[0]
             ref = np.array(
                 [
-                    [
-                        _loglik_and_grad(*terms, 1.0 - phi * (n + 1.0 + theta) / n, theta)[0]
-                        for theta in surf.theta
-                    ]
+                    [_direct_loglik(*terms, 1.0 - phi * (n + 1.0 + theta) / n, theta) for theta in surf.theta]
                     for phi in surf.phi
                 ]
             )
@@ -374,6 +406,18 @@ class TestSurface:
             assert (surf.valid == valid).all()
             expected = ref[valid] - ref[valid].max()
             assert np.abs(surf.rel_loglik[valid] - expected).max() <= 1e-9
+
+    def test_fine_grid_memory_is_bounded(self, crp_18925):
+        # the block-size term is accumulated, never broadcast to points x
+        # distinct sizes (90601 x ~90 doubles, ~65 MB, here)
+        fit = fit_mle(crp_18925)
+        tracemalloc.start()
+        try:
+            loglik_surface(crp_18925, fit, SurfaceGrid(301, 301, 3.0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
 
     def test_wide_grid_flags_invalid_points(self, dutch_fit):
         surf = loglik_surface(dutch_fixture(), dutch_fit, SurfaceGrid(21, 21, 6.0))

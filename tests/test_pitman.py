@@ -2,7 +2,8 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
+from scipy.special import gammaln
 
 from raretype.partitions import (
     IntegerPartition,
@@ -16,6 +17,7 @@ from raretype.pitman import (
     PdParams,
     PopulationVector,
     SeatingPlan,
+    _log_rising,
     crp_sample,
     eppf_log,
     gem_stick_breaking,
@@ -118,6 +120,44 @@ class TestEppf:
         delta = eppf_log(plusplus, params) - eppf_log(plus, params)
         expected = math.log((1.0 - params.alpha) / (db.n + 1 + params.theta))
         assert delta == pytest.approx(expected, abs=1e-12)
+
+
+def _log_rising_reference(x, k):
+    """sum_{i<k} log(x + i) summed exactly, and the sum of |log(x + i)|: for
+    x >= 1 the two agree, below 1 mixed signs make the value itself a poor
+    scale for its rounding error."""
+    logs = [math.log(x + i) for i in range(k)]
+    return math.fsum(logs), math.fsum(abs(v) for v in logs)
+
+
+class TestLogRising:
+    @given(
+        st.one_of(
+            st.floats(-6.0, 12.0).map(lambda e: 10.0**e),  # log-uniform over [1e-6, 1e12]
+            st.floats(1e-6, 1e12),
+            st.floats(9.0, 11.0),  # both sides of the branch point x = 10
+        ),
+        st.integers(0, 20000),
+    )
+    @example(1e9, 3750)
+    @example(10.0, 1)
+    @example(1e12, 1)
+    def test_matches_exact_sum(self, x, k):
+        value, scale = _log_rising_reference(x, k)
+        assert abs(float(_log_rising(x, k)) - value) <= 1e-13 * scale
+
+    def test_gammaln_difference_fails_where_it_holds(self):
+        # x >> k: gammaln(x + k) - gammaln(x) keeps only the digits left
+        # after subtracting two numbers of size x log x
+        for x, k in ((1e9, 3750), (1e12, 1), (2.5e8, 18924)):
+            value, scale = _log_rising_reference(x, k)
+            assert abs(gammaln(x + k) - gammaln(x) - value) > 1e-13 * scale
+            assert abs(float(_log_rising(x, k)) - value) <= 1e-13 * scale
+
+    def test_vectorised_matches_scalar_calls(self):
+        x = np.array([1e-6, 0.5, 9.999, 10.0, 216.0, 1e9])
+        k = np.array([3, 0, 7, 1, 18924, 3750])
+        assert _log_rising(x, k).tolist() == [float(_log_rising(a, b)) for a, b in zip(x, k)]
 
 
 class TestCrpSample:

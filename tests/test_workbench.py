@@ -10,6 +10,7 @@ from raretype.pitman import PopulationVector
 from raretype.workbench import (
     DUTCH_FIXTURE_METADATA,
     CaseOptions,
+    DuplicateColumnError,
     EmptyFileError,
     ExperimentSpec,
     MissingColumnError,
@@ -92,6 +93,13 @@ class TestLoadProfiles:
         path = write(tmp_path / "db.tsv", "L1\tL2\nx\ty\n")
         with pytest.raises(MissingColumnError, match="column 'L3' not in header"):
             load_profiles(path, columns="L3")
+
+    def test_repeated_header_name_is_rejected(self, tmp_path):
+        # read by name, L1 L1 once loaded "a\tb" and "a\tc" as one type
+        path = write(tmp_path / "db.tsv", "L1\tL1\tL2\na\tb\tx\na\tc\tx\n")
+        for columns in ("all", ["L1"], ["L2"]):
+            with pytest.raises(DuplicateColumnError, match="column 'L1' repeated in header"):
+                load_profiles(path, columns=columns)
 
     def test_ragged_row_names_line_and_counts(self, tmp_path):
         path = write(tmp_path / "db.tsv", "L1\tL2\nx\ty\nonly_one\n")
