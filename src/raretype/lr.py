@@ -446,14 +446,30 @@ def exact_true_lr(
     eta = _newton(dual, dual_hessian, eta0)[0]
     pi = np.exp(log_class_probs(eta)[0]).tolist()
     fits = eligible.sum(axis=1).tolist()
-    shape = tuple(r_j + 1 for r_j in part.r)
+    return part.s1 * _exact_pass(probs.tolist(), pi, fits, part.r)
+
+
+def _exact_pass(probs: list, weights: list, fits: list, r: tuple) -> float:
+    """P(counts = r) / E[mass; counts = r] under independent rank classes.
+
+    Rank i takes class j with ``weights[i][j]`` (class 0 is unobserved) and
+    can carry only the first ``fits[i]`` observed classes. ``fits`` never
+    rises with rank, so once it drops below class j no later rank fills
+    that class: only the slice c_j = r_j can still reach counts r, and the
+    pass keeps just that slice of z and mass from there on.
+    """
+    shape = tuple(r_j + 1 for r_j in r)
     z, mass = np.zeros(shape), np.zeros(shape)
     z[(0,) * len(shape)] = 1.0
     # class j's move fills one more of its slots: count c_j becomes c_j + 1
     leads = [(slice(None),) * j for j in range(len(shape))]
     moves = [(lead + (slice(0, -1),), lead + (slice(1, None),)) for lead in leads]
-    for i, p_i in enumerate(probs.tolist()):
-        w = pi[i]
+    live = len(shape)
+    for i, p_i in enumerate(probs):
+        if fits[i] < live:
+            full = (Ellipsis,) + tuple(r[fits[i] : live])
+            z, mass, live = z[full], mass[full], fits[i]
+        w = weights[i]
         z_next, mass_next = w[0] * z, w[0] * mass
         # caps fall with rank and a rises with j, so the classes that fit are a prefix
         for j, (src, dst) in enumerate(moves[: fits[i]]):
@@ -461,8 +477,8 @@ def exact_true_lr(
             # class 1 holds the singletons: such a rank adds p_i to the mass
             mass_next[dst] += w[j + 1] * (mass[src] + p_i * z[src] if j == 0 else mass[src])
         z, mass = z_next, mass_next
-    full = tuple(part.r)
-    return part.s1 * float(z[full] / mass[full])
+    full = tuple(r[:live])
+    return float(z[full] / mass[full])
 
 
 @dataclass(frozen=True)

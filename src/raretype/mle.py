@@ -6,7 +6,8 @@ maximized in unconstrained coordinates (logit(alpha), log(theta+1)) by a
 damped Newton search on the analytic gradient and Hessian, started from
 the best point of a coarse 5x5 grid, whose 25 likelihood values come
 from one vectorised closed-form evaluation; the search is re-run from
-all 25 grid points when that single start does not converge. The same
+all 25 grid points when that single start stalls inside the domain, and
+a boundary diagnosis is returned from the single start. The same
 solver finds the saddle point of the exact known-population LR in ``lr``.
 
 The reparametrization phi = n(1-alpha)/(n+1+theta) is the posterior
@@ -140,8 +141,8 @@ class MleFit:
     ``grad_norm`` is the gradient norm at the optimum in the search
     coordinates, ``iterations`` the Newton steps summed over all
     searches, and ``starts`` the number of Newton searches: 1, or 25 when
-    the single start did not converge (0 for a degenerate partition,
-    which is not searched).
+    the single start stalled inside the domain (0 for a degenerate
+    partition, which is not searched).
     """
 
     n: int
@@ -318,8 +319,9 @@ def fit_mle(
     converged fit requires an interior optimum with gradient norm below
     1e-6 in the search coordinates; near-boundary optima are flagged, not
     clamped. The search starts once, from the grid point with the highest
-    likelihood; when that fit does not converge, it is re-run from all 25
-    grid points and the better of the two fits is kept. Fits on
+    likelihood; when that fit stalls inside the domain (a gradient-norm
+    diagnosis), it is re-run from all 25 grid points and the better of the
+    two fits is kept, while a boundary diagnosis is returned as it is. Fits on
     partitions smaller than ``small_n_threshold`` carry a warning that the
     Gaussian shape of the likelihood is not established at that scale.
     """
@@ -348,7 +350,9 @@ def fit_mle(
 
     objective, hessian = _make_objective(part)
     fit = _fit_from(part, objective, hessian, [_best_start(part)], warnings)
-    if fit.converged:
+    # only a search that stalled inside the domain can gain from more
+    # starts; a boundary diagnosis (no phi_hat) is the likelihood's own
+    if fit.converged or fit.phi_hat is None:
         return fit
     grid = [_to_z(a0, t0) for a0 in _START_ALPHAS for t0 in _START_THETAS]
     wide = _fit_from(part, objective, hessian, grid, warnings)

@@ -20,7 +20,13 @@ differences that would close them cancel catastrophically once theta
 dwarfs the counts. The same law arises from the
 sequential seating scheme: customer n+1 opens a new table with
 probability (theta + k*alpha)/(n + theta) and joins table i with
-probability (n_i - alpha)/(n + theta).
+probability (n_i - alpha)/(n + theta). ``crp_sample`` runs it without a
+loop over customers: each uniform fixes the least table count at which
+its customer would open a table, a loop over those integers alone
+counts the tables, and the seats follow in numpy, with customers who
+copy an earlier joiner's table resolved by pointer doubling. Every
+float it compares is the one-customer-at-a-time scheme's, so the plans
+are that scheme's, bit for bit.
 
 All probability computation is done in log space; exponentiation happens
 only at interfaces (n near 2*10^4 underflows direct products).
@@ -131,7 +137,7 @@ class SeatingPlan:
     def __post_init__(self) -> None:
         if not self.assignments or self.assignments[0] != 1:
             raise ValueError("the first customer sits at table 1")
-        ys = np.asarray(self.assignments)
+        ys = np.fromiter(self.assignments, np.int64, count=len(self.assignments))
         # each customer sits at an open table or opens the next one
         if (ys < 1).any() or (ys[1:] > np.maximum.accumulate(ys)[:-1] + 1).any():
             raise ValueError("table indices must be created in order")
@@ -273,41 +279,84 @@ def eppf_log(pi: Union[IntegerPartition, SetPartition], params: PdParams) -> flo
     return _loglik_and_grad(*terms, params.alpha, params.theta)[0]
 
 
+def _opening_thresholds(
+    u: np.ndarray, levels: np.ndarray, theta: float, alpha: float
+) -> np.ndarray:
+    """searchsorted(levels, u, side="right"): the least k with u < levels[k].
+
+    ``levels[k]`` is theta + k*alpha, so the quotient (u - theta)/alpha
+    guesses it; rounding in ``levels`` can put the guess off by several
+    places (up to 10 at alpha = 1e-13, theta = 1e4), so every guess is
+    checked against its bracket levels[e-1] <= u < levels[e] and only the
+    ones that fail are searched. The quotient is clipped before the cast,
+    so alpha near 0 cannot overflow it.
+    """
+    n = levels.size
+    with np.errstate(over="ignore"):
+        quotient = np.clip((u - theta) / alpha, -1.0, n - 1.0)
+    e = np.floor(quotient).astype(np.int64) + 1
+    padded = np.concatenate(([-np.inf], levels, [np.inf]))
+    off = (u < padded[e]) | (u >= padded[e + 1])
+    if off.any():
+        e[off] = np.searchsorted(levels, u[off], side="right")
+    return e
+
+
 def crp_sample(n: int, params: PdParams, seed: SeedLike = None) -> SeatingPlan:
     """Run the seating scheme for ``n`` customers. Deterministic given seed.
 
-    Each seat costs O(1): a table's weight n_i - alpha splits into
-    (n_i - 1) + (1 - alpha), so a joining customer copies the table of a
-    uniformly chosen earlier joiner (total weight t - k) or picks a table
-    uniformly (total weight k(1 - alpha)). Customers 2..n consume one
-    uniform each, drawn up front, so a shared Generator advances exactly
-    as by ``rng.random(n - 1)``.
+    Customer t+1 (t = 1..n-1) draws u_t uniform on [0, t + theta). With k
+    tables open, it opens a new one if u_t < theta + k*alpha. Otherwise
+    v = u_t - (theta + k*alpha) seats it: a table's weight n_i - alpha
+    splits into (n_i - 1) + (1 - alpha), so for v < t - k it copies the
+    table of earlier joiner number int(v), and else it picks table
+    int((v - (t - k))/(1 - alpha)) + 1.
+
+    Only the table count is sequential. Since theta + k*alpha never falls
+    as k grows, customer t+1 opens a table exactly when k >= e_t, the
+    least k whose level exceeds u_t, and the integers e_t come from one
+    vectorised threshold pass. A loop over them counts the tables; every
+    seat then follows in numpy from the same floating-point expressions
+    as the customer-by-customer scheme, and copiers resolve by pointer
+    doubling (a copier points at an earlier customer). So the plan is the
+    scheme's, bit for bit, and the uniforms are drawn up front: a shared
+    Generator advances exactly as by ``rng.random(n - 1)``.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     rng = as_generator(seed)
     alpha, theta = params.alpha, params.theta
-    ys = [1]
-    counts = [1]
-    joined: list[int] = []  # the table of every customer who joined one
+    u = rng.random(n - 1) * (np.arange(1, n) + theta)  # u[t - 1] is customer t+1's
+    levels = theta + np.arange(n) * alpha
+    openers = [0]
     k = 1
-    for t, u in enumerate(rng.random(n - 1).tolist(), start=1):
-        u *= t + theta
-        opening = theta + k * alpha
-        if u < opening:
+    for i, e_i in enumerate(_opening_thresholds(u, levels, theta, alpha).tolist(), start=1):
+        if k >= e_i:
             k += 1
-            counts.append(1)
-            ys.append(k)
-            continue
-        v = u - opening
-        if v < t - k:
-            y = joined[int(v)]
-        else:
-            y = min(int((v - (t - k)) / (1.0 - alpha)), k - 1) + 1
-        joined.append(y)
-        counts[y - 1] += 1
-        ys.append(y)
-    return SeatingPlan(assignments=tuple(ys), table_counts=tuple(counts), k=k)
+            openers.append(i)
+    opens = np.zeros(n, dtype=bool)
+    opens[openers] = True
+    # ys[t] counts the tables open once customer t+1 sits: an opener's table
+    ys = np.cumsum(opens)
+    t = np.flatnonzero(~opens)  # the joiners, in joining order
+    k_t = ys[t - 1]
+    v = u[t - 1] - levels[k_t]
+    before = t - k_t  # joiners seated before customer t+1
+    copies = v < before
+    picks = ~copies
+    # the scheme's min(int(w), k - 1) + 1, with the min taken first so no huge w is cast
+    picked = np.minimum((v[picks] - before[picks]) / (1.0 - alpha), k_t[picks] - 1)
+    ys[t[picks]] = picked.astype(np.int64) + 1
+    # a copier points at the joiner it copies; follow the pointers to a seated one
+    ptr = np.arange(n)
+    ptr[t[copies]] = t[v[copies].astype(np.int64)]
+    hops = ptr[ptr]
+    while not np.array_equal(hops, ptr):
+        ptr, hops = hops, hops[hops]
+    ys = ys[ptr]
+    return SeatingPlan(
+        assignments=tuple(ys.tolist()), table_counts=tuple(np.bincount(ys)[1:].tolist()), k=k
+    )
 
 
 def gem_stick_breaking(params: PdParams, m: int, seed: SeedLike = None) -> PopulationVector:

@@ -1,6 +1,7 @@
 import itertools
 import math
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from raretype.lr import (
     lr_posterior_form,
     lr_true_mh,
 )
+from raretype import lr
 from raretype.lr import _BLOCK, _run_swap_chain, _support_caps
 from raretype.mle import phi_of
 from raretype.partitions import IntegerPartition
@@ -608,6 +610,29 @@ def small_instances(draw):
     return IntegerPartition.from_block_sizes(sizes + [1]), pop
 
 
+def _uncollapsed_pass(probs, weights, fits, r):
+    """Reference for lr._exact_pass: the forward pass over every count
+    state, with no axis sliced away."""
+    shape = tuple(r_j + 1 for r_j in r)
+    z, mass = np.zeros(shape), np.zeros(shape)
+    z[(0,) * len(shape)] = 1.0
+    leads = [(slice(None),) * j for j in range(len(shape))]
+    moves = [(lead + (slice(0, -1),), lead + (slice(1, None),)) for lead in leads]
+    for i, p_i in enumerate(probs):
+        w = weights[i]
+        z_next, mass_next = w[0] * z, w[0] * mass
+        for j, (src, dst) in enumerate(moves[: fits[i]]):
+            z_next[dst] += w[j + 1] * z[src]
+            mass_next[dst] += w[j + 1] * (mass[src] + p_i * z[src] if j == 0 else mass[src])
+        z, mass = z_next, mass_next
+    return float(z[tuple(r)] / mass[tuple(r)])
+
+
+def uncollapsed_true_lr(pi, pop, strict_support=False):
+    with mock.patch.object(lr, "_exact_pass", _uncollapsed_pass):
+        return exact_true_lr(pi, pop, strict_support=strict_support)
+
+
 class TestExactEnumeration:
     @settings(max_examples=150, deadline=None)
     @given(small_instances(), st.booleans())
@@ -619,7 +644,16 @@ class TestExactEnumeration:
             with pytest.raises(InfeasibleAssignmentError):
                 exact_true_lr(pi, pop, strict_support=strict)
             return
-        assert exact_true_lr(pi, pop, strict_support=strict) == pytest.approx(expected, rel=1e-12)
+        collapsed = exact_true_lr(pi, pop, strict_support=strict)
+        assert collapsed == pytest.approx(expected, rel=1e-12)
+        assert collapsed == pytest.approx(uncollapsed_true_lr(pi, pop, strict), rel=1e-12)
+
+    def test_collapse_matches_full_pass_over_dutch_replicates(self):
+        spec = ExperimentSpec(population=dutch_fixture(), replicates=40, seed=77)
+        for pop, db_plus in dutch_replicates(spec):
+            assert exact_true_lr(db_plus, pop) == pytest.approx(
+                uncollapsed_true_lr(db_plus, pop), rel=1e-12
+            )
 
     def test_large_uniform_instance_gives_m(self):
         # 40!/(10! 5! 25!), about 1.2e14 assignments, all equally likely

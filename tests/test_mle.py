@@ -128,7 +128,7 @@ class TestFit:
         assert not fit.converged
         assert fit.alpha_hat < 1e-4
         assert "of the boundary" in fit.diagnosis
-        assert fit.starts == 25
+        assert fit.starts == 1
 
     @given(
         st.integers(5, 400),

@@ -18,12 +18,14 @@ from raretype.pitman import (
     PopulationVector,
     SeatingPlan,
     _log_rising,
+    _opening_thresholds,
     crp_sample,
     eppf_log,
     gem_stick_breaking,
     powerlaw_reference,
     ranked_frequencies,
 )
+from raretype.rng import as_generator
 
 PARAM_GRID = [PdParams(a, t) for a in (0.2, 0.5, 0.8) for t in (-0.1, 1.0, 50.0)]
 
@@ -160,7 +162,65 @@ class TestLogRising:
         assert _log_rising(x, k).tolist() == [float(_log_rising(a, b)) for a, b in zip(x, k)]
 
 
+def _loop_crp_sample(n, params, seed=None):
+    """Reference: the seating scheme one customer at a time."""
+    rng = as_generator(seed)
+    alpha, theta = params.alpha, params.theta
+    ys = [1]
+    counts = [1]
+    joined = []  # the table of every customer who joined one
+    k = 1
+    for t, u in enumerate(rng.random(n - 1).tolist(), start=1):
+        u *= t + theta
+        opening = theta + k * alpha
+        if u < opening:
+            k += 1
+            counts.append(1)
+            ys.append(k)
+            continue
+        v = u - opening
+        if v < t - k:
+            y = joined[int(v)]
+        else:
+            y = min(int((v - (t - k)) / (1.0 - alpha)), k - 1) + 1
+        joined.append(y)
+        counts[y - 1] += 1
+        ys.append(y)
+    return SeatingPlan(assignments=tuple(ys), table_counts=tuple(counts), k=k)
+
+
+@st.composite
+def crp_params(draw):
+    alpha = draw(st.floats(1e-12, 1.0 - 1e-12))
+    theta = draw(st.floats(-alpha, 1e6, exclude_min=True))
+    return PdParams(alpha, theta)
+
+
 class TestCrpSample:
+    @given(crp_params(), st.integers(1, 3000), st.integers(0, 2**32 - 1))
+    @example(PdParams(1e-12, 1e6), 3000, 0)
+    @example(PdParams(1e-12, 1e4), 3000, 1)
+    @example(PdParams(1.0 - 1e-12, 1e6), 3000, 2)
+    @example(PdParams(0.5, -0.4999999), 3000, 3)
+    def test_matches_customer_by_customer_loop(self, params, n, seed):
+        assert crp_sample(n, params, seed=seed) == _loop_crp_sample(n, params, seed=seed)
+
+    @pytest.mark.parametrize("seed", [901, 902, 903])
+    def test_matches_loop_at_database_size(self, seed):
+        params = PdParams(0.51, 216.0)
+        assert crp_sample(18_925, params, seed=seed) == _loop_crp_sample(18_925, params, seed=seed)
+
+    def test_thresholds_exact_where_the_quotient_misleads(self):
+        # u a few ulps above theta: rounding in theta + k*alpha moves the
+        # least opening level by up to ten places from (u - theta)/alpha
+        alpha, theta = 1e-13, 1e4
+        u = theta + np.arange(200) * np.spacing(theta)
+        levels = theta + np.arange(5000) * alpha
+        expected = [next(k for k in range(5000) if x < theta + k * alpha) for x in u.tolist()]
+        quotient = (np.floor((u - theta) / alpha) + 1).astype(int)
+        assert (quotient != expected).any()
+        assert _opening_thresholds(u, levels, theta, alpha).tolist() == expected
+
     def test_first_customer_alone(self):
         plan = crp_sample(1, PdParams(0.5, 1.0), seed=0)
         assert plan.k == 1 and plan.assignments == (1,)
