@@ -17,7 +17,6 @@ from .lr import (
     exact_true_lr,
     lr_empirical_bayes,
     lr_frequentist,
-    lr_posterior_form,
     lr_true_mh,
 )
 from .mle import (
@@ -33,7 +32,6 @@ from .mle import (
 )
 from .partitions import (
     IntegerPartition,
-    LabeledSample,
     SetPartition,
     as_integer_partition,
     augment,

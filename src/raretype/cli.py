@@ -69,20 +69,38 @@ def _json_only(args, payload, name: str) -> None:
     _emit_json(args, payload)
 
 
+def _is_list_of(x, kind) -> bool:
+    return isinstance(x, list) and all(isinstance(v, kind) for v in x)
+
+
 def _load_partition(path: str) -> IntegerPartition:
     with open(path) as fh:
         data = json.load(fh)
-    if "a" in data and "r" in data:
-        return IntegerPartition.from_dict(data)
-    if "blocks" in data:
-        return to_integer_partition(SetPartition.from_dict(data))
-    raise ValueError(f"{path}: expected {{'a','r'}} or {{'n','blocks'}} partition JSON")
+    if isinstance(data, dict):
+        if _is_list_of(data.get("a"), int) and _is_list_of(data.get("r"), int):
+            return IntegerPartition.from_dict(data)
+        blocks = data.get("blocks")
+        if isinstance(data.get("n"), int) and _is_list_of(blocks, list):
+            if all(_is_list_of(b, int) for b in blocks):
+                return to_integer_partition(SetPartition.from_dict(data))
+    raise ValueError(
+        f"{path}: expected {{'a','r'}} or {{'n','blocks'}} partition JSON of integers"
+    )
 
 
 def _load_population(args) -> PopulationVector:
     if args.population:
         with open(args.population) as fh:
-            return PopulationVector.from_dict(json.load(fh))
+            data = json.load(fh)
+        if not (
+            isinstance(data, dict)
+            and _is_list_of(data.get("probs"), (int, float))
+            and isinstance(data.get("pop_size"), (int, type(None)))
+        ):
+            raise ValueError(
+                f"{args.population}: expected {{'probs': [numbers], 'pop_size': integer}} JSON"
+            )
+        return PopulationVector.from_dict(data)
     if args.population_from_partition:
         return population_from_partition(_load_partition(args.population_from_partition))
     raise ValueError("a population is required: --population or --population-from-partition")
@@ -371,7 +389,7 @@ def cli_dispatch(argv) -> int:
     except RuntimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (ProfileParseError, FileNotFoundError, json.JSONDecodeError, ValueError, KeyError) as exc:
+    except (ProfileParseError, OSError, json.JSONDecodeError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -54,7 +54,6 @@ __all__ = [
     "TrueLrEstimate",
     "LrReport",
     "lr_empirical_bayes",
-    "lr_posterior_form",
     "lr_frequentist",
     "chi_init",
     "lr_true_mh",
@@ -74,19 +73,6 @@ def lr_empirical_bayes(n: int, params: PdParams) -> float:
     if n < 1:
         raise ValueError("database size must be >= 1")
     return (n + 1.0 + params.theta) / (1.0 - params.alpha)
-
-
-def lr_posterior_form(phi_posterior_mean: float, n: int) -> float:
-    """LR = n / E[phi]; with the plug-in point for E[phi] this equals
-    ``lr_empirical_bayes`` exactly."""
-    if n < 1:
-        raise ValueError("database size must be >= 1")
-    upper = n / (n + 1.0)
-    if not 0.0 < phi_posterior_mean <= upper + 1e-12:
-        raise ValueError(
-            f"posterior mean of phi must lie in (0, {upper:.6g}], got {phi_posterior_mean}"
-        )
-    return n / phi_posterior_mean
 
 
 def lr_frequentist(p: PopulationVector, matched_rank: int) -> float:
@@ -324,15 +310,15 @@ def _run_swap_chain(start: AssignmentVector, cfg: MhConfig):
 
 
 def _batch_means_stderr(values: np.ndarray, n_batches: int = 20) -> float:
-    """Standard error of the mean by batch means (20 batches by default)."""
+    """Standard error of the mean by batch means (20 batches by default).
+
+    Needs at least 2 values; batches of max(1, n // n_batches) values then
+    number at least 2.
+    """
     n = values.size
-    if n < 2:
-        return float("nan")
     b = max(1, n // n_batches)
     usable = (n // b) * b
     batches = values[:usable].reshape(-1, b).mean(axis=1)
-    if batches.size < 2:
-        return float(values.std(ddof=1) / math.sqrt(n))
     return float(batches.std(ddof=1) / math.sqrt(batches.size))
 
 
@@ -363,9 +349,10 @@ def lr_true_mh(
     _check_true_lr_inputs(part, p)
     start = chi_init(part, p, strict_support=strict_support)
     trace, acceptance = _run_swap_chain(start, cfg)
-    if not trace:
+    if len(trace) < 2:
+        # one sample has no spread to put an error bar on
         raise ValueError(
-            "no retained samples: lower burn_in/thinning or raise iterations "
+            "fewer than 2 retained samples: lower burn_in/thinning or raise iterations "
             f"(schedule keeps {cfg.n_retained})"
         )
     masses = np.array([s for _, s in trace])
@@ -483,9 +470,12 @@ def _exact_pass(probs: list, weights: list, fits: list, r: tuple) -> float:
 
 @dataclass(frozen=True)
 class LrReport:
-    """log10-scale LR bundle; diffs compare the plug-in against the
-    known-population and frequentist references."""
+    """log10-scale LR bundle with the fitted hyperparameters behind the
+    plug-in; diffs compare the plug-in against the known-population and
+    frequentist references."""
 
+    alpha_hat: Optional[float] = None
+    theta_hat: Optional[float] = None
     log10_lr_eb: Optional[float] = None
     log10_lr_true: Optional[float] = None
     log10_lr_true_se: Optional[float] = None
@@ -496,6 +486,8 @@ class LrReport:
 
     def to_dict(self) -> dict:
         return {
+            "alpha_hat": self.alpha_hat,
+            "theta_hat": self.theta_hat,
             "log10_lr_eb": self.log10_lr_eb,
             "log10_lr_true": self.log10_lr_true,
             "log10_lr_true_se": self.log10_lr_true_se,

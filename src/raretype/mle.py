@@ -3,12 +3,12 @@
 The log-likelihood of (alpha, theta) given a partition is the log
 partition law, a function of the block-size multiset alone. It is
 maximized in unconstrained coordinates (logit(alpha), log(theta+1)) by a
-damped Newton search on the analytic gradient and Hessian, started from
-the best point of a coarse 5x5 grid, whose 25 likelihood values come
-from one vectorised closed-form evaluation; the search is re-run from
-all 25 grid points when that single start stalls inside the domain, and
-a boundary diagnosis is returned from the single start. The same
-solver finds the saddle point of the exact known-population LR in ``lr``.
+single damped Newton search on the analytic gradient and Hessian,
+started from the best point of a coarse 5x5 grid, whose 25 likelihood
+values come from one vectorised closed-form evaluation; the end of that
+search is diagnosed as converged, near the boundary, or stalled. The
+same solver finds the saddle point of the exact known-population LR in
+``lr``.
 
 The reparametrization phi = n(1-alpha)/(n+1+theta) is the posterior
 quantity the plug-in likelihood ratio divides into n; the observed
@@ -19,7 +19,7 @@ judge whether the plug-in is defensible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -139,10 +139,8 @@ class MleFit:
     covariance inv(-hessian) (observed information standing in for the
     Fisher information). ``n`` is the size of the fitted partition.
     ``grad_norm`` is the gradient norm at the optimum in the search
-    coordinates, ``iterations`` the Newton steps summed over all
-    searches, and ``starts`` the number of Newton searches: 1, or 25 when
-    the single start stalled inside the domain (0 for a degenerate
-    partition, which is not searched).
+    coordinates and ``iterations`` the steps of the one Newton search (0
+    for a degenerate partition, which is not searched).
     """
 
     n: int
@@ -156,7 +154,6 @@ class MleFit:
     diagnosis: Optional[str] = None
     warnings: tuple[str, ...] = ()
     grad_norm: Optional[float] = None
-    starts: int = 0
 
     def params(self) -> PdParams:
         if self.alpha_hat is None or self.theta_hat is None:
@@ -174,7 +171,6 @@ class MleFit:
             "converged": self.converged,
             "iterations": self.iterations,
             "grad_norm": self.grad_norm,
-            "starts": self.starts,
             "diagnosis": self.diagnosis,
             "warnings": list(self.warnings),
         }
@@ -256,10 +252,9 @@ def _newton(objective, hessian, z0):
     return z, f, g, _NEWTON_MAX_ITER, False
 
 
-def _fit_from(part: IntegerPartition, objective, hessian, starts, warnings) -> MleFit:
-    """Newton search from each start; the lowest optimum is diagnosed."""
-    runs = [_newton(objective, hessian, z0) for z0 in starts]
-    z, fz, grad, _, stable = min(runs, key=lambda run: run[1])
+def _fit_from(part: IntegerPartition, objective, hessian, z0, warnings) -> MleFit:
+    """Newton search from the start z0; its end point is diagnosed."""
+    z, fz, grad, iterations, stable = _newton(objective, hessian, z0)
 
     alpha_hat, theta_hat = _from_z(z)
     loglik = -float(fz)
@@ -298,11 +293,10 @@ def _fit_from(part: IntegerPartition, objective, hessian, starts, warnings) -> M
         phi_hat=phi_hat,
         hessian=hessian_pt,
         converged=converged,
-        iterations=sum(run[3] for run in runs),
+        iterations=iterations,
         diagnosis=diagnosis,
         warnings=warnings,
         grad_norm=grad_norm,
-        starts=len(starts),
     )
 
 
@@ -318,12 +312,11 @@ def fit_mle(
     theta -> inf, and a single-block sample pushes the other way. A
     converged fit requires an interior optimum with gradient norm below
     1e-6 in the search coordinates; near-boundary optima are flagged, not
-    clamped. The search starts once, from the grid point with the highest
-    likelihood; when that fit stalls inside the domain (a gradient-norm
-    diagnosis), it is re-run from all 25 grid points and the better of the
-    two fits is kept, while a boundary diagnosis is returned as it is. Fits on
-    partitions smaller than ``small_n_threshold`` carry a warning that the
-    Gaussian shape of the likelihood is not established at that scale.
+    clamped. One search runs, from the start grid point with the highest
+    likelihood; a search that stalls inside the domain is reported with a
+    gradient-norm diagnosis. Fits on partitions smaller than
+    ``small_n_threshold`` carry a warning that the Gaussian shape of the
+    likelihood is not established at that scale.
     """
     part = as_integer_partition(pi)
     warnings: tuple[str, ...] = ()
@@ -348,16 +341,7 @@ def fit_mle(
             warnings,
         )
 
-    objective, hessian = _make_objective(part)
-    fit = _fit_from(part, objective, hessian, [_best_start(part)], warnings)
-    # only a search that stalled inside the domain can gain from more
-    # starts; a boundary diagnosis (no phi_hat) is the likelihood's own
-    if fit.converged or fit.phi_hat is None:
-        return fit
-    grid = [_to_z(a0, t0) for a0 in _START_ALPHAS for t0 in _START_THETAS]
-    wide = _fit_from(part, objective, hessian, grid, warnings)
-    better = wide if wide.loglik_at_max >= fit.loglik_at_max else fit
-    return replace(better, iterations=fit.iterations + wide.iterations, starts=len(grid))
+    return _fit_from(part, *_make_objective(part), _best_start(part), warnings)
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,6 @@ concurrent tasks. Enumeration streams are single-consumer generators.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from itertools import chain
 from typing import Hashable, Iterator, Sequence, Union
@@ -22,7 +21,6 @@ import numpy as np
 __all__ = [
     "SetPartition",
     "IntegerPartition",
-    "LabeledSample",
     "reduce_sample",
     "augment",
     "to_integer_partition",
@@ -54,21 +52,6 @@ def bell_number(n: int) -> int:
         row = nxt
         bells.append(row[0])
     return bells[n]
-
-
-@dataclass(frozen=True)
-class LabeledSample:
-    """Sequence of opaque labels; only pairwise equality is ever consulted."""
-
-    labels: tuple[Hashable, ...]
-
-    def __post_init__(self) -> None:
-        if not self.labels:
-            raise ValueError("sample must contain at least one observation")
-
-    @property
-    def n(self) -> int:
-        return len(self.labels)
 
 
 @dataclass(frozen=True)
@@ -131,13 +114,6 @@ class SetPartition:
         if p.n != d["n"]:
             raise ValueError(f"declared n={d['n']} but blocks cover {p.n} elements")
         return p
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
-
-    @classmethod
-    def from_json(cls, s: str) -> "SetPartition":
-        return cls.from_dict(json.loads(s))
 
 
 @dataclass(frozen=True)
@@ -203,24 +179,14 @@ class IntegerPartition:
     def from_dict(cls, d: dict) -> "IntegerPartition":
         return cls(a=tuple(int(x) for x in d["a"]), r=tuple(int(x) for x in d["r"]))
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
 
-    @classmethod
-    def from_json(cls, s: str) -> "IntegerPartition":
-        return cls.from_dict(json.loads(s))
-
-
-SampleLike = Union[LabeledSample, Sequence[Hashable]]
-
-
-def reduce_sample(sample: SampleLike) -> SetPartition:
+def reduce_sample(sample: Sequence[Hashable]) -> SetPartition:
     """Partition indices 1..n by equality of the observed labels.
 
     Any bijective relabeling of the sample yields the identical partition;
     nothing but label equality is consulted.
     """
-    labels = sample.labels if isinstance(sample, LabeledSample) else tuple(sample)
+    labels = tuple(sample)
     if not labels:
         raise ValueError("sample must contain at least one observation")
     groups: dict[Hashable, list[int]] = {}

@@ -43,7 +43,6 @@ from scipy.special import digamma, gammaln, zeta
 
 from .partitions import (
     IntegerPartition,
-    LabeledSample,
     SetPartition,
     as_integer_partition,
     reduce_sample,
@@ -396,20 +395,17 @@ def powerlaw_reference(alpha: float, ranks: Iterable[int]) -> list[tuple[int, fl
     return out
 
 
-RankedInput = Union[SeatingPlan, LabeledSample, SetPartition, IntegerPartition, Sequence[Hashable]]
+RankedInput = Union[SeatingPlan, SetPartition, IntegerPartition, Sequence[Hashable]]
 
 
 def ranked_frequencies(x: RankedInput) -> np.ndarray:
     """Relative block frequencies, largest first; sums to 1."""
     if isinstance(x, SeatingPlan):
-        sizes = np.asarray(x.table_counts, dtype=float)
-    elif isinstance(x, SetPartition):
-        sizes = np.asarray(x.block_sizes(), dtype=float)
+        sizes = x.table_counts
     elif isinstance(x, IntegerPartition):
-        sizes = np.asarray(x.sizes_desc(), dtype=float)
+        sizes = x.sizes_desc()
     else:
-        labels = x.labels if isinstance(x, LabeledSample) else tuple(x)
-        if not labels:
-            raise ValueError("sample must be nonempty")
-        sizes = np.asarray(sorted(Counter(labels).values()), dtype=float)
+        # a label sequence reduces to its set partition, rejecting an empty one
+        sizes = (x if isinstance(x, SetPartition) else reduce_sample(x)).block_sizes()
+    sizes = np.asarray(sizes, dtype=float)
     return np.sort(sizes)[::-1] / sizes.sum()

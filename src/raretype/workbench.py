@@ -5,8 +5,8 @@ The experiment treats a finite population (given as an integer partition:
 one type per block, block size = carrier count) as the whole population
 of potential sources, draws databases plus one suspect without
 replacement, conditions on the suspect's type being unseen in the
-database, and compares the plug-in LR against the known-population and
-frequentist ones case by case.
+database, and evaluates each drawn case with ``run_case``, which compares
+the plug-in LR against the known-population and frequentist ones.
 """
 from __future__ import annotations
 
@@ -212,21 +212,23 @@ def run_case(db: DatabaseLike, options: CaseOptions = CaseOptions()) -> LrReport
 
     The database partition is augmented with the suspect as a fresh
     singleton, hyperparameters are fitted on that augmented partition, and
-    the plug-in LR for the database size is reported. When a population is
-    supplied, the known-population LR (with an MH schedule) and the
-    frequentist benchmark (with the matching type's rank) join the report.
+    the fit with its plug-in LR for the database size is reported. When a
+    population is supplied, the known-population LR (with an MH schedule)
+    and the frequentist benchmark (with the matching type's rank) join the
+    report; neither needs the fit, so both are reported when it fails.
     """
     base = _as_db_partition(db)
-    n_db = base.n
     db_plus = base.add_singleton()
     fit = fit_mle(db_plus, small_n_threshold=options.small_n_threshold)
-    notes = tuple(fit.warnings)
-    if not fit.converged:
-        return LrReport(notes=notes + (f"fit did not converge: {fit.diagnosis}",))
-    report = LrReport(
-        log10_lr_eb=math.log10(lr_empirical_bayes(n_db, fit.params())),
-        notes=notes,
-    )
+    if fit.converged:
+        report = LrReport(
+            alpha_hat=fit.alpha_hat,
+            theta_hat=fit.theta_hat,
+            log10_lr_eb=math.log10(lr_empirical_bayes(base.n, fit.params())),
+            notes=fit.warnings,
+        )
+    else:
+        report = LrReport(notes=fit.warnings + (f"fit did not converge: {fit.diagnosis}",))
     if options.population is not None and options.mh is not None:
         est = lr_true_mh(
             db_plus, options.population, options.mh, strict_support=options.strict_support
@@ -427,42 +429,25 @@ def _run_replicate(
             "population too concentrated"
         )
     type_counts = np.bincount(db_ranks)
-    base = IntegerPartition.from_block_sizes(type_counts[type_counts > 0])
-    db_plus = base.add_singleton()
-    fit = fit_mle(db_plus, small_n_threshold=0)
-    notes: tuple[str, ...] = ()
-    alpha_hat = theta_hat = log10_eb = None
-    if fit.converged:
-        alpha_hat, theta_hat = fit.alpha_hat, fit.theta_hat
-        log10_eb = math.log10(lr_empirical_bayes(base.n, fit.params()))
-    else:
-        notes += (f"fit did not converge: {fit.diagnosis}",)
-    est = lr_true_mh(
-        db_plus,
-        pop,
-        replace(spec.mh, seed=mh_seed),
+    options = CaseOptions(
+        population=pop,
+        matched_rank=suspect,
+        mh=replace(spec.mh, seed=mh_seed),
         strict_support=spec.strict_support,
+        small_n_threshold=0,
     )
-    log10_freq = math.log10(lr_frequentist(pop, suspect))
-    report = diff_metrics(
-        LrReport(
-            log10_lr_eb=log10_eb,
-            log10_lr_true=est.log10_lr,
-            log10_lr_true_se=est.log10_stderr,
-            log10_lr_freq=log10_freq,
-        )
-    )
+    report = run_case(IntegerPartition.from_block_sizes(type_counts[type_counts > 0]), options)
     return ExperimentRow(
         replicate=index,
-        alpha_hat=alpha_hat,
-        theta_hat=theta_hat,
+        alpha_hat=report.alpha_hat,
+        theta_hat=report.theta_hat,
         log10_lr=report.log10_lr_eb,
         log10_lr_true=report.log10_lr_true,
         log10_lr_true_se=report.log10_lr_true_se,
         log10_lr_freq=report.log10_lr_freq,
         diff1=report.diff1,
         diff2=report.diff2,
-        notes=notes,
+        notes=report.notes,
     )
 
 

@@ -60,6 +60,47 @@ class TestDispatch:
         assert cli_dispatch(["lr", "--n", "10", "--alpha", "1.5", "--theta", "1"]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "command, flag, payload",
+        [
+            ("fit", "--partition", "5"),
+            ("fit", "--partition", '{"a": 1, "r": 1}'),
+            ("fit", "--partition", '{"n": 2, "blocks": 7}'),
+            ("freq-lr", "--population", '{"probs": 5, "pop_size": 3}'),
+            ("fit", "--partition", None),  # a directory, not a file
+        ],
+    )
+    def test_malformed_input_exits_2(self, capsys, tmp_path, command, flag, payload):
+        path = tmp_path / "input.json"
+        if payload is None:
+            path.mkdir()
+        else:
+            path.write_text(payload)
+        argv = [command, flag, str(path), "--quiet"]
+        if command == "freq-lr":
+            argv += ["--rank", "1"]
+        assert cli_dispatch(argv) == 2
+        err = capsys.readouterr().err
+        assert any(line.startswith("error:") for line in err.splitlines())
+        assert "Traceback" not in err
+
+    def test_one_retained_sample_exits_2(self, capsys, tmp_path):
+        # a single retained sample would report a NaN error bar
+        part = tmp_path / "part.json"
+        part.write_text(json.dumps({"a": [1, 2], "r": [3, 2]}))
+        pop = tmp_path / "pop.json"
+        pop.write_text(json.dumps({"probs": [0.3, 0.2, 0.15, 0.1, 0.1, 0.05, 0.05, 0.05],
+                                   "pop_size": 200}))
+        code = cli_dispatch(
+            [
+                "true-lr", "--partition", str(part), "--population", str(pop),
+                "--iterations", "1000", "--burn-in", "0", "--thinning", "1000",
+                "--seed", "1", "--quiet",
+            ]
+        )
+        assert code == 2
+        assert "fewer than 2 retained samples" in capsys.readouterr().err
+
     def test_fit_non_convergence_exits_3(self, capsys, tmp_path):
         path = tmp_path / "oneblock.json"
         path.write_text(json.dumps({"a": [4], "r": [1]}))

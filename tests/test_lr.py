@@ -17,12 +17,10 @@ from raretype.lr import (
     exact_true_lr,
     lr_empirical_bayes,
     lr_frequentist,
-    lr_posterior_form,
     lr_true_mh,
 )
 from raretype import lr
 from raretype.lr import _BLOCK, _run_swap_chain, _support_caps
-from raretype.mle import phi_of
 from raretype.partitions import IntegerPartition
 from raretype.pitman import PdParams, PopulationVector, crp_sample
 from raretype.rng import as_generator, spawn_seeds
@@ -64,28 +62,6 @@ class TestEmpiricalBayes:
     def test_invalid_n(self):
         with pytest.raises(ValueError):
             lr_empirical_bayes(0, PdParams(0.5, 1.0))
-
-
-class TestPosteriorForm:
-    def test_matches_plug_in_at_mle_point(self):
-        params = PdParams(0.51, 216.0)
-        n = 18925
-        assert lr_posterior_form(phi_of(params, n), n) == pytest.approx(
-            lr_empirical_bayes(n, params), rel=1e-12
-        )
-
-    def test_boundary_value(self):
-        n = 60
-        assert lr_posterior_form(n / (n + 1), n) == pytest.approx(n + 1, rel=1e-12)
-
-    def test_doubling_phi_halves_lr(self):
-        assert lr_posterior_form(0.2, 100) == pytest.approx(2 * lr_posterior_form(0.4, 100))
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            lr_posterior_form(0.0, 10)
-        with pytest.raises(ValueError):
-            lr_posterior_form(1.5, 10)
 
 
 class TestFrequentist:
@@ -261,6 +237,9 @@ class TestTrueLr:
         pop = uniform_population(3)
         with pytest.raises(ValueError):
             lr_true_mh(pi, pop, MhConfig(iterations=10, burn_in=5, thinning=50, seed=0))
+        # one retained sample has no error bar
+        with pytest.raises(ValueError, match="fewer than 2"):
+            lr_true_mh(pi, pop, MhConfig(1000, 0, 1000, seed=0))
 
     def test_deterministic_given_seed(self):
         pi = IntegerPartition((1, 2), (2, 1))

@@ -1,17 +1,21 @@
 import math
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from raretype.lr import MhConfig
+from raretype.mle import fit_mle
 from raretype.partitions import IntegerPartition, reduce_sample
 from raretype.pitman import PopulationVector
+from raretype.rng import spawn_seeds
 from raretype.workbench import (
     DUTCH_FIXTURE_METADATA,
     CaseOptions,
     DuplicateColumnError,
     EmptyFileError,
+    ExperimentRow,
     ExperimentSpec,
     MissingColumnError,
     RaggedRowError,
@@ -185,6 +189,24 @@ class TestRunCase:
         assert report.diff1 == pytest.approx(report.log10_lr_eb - report.log10_lr_true)
         assert report.diff2 == pytest.approx(report.log10_lr_eb - report.log10_lr_freq)
 
+    def test_report_carries_the_fit(self):
+        pi = IntegerPartition((1, 2, 4, 8), (20, 6, 2, 1))
+        fit = fit_mle(pi.add_singleton())
+        report = run_case(pi)
+        assert (report.alpha_hat, report.theta_hat) == (fit.alpha_hat, fit.theta_hat)
+
+    def test_failed_fit_keeps_the_population_lrs(self):
+        # the fit ends at the alpha -> 0 boundary, but the known-population
+        # and frequentist LRs need no fit
+        pop = population_from_partition(dutch_fixture())
+        options = CaseOptions(population=pop, matched_rank=400, mh=MhConfig(seed=1))
+        report = run_case(IntegerPartition((1, 2), (120, 10)), options)
+        assert any("of the boundary" in note for note in report.notes)
+        assert report.alpha_hat is report.theta_hat is report.log10_lr_eb is None
+        assert report.log10_lr_true is not None
+        assert report.log10_lr_freq == pytest.approx(-math.log10(pop.probs[399]), abs=1e-12)
+        assert report.diff1 is report.diff2 is None
+
 
 class TestWorkerCount:
     def test_counts_usable_cpus(self, monkeypatch):
@@ -274,6 +296,44 @@ class TestExperiment:
         )
         with pytest.raises(RuntimeError, match="too concentrated"):
             run_experiment(spec)
+
+    def test_rows_are_run_case_reports(self, monkeypatch):
+        # each row is run_case on that replicate's database, drawn here
+        # again, with the replicate's chain seed and no small-n warning
+        monkeypatch.setenv("RARETYPE_THREADS", "1")
+        spec = tiny_spec(replicates=3)
+        pop = population_from_partition(spec.population)
+        individuals = np.repeat(np.arange(1, pop.m + 1), spec.population.sizes_desc())
+        rows = run_experiment(spec).rows
+        for i, (row, seed) in enumerate(zip(rows, spawn_seeds(spec.seed, spec.replicates))):
+            sample_seed, mh_seed = seed.spawn(2)
+            rng = np.random.default_rng(sample_seed)
+            while True:
+                drawn = rng.choice(individuals, size=spec.sample_size, replace=False)
+                if drawn[-1] not in drawn[:-1]:
+                    break
+            sizes = np.bincount(drawn[:-1])
+            options = CaseOptions(
+                population=pop,
+                matched_rank=int(drawn[-1]),
+                mh=replace(spec.mh, seed=mh_seed),
+                small_n_threshold=0,
+            )
+            report = run_case(IntegerPartition.from_block_sizes(sizes[sizes > 0]), options)
+            assert row == ExperimentRow(
+                replicate=i,
+                alpha_hat=report.alpha_hat,
+                theta_hat=report.theta_hat,
+                log10_lr=report.log10_lr_eb,
+                log10_lr_true=report.log10_lr_true,
+                log10_lr_true_se=report.log10_lr_true_se,
+                log10_lr_freq=report.log10_lr_freq,
+                diff1=report.diff1,
+                diff2=report.diff2,
+                notes=report.notes,
+            )
+        # replicate 1's fit fails, so both paths through run_case are compared
+        assert [row.log10_lr is None for row in rows] == [False, True, False]
 
     def test_rows_csv_shape(self, monkeypatch, tmp_path):
         monkeypatch.setenv("RARETYPE_THREADS", "1")
