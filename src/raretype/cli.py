@@ -69,8 +69,13 @@ def _json_only(args, payload, name: str) -> None:
     _emit_json(args, payload)
 
 
+def _is_a(x, kind) -> bool:
+    # JSON true and false load as bool, which subclasses int
+    return isinstance(x, kind) and not isinstance(x, bool)
+
+
 def _is_list_of(x, kind) -> bool:
-    return isinstance(x, list) and all(isinstance(v, kind) for v in x)
+    return isinstance(x, list) and all(_is_a(v, kind) for v in x)
 
 
 def _load_partition(path: str) -> IntegerPartition:
@@ -80,7 +85,7 @@ def _load_partition(path: str) -> IntegerPartition:
         if _is_list_of(data.get("a"), int) and _is_list_of(data.get("r"), int):
             return IntegerPartition.from_dict(data)
         blocks = data.get("blocks")
-        if isinstance(data.get("n"), int) and _is_list_of(blocks, list):
+        if _is_a(data.get("n"), int) and _is_list_of(blocks, list):
             if all(_is_list_of(b, int) for b in blocks):
                 return to_integer_partition(SetPartition.from_dict(data))
     raise ValueError(
@@ -95,7 +100,7 @@ def _load_population(args) -> PopulationVector:
         if not (
             isinstance(data, dict)
             and _is_list_of(data.get("probs"), (int, float))
-            and isinstance(data.get("pop_size"), (int, type(None)))
+            and (data.get("pop_size") is None or _is_a(data["pop_size"], int))
         ):
             raise ValueError(
                 f"{args.population}: expected {{'probs': [numbers], 'pop_size': integer}} JSON"

@@ -2,18 +2,19 @@
 
 A sample of categorical observations is reduced to the partition of its
 index set induced by "same value"; that partition is the only structure
-the rest of the package ever consults. Set partitions keep the index
-detail, integer partitions keep only the multiset of block sizes in the
-compact (a, r) form: distinct sizes ``a`` (increasing) with repetition
-counts ``r``.
+the rest of the package ever consults. A set partition is stored as its
+restricted growth string (Knuth, TAOCP 4A, 7.2.1.5), the canonical form
+a seating plan's assignments already take; its blocks are derived on
+demand and its block sizes come from one ``bincount``. Integer
+partitions keep only the multiset of block sizes in the compact (a, r)
+form: distinct sizes ``a`` (increasing) with repetition counts ``r``.
 
 All values are immutable after construction and safe to share between
 concurrent tasks. Enumeration streams are single-consumer generators.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import chain
+from dataclasses import dataclass, field
 from typing import Hashable, Iterator, Sequence, Union
 
 import numpy as np
@@ -54,56 +55,69 @@ def bell_number(n: int) -> int:
     return bells[n]
 
 
+def _rgs_sizes(labels: Sequence[int]) -> np.ndarray:
+    """Block sizes of a restricted growth string, checked to be one."""
+    ys = np.fromiter(labels, np.int64, count=len(labels))
+    grows = (ys[1:] <= np.maximum.accumulate(ys)[:-1] + 1).all()
+    if not (ys.size and ys[0] == 1 and ys.min() >= 1 and grows):
+        raise ValueError("labels must be created in order: 1 first, each <= 1 + all before it")
+    return np.bincount(ys)[1:]
+
+
 @dataclass(frozen=True)
 class SetPartition:
     """Partition of {1..n} into disjoint nonempty blocks.
 
-    Stored canonically: each block sorted ascending, blocks ordered by
-    their least element. The canonical form round-trips through
-    serialization unchanged.
+    Stored as its restricted growth string: ``labels[i]`` is the block of
+    element i+1, blocks numbered in order of their least element. The
+    string is checked on construction; ``from_blocks`` builds it from
+    blocks in any order. ``n``, ``k`` and ``blocks`` are derived from it.
     """
 
-    n: int
-    blocks: tuple[tuple[int, ...], ...]
+    labels: tuple[int, ...]
+    # the check yields the block sizes; kept so k and the sizes cost O(k)
+    _sizes: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        sizes = np.fromiter(map(len, self.blocks), dtype=np.int64, count=len(self.blocks))
-        if (sizes == 0).any():
-            raise ValueError("blocks must be nonempty")
-        flat = np.fromiter(chain.from_iterable(self.blocks), dtype=np.int64, count=int(sizes.sum()))
-        heads = np.cumsum(sizes) - sizes
-        rises = np.diff(flat) > 0
-        rises[heads[1:] - 1] = True  # a block boundary need not rise
-        if not rises.all():
-            raise ValueError("blocks must be sorted ascending; use from_blocks")
-        least = flat[heads]
-        if least.size and (least[0] <= 0 or (np.diff(least) <= 0).any()):
-            raise ValueError("blocks must be ordered by least element; use from_blocks")
-        # sorted blocks ordered by a positive least element hold only
-        # indices >= 1; n of them cover 1..n when none exceeds n or repeats
-        in_range = flat.size == self.n and flat.max(initial=0) <= self.n
-        if not (in_range and np.bincount(flat, minlength=self.n + 1)[1:].all()):
-            seen: set[int] = set()
-            for idx in flat.tolist():
-                if idx in seen:
-                    raise ValueError(f"index {idx} appears in two blocks")
-                seen.add(idx)
-            raise ValueError(f"blocks must cover 1..{self.n} exactly")
+        object.__setattr__(self, "_sizes", _rgs_sizes(self.labels))
 
     @classmethod
     def from_blocks(cls, blocks: Sequence[Sequence[int]]) -> "SetPartition":
-        """Canonicalize arbitrary block order into a SetPartition."""
-        canon = tuple(sorted((tuple(sorted(b)) for b in blocks), key=lambda b: b[0] if b else 0))
-        n = sum(len(b) for b in canon)
-        return cls(n=n, blocks=canon)
+        """The partition with these blocks, given in any order."""
+        blocks = [tuple(b) for b in blocks]
+        if not all(blocks):
+            raise ValueError("blocks must be nonempty")
+        n = sum(map(len, blocks))
+        labels = [0] * n
+        for label, block in enumerate(sorted(blocks, key=min), start=1):
+            for idx in block:
+                if not 1 <= idx <= n:
+                    raise ValueError(f"blocks must cover 1..{n} exactly")
+                if labels[idx - 1]:
+                    raise ValueError(f"index {idx} appears in two blocks")
+                labels[idx - 1] = label
+        return cls(tuple(labels))
+
+    @property
+    def n(self) -> int:
+        """Number of elements."""
+        return len(self.labels)
 
     @property
     def k(self) -> int:
         """Number of blocks."""
-        return len(self.blocks)
+        return self._sizes.size
+
+    @property
+    def blocks(self) -> tuple[tuple[int, ...], ...]:
+        """Blocks as ascending index tuples, ordered by least element."""
+        groups: list[list[int]] = [[] for _ in range(self.k)]
+        for idx, label in enumerate(self.labels, start=1):
+            groups[label - 1].append(idx)
+        return tuple(map(tuple, groups))
 
     def block_sizes(self) -> tuple[int, ...]:
-        return tuple(len(b) for b in self.blocks)
+        return tuple(self._sizes.tolist())
 
     def to_dict(self) -> dict:
         return {"n": self.n, "blocks": [list(b) for b in self.blocks]}
@@ -152,11 +166,9 @@ class IntegerPartition:
 
     @classmethod
     def from_block_sizes(cls, sizes: Sequence[int]) -> "IntegerPartition":
-        counts: dict[int, int] = {}
-        for s in sizes:
-            counts[int(s)] = counts.get(int(s), 0) + 1
-        a = tuple(sorted(counts))
-        return cls(a=a, r=tuple(counts[x] for x in a))
+        """The multiset of these sizes, from any int sequence or array."""
+        a, r = np.unique(np.asarray(sizes, dtype=np.int64), return_counts=True)
+        return cls(a=tuple(a.tolist()), r=tuple(r.tolist()))
 
     def sizes_desc(self) -> tuple[int, ...]:
         """Block sizes as a nonincreasing sequence."""
@@ -183,18 +195,16 @@ class IntegerPartition:
 def reduce_sample(sample: Sequence[Hashable]) -> SetPartition:
     """Partition indices 1..n by equality of the observed labels.
 
+    Each distinct value takes the next block label at its first
+    occurrence, which writes the partition's restricted growth string.
     Any bijective relabeling of the sample yields the identical partition;
     nothing but label equality is consulted.
     """
-    labels = tuple(sample)
-    if not labels:
-        raise ValueError("sample must contain at least one observation")
-    groups: dict[Hashable, list[int]] = {}
-    for idx, label in enumerate(labels, start=1):
-        groups.setdefault(label, []).append(idx)
-    # dicts keep first-occurrence order and indices arrive ascending, so the
-    # blocks are already canonical; construction still checks that
-    return SetPartition(n=len(labels), blocks=tuple(map(tuple, groups.values())))
+    sample = tuple(sample)
+    ids = dict.fromkeys(sample)  # distinct values in first-occurrence order
+    for label, value in enumerate(ids, start=1):
+        ids[value] = label
+    return SetPartition(tuple(map(ids.__getitem__, sample)))
 
 
 def augment(p: SetPartition, mode: str) -> SetPartition:
@@ -202,18 +212,18 @@ def augment(p: SetPartition, mode: str) -> SetPartition:
 
     ``suspect_only`` appends the singleton block {n+1}; ``suspect_and_trace``
     appends the block {n+1, n+2}. The new block has the largest least
-    element, so canonical order is preserved.
+    element, so it takes the next label, k+1.
     """
     if mode == "suspect_only":
-        return SetPartition(n=p.n + 1, blocks=p.blocks + ((p.n + 1,),))
+        return SetPartition(p.labels + (p.k + 1,))
     if mode == "suspect_and_trace":
-        return SetPartition(n=p.n + 2, blocks=p.blocks + ((p.n + 1, p.n + 2),))
+        return SetPartition(p.labels + (p.k + 1, p.k + 1))
     raise ValueError(f"unknown augmentation mode {mode!r}")
 
 
 def to_integer_partition(p: SetPartition) -> IntegerPartition:
     """Forget the index detail, keeping the block-size multiset."""
-    return IntegerPartition.from_block_sizes(p.block_sizes())
+    return IntegerPartition.from_block_sizes(p._sizes)
 
 
 def as_integer_partition(p: Union[SetPartition, IntegerPartition]) -> IntegerPartition:
@@ -232,18 +242,14 @@ def enumerate_partitions(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> Iterator
     if n > cap:
         raise ValueError(f"n={n} exceeds enumeration cap {cap} (Bell({n}) partitions)")
 
-    def rec(i: int, blocks: list[list[int]]) -> Iterator[SetPartition]:
-        if i > n:
-            yield SetPartition(n=n, blocks=tuple(tuple(b) for b in blocks))
+    def rec(labels: list[int], k: int) -> Iterator[SetPartition]:
+        if len(labels) == n:
+            yield SetPartition(tuple(labels))
             return
-        # element i joins an existing block or opens a new one; blocks stay
-        # canonical because i exceeds every index placed so far
-        for b in blocks:
-            b.append(i)
-            yield from rec(i + 1, blocks)
-            b.pop()
-        blocks.append([i])
-        yield from rec(i + 1, blocks)
-        blocks.pop()
+        # the next element joins one of the k blocks or opens block k+1
+        for label in range(1, k + 2):
+            labels.append(label)
+            yield from rec(labels, max(k, label))
+            labels.pop()
 
-    yield from rec(1, [])
+    yield from rec([1], 1)

@@ -34,7 +34,6 @@ only at interfaces (n near 2*10^4 underflows direct products).
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from typing import Hashable, Iterable, Optional, Sequence, Union
 
@@ -44,6 +43,7 @@ from scipy.special import digamma, gammaln, zeta
 from .partitions import (
     IntegerPartition,
     SetPartition,
+    _rgs_sizes,
     as_integer_partition,
     reduce_sample,
 )
@@ -134,28 +134,25 @@ class SeatingPlan:
     k: int
 
     def __post_init__(self) -> None:
-        if not self.assignments or self.assignments[0] != 1:
-            raise ValueError("the first customer sits at table 1")
-        ys = np.fromiter(self.assignments, np.int64, count=len(self.assignments))
-        # each customer sits at an open table or opens the next one
-        if (ys < 1).any() or (ys[1:] > np.maximum.accumulate(ys)[:-1] + 1).any():
-            raise ValueError("table indices must be created in order")
-        if int(ys.max()) != self.k or not np.array_equal(np.bincount(ys)[1:], self.table_counts):
+        # each customer sits at an open table or opens the next one: the
+        # assignments are a restricted growth string
+        sizes = _rgs_sizes(self.assignments)
+        if sizes.size != self.k or not np.array_equal(sizes, self.table_counts):
             raise ValueError("table counts inconsistent with assignments")
 
     @classmethod
     def from_assignments(cls, ys: Sequence[int]) -> "SeatingPlan":
         ys = tuple(int(y) for y in ys)
-        k = max(ys) if ys else 0
-        counts = Counter(ys)
-        return cls(assignments=ys, table_counts=tuple(counts[i] for i in range(1, k + 1)), k=k)
+        counts = tuple(_rgs_sizes(ys).tolist())
+        return cls(assignments=ys, table_counts=counts, k=len(counts))
 
     @property
     def n(self) -> int:
         return len(self.assignments)
 
     def to_set_partition(self) -> SetPartition:
-        return reduce_sample(self.assignments)
+        """The plan's partition; the assignments are its label string, uncopied."""
+        return SetPartition(self.assignments)
 
 
 def _loglik_terms(part: IntegerPartition):

@@ -131,6 +131,9 @@ def load_profiles(path: str, format: str = "tsv", columns="all") -> ProfileDatab
             wanted = [columns]
         else:
             wanted = list(columns)
+        if not wanted:
+            # zero fields would join every record to "" and merge them all
+            raise MissingColumnError(f"{path}: no columns selected")
         indices = []
         for name in wanted:
             if name not in header:

@@ -67,6 +67,10 @@ class TestDispatch:
             ("fit", "--partition", '{"a": 1, "r": 1}'),
             ("fit", "--partition", '{"n": 2, "blocks": 7}'),
             ("freq-lr", "--population", '{"probs": 5, "pop_size": 3}'),
+            # JSON booleans are not numbers
+            ("fit", "--partition", '{"a": [true], "r": [5]}'),
+            ("freq-lr", "--population", '{"probs": [true], "pop_size": 3}'),
+            ("fit", "--partition", '{"n": true, "blocks": [[1]]}'),
             ("fit", "--partition", None),  # a directory, not a file
         ],
     )
@@ -128,6 +132,13 @@ class TestDispatch:
         profiles.write_text("L1\tL1\na\tb\na\tc\n")
         assert cli_dispatch(["reduce", "--input", str(profiles), "--quiet"]) == 2
         assert "repeated in header" in capsys.readouterr().err
+
+    def test_empty_column_selection_exits_2(self, capsys, tmp_path):
+        profiles = tmp_path / "profiles.tsv"
+        profiles.write_text("L1\tL2\nx\ty\nx\tz\nw\ty\n")
+        argv = ["reduce", "--input", str(profiles), "--columns", ",", "--quiet"]
+        assert cli_dispatch(argv) == 2
+        assert "no columns selected" in capsys.readouterr().err
 
     def test_freq_lr(self, capsys, tmp_path):
         pop = tmp_path / "pop.json"

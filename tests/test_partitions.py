@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
@@ -13,6 +14,7 @@ from raretype.partitions import (
     reduce_sample,
     to_integer_partition,
 )
+from raretype.pitman import PdParams, crp_sample
 
 # worked example used throughout: ten draws with six distinct values
 EXAMPLE_SAMPLE = (2, 4, 2, 4, 3, 3, 10, 13, 5, 4)
@@ -169,20 +171,46 @@ def test_set_partition_json_round_trip(labels):
 
 
 def test_set_partition_canonical_construction_enforced():
-    with pytest.raises(ValueError, match="ordered by least element"):
-        SetPartition(n=2, blocks=((2,), (1,)))
-    with pytest.raises(ValueError, match="sorted ascending"):
-        SetPartition(n=2, blocks=((2, 1),))
-    with pytest.raises(ValueError, match="cover 1..3"):
-        SetPartition(n=3, blocks=((1, 2),))
+    # blocks come in through from_blocks, in any order
+    assert SetPartition.from_blocks([[2], [1]]).labels == (1, 2)
+    assert SetPartition.from_blocks([[4, 2], [3, 1]]).blocks == ((1, 3), (2, 4))
+    with pytest.raises(ValueError, match="cover 1..2 exactly"):
+        SetPartition.from_blocks([[1, 3]])
+    with pytest.raises(ValueError, match="cover 1..2 exactly"):
+        SetPartition.from_blocks([[0], [1]])
     with pytest.raises(ValueError, match="index 2 appears in two blocks"):
-        SetPartition(n=2, blocks=((1, 2), (2,)) )
+        SetPartition.from_dict({"n": 2, "blocks": [[1, 2], [2]]})
     with pytest.raises(ValueError, match="index 3 appears in two blocks"):
-        SetPartition(n=3, blocks=((1, 3), (2, 3)))
+        SetPartition.from_dict({"n": 3, "blocks": [[1, 3], [2, 3]]})
+    with pytest.raises(ValueError, match="index 2 appears in two blocks"):
+        SetPartition.from_blocks([[2, 2]])
     with pytest.raises(ValueError, match="nonempty"):
-        SetPartition(n=1, blocks=((1,), ()))
-    # from_blocks canonicalizes the same data fine
-    assert SetPartition.from_blocks([[2], [1]]).blocks == ((1,), (2,))
+        SetPartition.from_blocks([[1], []])
+
+
+@pytest.mark.parametrize(
+    "labels",
+    [
+        (2,),  # the first label is not 1
+        (2, 1),
+        (1, 3),  # a jump of 2
+        (1, 2, 1, 4),
+        (1, 0),  # labels below 1
+        (1, -1, 2),
+        (0,),
+        (),  # no elements
+    ],
+)
+def test_label_string_check_rejects(labels):
+    with pytest.raises(ValueError, match="created in order"):
+        SetPartition(labels)
+
+
+def test_label_string_accepts_every_opening():
+    p = SetPartition((1, 2, 1, 3, 3, 2, 4))
+    assert (p.n, p.k) == (7, 4)
+    assert p.blocks == ((1, 3), (2, 6), (4, 5), (7,))
+    assert p.block_sizes() == (2, 2, 2, 1)
 
 
 def test_from_dict_checks_declared_n():
@@ -190,19 +218,69 @@ def test_from_dict_checks_declared_n():
         SetPartition.from_dict({"n": 3, "blocks": [[1, 2]]})
 
 
+def test_from_block_sizes_takes_arrays():
+    sizes = np.array([3, 1, 1, 3, 2])
+    expected = IntegerPartition((1, 2, 3), (2, 1, 2))
+    assert IntegerPartition.from_block_sizes(sizes) == expected
+    assert IntegerPartition.from_block_sizes(sizes.tolist()) == expected
+    with pytest.raises(ValueError):
+        IntegerPartition.from_block_sizes(np.array([], dtype=np.int64))
+
+
+def _dict_blocks(sample):
+    """Blocks by a dict of per-label index lists, the grouping reduce_sample
+    used before it wrote label strings: the reference for the blocks."""
+    groups = {}
+    for idx, label in enumerate(sample, start=1):
+        groups.setdefault(label, []).append(idx)
+    return tuple(map(tuple, groups.values()))
+
+
+def _dict_integer_partition(blocks):
+    counts = {}
+    for b in blocks:
+        counts[len(b)] = counts.get(len(b), 0) + 1
+    a = tuple(sorted(counts))
+    return IntegerPartition(a, tuple(counts[x] for x in a))
+
+
+def _assert_matches_dict_grouping(p, sample):
+    blocks = _dict_blocks(sample)
+    assert p.n == len(sample)
+    assert p.k == len(blocks)
+    assert p.blocks == blocks
+    assert p.block_sizes() == tuple(map(len, blocks))
+    assert to_integer_partition(p) == _dict_integer_partition(blocks)
+
+
+@given(st.lists(st.integers(0, 40), min_size=1, max_size=300))
+def test_reduce_matches_dict_grouping(sample):
+    _assert_matches_dict_grouping(reduce_sample(sample), sample)
+
+
+@pytest.mark.parametrize("seed", [3, 4, 5])
+def test_database_sized_plans_match_dict_grouping(seed):
+    plan = crp_sample(18925, PdParams(0.51, 216.0), seed=seed)
+    p = plan.to_set_partition()
+    assert p.labels is plan.assignments
+    assert p.block_sizes() == plan.table_counts
+    _assert_matches_dict_grouping(p, plan.assignments)
+
+
+def _canonical(blocks):
+    """from_blocks' block order: each block ascending, then by least element."""
+    return tuple(sorted((tuple(sorted(b)) for b in blocks), key=lambda b: b[0] if b else 0))
+
+
 def _loop_validation(n, blocks):
-    """Block-by-block validation, the reference for SetPartition's
-    vectorised checks."""
+    """Block-by-block validation of canonicalised blocks, the reference for
+    from_blocks and from_dict. A partition has at least one element."""
+    if not blocks:
+        raise ValueError("no blocks")
     seen = set()
-    prev_least = 0
     for block in blocks:
         if not block:
             raise ValueError("blocks must be nonempty")
-        if any(block[i] >= block[i + 1] for i in range(len(block) - 1)):
-            raise ValueError("blocks must be sorted ascending")
-        if block[0] <= prev_least:
-            raise ValueError("blocks must be ordered by least element")
-        prev_least = block[0]
         for idx in block:
             if idx in seen:
                 raise ValueError(f"index {idx} appears in two blocks")
@@ -240,18 +318,26 @@ raw_blocks = st.tuples(
 )
 
 
+def _accepts(check, *args) -> bool:
+    try:
+        check(*args)
+    except ValueError:
+        return False
+    return True
+
+
 @given(st.one_of(near_canonical_blocks(), raw_blocks))
 @example((3, ((1, 2), (2,))))  # n indices, none above n, one repeated
+@example((2, ((2,), (0,))))  # an index below 1 as the least element
+@example((0, ()))  # the empty set
 def test_set_partition_checks_match_loop_reference(case):
     n, blocks = case
-    try:
-        _loop_validation(n, blocks)
-        expected_ok = True
-    except ValueError:
-        expected_ok = False
-    try:
-        SetPartition(n=n, blocks=blocks)
-        ok = True
-    except ValueError:
-        ok = False
-    assert ok == expected_ok
+    canon = _canonical(blocks)
+    as_given = sum(map(len, blocks))
+    assert _accepts(SetPartition.from_dict, {"n": n, "blocks": blocks}) == _accepts(
+        _loop_validation, n, canon
+    )
+    ok = _accepts(_loop_validation, as_given, canon)
+    assert _accepts(SetPartition.from_blocks, blocks) == ok
+    if ok:
+        assert SetPartition.from_blocks(blocks).blocks == canon

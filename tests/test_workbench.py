@@ -66,6 +66,12 @@ class TestLoadProfiles:
         with pytest.raises(MissingColumnError):
             load_profiles(path, columns=["L3"])
 
+    def test_empty_column_selection(self, tmp_path):
+        # zero fields once joined every record to "" and merged distinct profiles
+        path = write(tmp_path / "db.tsv", "L1\tL2\nx\ty\nx\tz\nw\ty\n")
+        with pytest.raises(MissingColumnError, match="no columns selected"):
+            load_profiles(path, columns=[])
+
     def test_ragged_row(self, tmp_path):
         path = write(tmp_path / "db.tsv", "L1\tL2\nx\ty\nonly_one\n")
         with pytest.raises(RaggedRowError):
