@@ -299,6 +299,18 @@ def cmd_fixture(args) -> int:
     return EXIT_OK
 
 
+def _add_chain_options(p: argparse.ArgumentParser) -> None:
+    defaults = MhConfig()
+    p.add_argument("--iterations", type=int, default=defaults.iterations)
+    p.add_argument("--burn-in", type=int, default=defaults.burn_in)
+    p.add_argument("--thinning", type=int, default=defaults.thinning)
+
+
+def _add_population_options(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--population", default=None, help="JSON {probs, pop_size}")
+    p.add_argument("--population-from-partition", default=None)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=None, help="seed for stochastic commands")
@@ -335,18 +347,14 @@ def _build_parser() -> argparse.ArgumentParser:
         "true-lr", parents=[common], help="known-population LR by the swap chain"
     )
     p.add_argument("--partition", required=True, help="suspect-augmented partition JSON")
-    p.add_argument("--population", default=None, help="JSON {probs, pop_size}")
-    p.add_argument("--population-from-partition", default=None)
-    p.add_argument("--iterations", type=int, default=100_000)
-    p.add_argument("--burn-in", type=int, default=20_000)
-    p.add_argument("--thinning", type=int, default=1_000)
+    _add_population_options(p)
+    _add_chain_options(p)
     p.add_argument("--strict-support", action="store_true")
     p.add_argument("--trace", default=None, help="write the retained-state trace CSV here")
     p.set_defaults(func=cmd_true_lr)
 
     p = sub.add_parser("freq-lr", parents=[common], help="benchmark 1/p_x")
-    p.add_argument("--population", default=None)
-    p.add_argument("--population-from-partition", default=None)
+    _add_population_options(p)
     p.add_argument("--rank", type=int, required=True, help="1-based population rank")
     p.set_defaults(func=cmd_freq_lr)
 
@@ -370,9 +378,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--population-partition", default=None, help="defaults to the Dutch fixture")
     p.add_argument("--sample-size", type=int, default=101)
     p.add_argument("--replicates", type=int, default=96)
-    p.add_argument("--iterations", type=int, default=100_000)
-    p.add_argument("--burn-in", type=int, default=20_000)
-    p.add_argument("--thinning", type=int, default=1_000)
+    _add_chain_options(p)
     p.add_argument("--strict-support", action="store_true")
     p.set_defaults(func=cmd_experiment)
 

@@ -420,17 +420,15 @@ def exact_true_lr(
         return logits - log_norm, log_norm
 
     def dual(eta: np.ndarray):
-        # convex; its gradient is the expected class counts minus r
+        # convex; its gradient is the expected class counts minus r, its
+        # Hessian the class-count covariance, summed over ranks
         log_pi, log_norm = log_class_probs(eta)
-        return log_norm.sum() - eta @ part.r, np.exp(log_pi[:, 1:]).sum(axis=0) - part.r
-
-    def dual_hessian(eta: np.ndarray):
-        # the class-count covariance, summed over ranks
-        q = np.exp(log_class_probs(eta)[0][:, 1:])
-        return np.diag(q.sum(axis=0)) - q.T @ q
+        q = np.exp(log_pi[:, 1:])
+        expected = q.sum(axis=0)
+        return log_norm.sum() - eta @ part.r, expected - part.r, np.diag(expected) - q.T @ q
 
     eta0 = np.array([-a_j * log_p[chi == j].mean() for j, a_j in enumerate(part.a, start=1)])
-    eta = _newton(dual, dual_hessian, eta0)[0]
+    eta = _newton(dual, eta0)[0]
     pi = np.exp(log_class_probs(eta)[0]).tolist()
     fits = eligible.sum(axis=1).tolist()
     return part.s1 * _exact_pass(probs.tolist(), pi, fits, part.r)

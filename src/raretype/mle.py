@@ -7,7 +7,9 @@ single damped Newton search on the analytic gradient and Hessian,
 started from the best point of a coarse 5x5 grid, whose 25 likelihood
 values come from one vectorised closed-form evaluation; the end of that
 search is diagnosed as converged, near the boundary, or stalled. The
-same solver finds the saddle point of the exact known-population LR in
+solver takes one callback that returns the value, gradient and Hessian
+together, so each point it visits costs one kernel pass. The same
+solver finds the saddle point of the exact known-population LR in
 ``lr``.
 
 The reparametrization phi = n(1-alpha)/(n+1+theta) is the posterior
@@ -26,7 +28,7 @@ import numpy as np
 from scipy.special import expit, logit
 
 from .partitions import IntegerPartition, SetPartition, as_integer_partition
-from .pitman import PdParams, _loglik_and_grad, _loglik_hess, _loglik_terms, _loglik_value
+from .pitman import PdParams, _loglik_derivs, _loglik_terms, _loglik_value
 
 __all__ = [
     "MleFit",
@@ -63,18 +65,18 @@ def theta_alpha_of(phi: float, theta: float, n: int) -> PdParams:
     return PdParams(alpha=alpha, theta=theta)
 
 
-def _phi_theta_hessian(n, k, a_big, r_big, alpha, theta) -> np.ndarray:
-    """The log-likelihood's Hessian in (phi, theta) at (alpha, theta).
+def _phi_theta_hessian(n, alpha, theta, grad, hess) -> np.ndarray:
+    """The log-likelihood's Hessian in (phi, theta) from its gradient
+    ``grad`` and Hessian ``hess`` in (alpha, theta) at (alpha, theta).
 
     alpha = 1 - phi (n + 1 + theta) / n is linear in phi and theta
     separately, so besides J' H J only the mixed partial of alpha, -1/n,
     contributes, weighted by dl/dalpha.
     """
-    _, g_alpha, _ = _loglik_and_grad(n, k, a_big, r_big, alpha, theta)
     phi = n * (1.0 - alpha) / (n + 1.0 + theta)
     jac = np.array([[-(n + 1.0 + theta) / n, -phi / n], [0.0, 1.0]])
-    h = jac.T @ _loglik_hess(n, k, a_big, r_big, alpha, theta) @ jac
-    h[0, 1] = h[1, 0] = 0.5 * (h[0, 1] + h[1, 0]) - g_alpha / n
+    h = jac.T @ hess @ jac
+    h[0, 1] = h[1, 0] = 0.5 * (h[0, 1] + h[1, 0]) - grad[0] / n
     return h
 
 
@@ -90,44 +92,31 @@ def _from_z(z) -> tuple[float, float]:
     return float(expit(z[0])), theta
 
 
-def _make_objective(part: IntegerPartition) -> tuple[Callable, Callable]:
-    """Negative log-likelihood with its gradient, and its Hessian, in
-    z = (logit alpha, log(theta + 1))."""
+def _make_objective(part: IntegerPartition) -> Callable:
+    """Negative log-likelihood with its gradient and Hessian in
+    z = (logit alpha, log(theta + 1)), from one kernel pass per point."""
     terms = _loglik_terms(part)
-    last = {}  # the latest evaluated point and gradient, where the solver asks for H
 
-    def point(z):
+    def objective(z):
         alpha, theta = _from_z(z)
-        return min(max(alpha, 1e-12), 1.0 - 1e-12), theta
-
-    def neg_loglik(z):
-        alpha, theta = point(z)
+        alpha = min(max(alpha, 1e-12), 1.0 - 1e-12)
         if theta <= -alpha:
             # steer back toward the valid wedge theta > -alpha
-            return _PENALTY * (1.0 + abs(z[1])), np.array([0.0, -_PENALTY])
-        val, ga, gt = _loglik_and_grad(*terms, alpha, theta)
+            return _PENALTY * (1.0 + abs(z[1])), np.array([0.0, -_PENALTY]), np.zeros((2, 2))
+        val, (ga, gt), ((h_aa, h_at), (_, h_tt)) = _loglik_derivs(*terms, alpha, theta)
         if not math.isfinite(val):
-            return _PENALTY, np.zeros(2)
-        last.update(point=(alpha, theta), grad=(ga, gt))
+            return _PENALTY, np.zeros(2), np.zeros((2, 2))
         # chain rule to (logit alpha, log(theta+1))
         grad = np.array([ga * alpha * (1.0 - alpha), gt * (theta + 1.0)])
-        return -val, -grad
-
-    def neg_hessian(z):
-        alpha, theta = point(z)
-        if last.get("point") == (alpha, theta):
-            ga, gt = last["grad"]
-        else:
-            _, ga, gt = _loglik_and_grad(*terms, alpha, theta)
-        (h_aa, h_at), (_, h_tt) = _loglik_hess(*terms, alpha, theta)
         s = alpha * (1.0 - alpha)  # dalpha/dz0; d2alpha/dz0^2 = s (1 - 2 alpha)
         c = theta + 1.0  # dtheta/dz1 = d2theta/dz1^2
         mixed = -s * c * h_at
-        return np.array(
+        hess = np.array(
             [[-s * s * h_aa - ga * s * (1.0 - 2.0 * alpha), mixed], [mixed, -c * c * h_tt - gt * c]]
         )
+        return -val, -grad, hess
 
-    return neg_loglik, neg_hessian
+    return objective
 
 
 @dataclass(frozen=True)
@@ -207,11 +196,12 @@ def _best_start(part: IntegerPartition) -> np.ndarray:
 _NEWTON_MAX_ITER = 200
 
 
-def _newton(objective, hessian, z0):
+def _newton(objective, z0):
     """Minimize a smooth function by damped Newton steps on |H|.
 
-    ``objective(z)`` returns (f, gradient) and ``hessian(z)`` the second
-    derivatives. Each step solves against H with every eigenvalue
+    ``objective(z)`` returns (f, gradient, Hessian) from one evaluation,
+    and each point is evaluated once: the accepted point's Hessian sets
+    the next step. Each step solves against H with every eigenvalue
     replaced by its absolute value ("saddle-free" Newton), floored at the
     gradient's component along its eigenvector: the plain Newton step near
     a minimum, a descent direction at any curvature, and a unit step along
@@ -225,12 +215,12 @@ def _newton(objective, hessian, z0):
     cap ended the search.
     """
     z = np.asarray(z0, dtype=float)
-    f, g = objective(z)
+    f, g, h = objective(z)
     for it in range(_NEWTON_MAX_ITER):
         gnorm = float(np.linalg.norm(g))
         if gnorm < 1e-10:
             return z, f, g, it, True
-        lam, vec = np.linalg.eigh(hessian(z))
+        lam, vec = np.linalg.eigh(h)
         vg = vec.T @ g
         scale = np.maximum(np.abs(lam), np.abs(vg))
         step = vec @ np.divide(vg, scale, out=np.zeros_like(vg), where=scale > 0)
@@ -238,7 +228,7 @@ def _newton(objective, hessian, z0):
         t = 1.0
         while True:
             z_new = z - t * step
-            f_new, g_new = objective(z_new)
+            f_new, g_new, h_new = objective(z_new)
             if f_new < f or (f_new <= f + noise and np.linalg.norm(g_new) < gnorm):
                 break
             t *= 0.5
@@ -246,15 +236,15 @@ def _newton(objective, hessian, z0):
                 return z, f, g, it, True
         moved = float(np.max(np.abs(z_new - z)))
         drop = float(f - f_new)
-        z, f, g = z_new, f_new, g_new
+        z, f, g, h = z_new, f_new, g_new, h_new
         if moved < 1e-10 and drop < 1e-12:
             return z, f, g, it + 1, True
     return z, f, g, _NEWTON_MAX_ITER, False
 
 
-def _fit_from(part: IntegerPartition, objective, hessian, z0, warnings) -> MleFit:
+def _fit_from(part: IntegerPartition, objective, z0, warnings) -> MleFit:
     """Newton search from the start z0; its end point is diagnosed."""
-    z, fz, grad, iterations, stable = _newton(objective, hessian, z0)
+    z, fz, grad, iterations, stable = _newton(objective, z0)
 
     alpha_hat, theta_hat = _from_z(z)
     loglik = -float(fz)
@@ -282,7 +272,8 @@ def _fit_from(part: IntegerPartition, objective, hessian, z0, warnings) -> MleFi
     if params is not None:
         phi_hat = phi_of(params, part.n)
         if converged:
-            h = _phi_theta_hessian(*_loglik_terms(part), alpha_hat, theta_hat)
+            _, g, h = _loglik_derivs(*_loglik_terms(part), alpha_hat, theta_hat)
+            h = _phi_theta_hessian(part.n, alpha_hat, theta_hat, g, h)
             hessian_pt = tuple(tuple(float(v) for v in row) for row in h)
 
     return MleFit(
@@ -341,7 +332,7 @@ def fit_mle(
             warnings,
         )
 
-    return _fit_from(part, *_make_objective(part), _best_start(part), warnings)
+    return _fit_from(part, _make_objective(part), _best_start(part), warnings)
 
 
 @dataclass(frozen=True)

@@ -140,6 +140,8 @@ class IntegerPartition:
     def __post_init__(self) -> None:
         if len(self.a) != len(self.r) or not self.a:
             raise ValueError("a and r must be nonempty and of equal length")
+        if not all(isinstance(x, (int, np.integer)) for x in (*self.a, *self.r)):
+            raise ValueError("entries of a and r must be integers")
         if any(x < 1 for x in self.a) or any(x < 1 for x in self.r):
             raise ValueError("entries of a and r must be >= 1")
         if any(self.a[i] >= self.a[i + 1] for i in range(len(self.a) - 1)):
@@ -167,7 +169,7 @@ class IntegerPartition:
     @classmethod
     def from_block_sizes(cls, sizes: Sequence[int]) -> "IntegerPartition":
         """The multiset of these sizes, from any int sequence or array."""
-        a, r = np.unique(np.asarray(sizes, dtype=np.int64), return_counts=True)
+        a, r = np.unique(np.asarray(sizes), return_counts=True)
         return cls(a=tuple(a.tolist()), r=tuple(r.tolist()))
 
     def sizes_desc(self) -> tuple[int, ...]:
@@ -189,7 +191,7 @@ class IntegerPartition:
 
     @classmethod
     def from_dict(cls, d: dict) -> "IntegerPartition":
-        return cls(a=tuple(int(x) for x in d["a"]), r=tuple(int(x) for x in d["r"]))
+        return cls(a=tuple(d["a"]), r=tuple(d["r"]))
 
 
 def reduce_sample(sample: Sequence[Hashable]) -> SetPartition:

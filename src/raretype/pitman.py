@@ -8,13 +8,14 @@ from a ranked frequency vector with this prior is
                    * prod_i [1-alpha]_{n_i-1;1}
 
 with rising factorials [x]_{a;b} = prod_{i<a} (x + i*b), and it only
-depends on the block-size multiset. One likelihood kernel evaluates its
-logarithm with the gradient and Hessian in (alpha, theta); ``eppf_log``
-and the fit in ``mle`` both call it. The value is closed-form: each long
-rising factorial is a log-gamma difference, taken from an asymptotic
-expansion free of cancellation once its argument reaches 10, so a value
-costs O(J) for J distinct block sizes, not O(n + k), and the surface in
-``mle`` evaluates a whole grid at once. The derivatives stay direct
+depends on the block-size multiset. Its logarithm has a closed form:
+each long rising factorial is a log-gamma difference, taken from an
+asymptotic expansion free of cancellation once its argument reaches 10,
+so a value costs O(J) for J distinct block sizes, not O(n + k).
+``eppf_log``, the start scan and the surface in ``mle`` evaluate it
+alone, the surface over a whole grid at once. The Newton search in
+``mle`` calls one kernel that returns the value with the gradient and
+Hessian in (alpha, theta) from one pass. The derivatives stay direct
 sums over the n + k factors, because the digamma and trigamma
 differences that would close them cancel catastrophically once theta
 dwarfs the counts. The same law arises from the
@@ -34,7 +35,7 @@ only at interfaces (n near 2*10^4 underflows direct products).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Hashable, Iterable, Optional, Sequence, Union
 
 import numpy as np
@@ -43,7 +44,6 @@ from scipy.special import digamma, gammaln, zeta
 from .partitions import (
     IntegerPartition,
     SetPartition,
-    _rgs_sizes,
     as_integer_partition,
     reduce_sample,
 )
@@ -130,29 +130,29 @@ class SeatingPlan:
     """Sequential seating outcome: assignments[i] is the (1-based) table of customer i+1."""
 
     assignments: tuple[int, ...]
-    table_counts: tuple[int, ...]
-    k: int
+    # the checked partition, built once; k and the table counts come from it
+    _partition: SetPartition = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         # each customer sits at an open table or opens the next one: the
         # assignments are a restricted growth string
-        sizes = _rgs_sizes(self.assignments)
-        if sizes.size != self.k or not np.array_equal(sizes, self.table_counts):
-            raise ValueError("table counts inconsistent with assignments")
-
-    @classmethod
-    def from_assignments(cls, ys: Sequence[int]) -> "SeatingPlan":
-        ys = tuple(int(y) for y in ys)
-        counts = tuple(_rgs_sizes(ys).tolist())
-        return cls(assignments=ys, table_counts=counts, k=len(counts))
+        object.__setattr__(self, "_partition", SetPartition(self.assignments))
 
     @property
     def n(self) -> int:
         return len(self.assignments)
 
+    @property
+    def k(self) -> int:
+        return self._partition.k
+
+    @property
+    def table_counts(self) -> tuple[int, ...]:
+        return self._partition.block_sizes()
+
     def to_set_partition(self) -> SetPartition:
         """The plan's partition; the assignments are its label string, uncopied."""
-        return SetPartition(self.assignments)
+        return self._partition
 
 
 def _loglik_terms(part: IntegerPartition):
@@ -216,63 +216,50 @@ def _loglik_value(n, k, a_big, r_big, alpha, theta):
     return val - r_big.sum() * gammaln(1.0 - alpha)
 
 
-def _loglik_and_grad(n, k, a_big, r_big, alpha, theta):
-    """Partition log-likelihood and its gradient in (alpha, theta).
+def _loglik_derivs(n, k, a_big, r_big, alpha, theta):
+    """Partition log-likelihood with its gradient and Hessian in (alpha, theta).
 
-    The value is ``_loglik_value``'s closed form. The gradient sums its
-    n + k - 2 terms directly: the digamma differences that would close it
-    cancel catastrophically once theta dwarfs the counts, and no
-    asymptotic form of them is kept. Returns (-inf, 0, 0) outside the
-    open domain.
+    The value is ``_loglik_value``'s closed form. The derivatives sum the
+    n + k - 2 terms i^p / (theta + alpha i)^q and 1 / (theta + i)^q
+    directly, each long array built once, plus digamma and trigamma
+    (Hurwitz zeta(2, x), cheaper than polygamma) terms for the block
+    sizes: the differences that would close the long sums cancel
+    catastrophically once theta dwarfs the counts. Returns
+    (-inf, zeros, zeros) outside the open domain.
     """
     if not (0.0 < alpha < 1.0 and theta > -alpha) or not math.isfinite(theta):
-        return -math.inf, 0.0, 0.0
+        return -math.inf, np.zeros(2), np.zeros((2, 2))
     val = float(_loglik_value(n, k, a_big, r_big, alpha, theta))
-    g_alpha = 0.0
-    g_theta = 0.0
-    if k > 1:
-        i = np.arange(1.0, k)
-        inv = 1.0 / (theta + alpha * i)
-        g_theta += float(inv.sum())
-        g_alpha += float((i * inv).sum())
-    g_theta -= float((1.0 / (theta + np.arange(1.0, n))).sum())
-    if a_big.size:
-        g_alpha += float(r_big @ (digamma(1.0 - alpha) - digamma(a_big - alpha)))
-    return val, g_alpha, g_theta
-
-
-def _loglik_hess(n, k, a_big, r_big, alpha, theta) -> np.ndarray:
-    """Second derivatives of the partition log-likelihood in (alpha, theta).
-
-    Sums of i^p / (theta + alpha i)^2 (p = 0, 1, 2) and 1 / (theta + i)^2,
-    plus trigamma terms for the block-size products (the Hurwitz zeta
-    zeta(2, x) is the trigamma function, at a fraction of polygamma's
-    cost). Returns zeros outside the open domain, as ``_loglik_and_grad``
-    returns a zero gradient.
-    """
-    if not (0.0 < alpha < 1.0 and theta > -alpha) or not math.isfinite(theta):
-        return np.zeros((2, 2))
+    g_alpha = g_theta = 0.0
     h_aa = h_at = h_tt = 0.0
     if k > 1:
         i = np.arange(1.0, k)
-        inv2 = 1.0 / (theta + alpha * i) ** 2
+        steps = theta + alpha * i
+        inv = 1.0 / steps
+        g_theta += float(inv.sum())
+        g_alpha += float((i * inv).sum())
+        inv2 = 1.0 / steps**2
         h_tt -= float(inv2.sum())
         h_at -= float((i * inv2).sum())
         h_aa -= float((i * i * inv2).sum())
-    h_tt += float((1.0 / (theta + np.arange(1.0, n)) ** 2).sum())
+    customers = theta + np.arange(1.0, n)
+    g_theta -= float((1.0 / customers).sum())
+    h_tt += float((1.0 / customers**2).sum())
     if a_big.size:
+        g_alpha += float(r_big @ (digamma(1.0 - alpha) - digamma(a_big - alpha)))
         h_aa += float(r_big @ (zeta(2.0, a_big - alpha) - zeta(2.0, 1.0 - alpha)))
-    return np.array([[h_aa, h_at], [h_at, h_tt]])
+    return val, np.array([g_alpha, g_theta]), np.array([[h_aa, h_at], [h_at, h_tt]])
 
 
 def eppf_log(pi: Union[IntegerPartition, SetPartition], params: PdParams) -> float:
     """Log probability of a partition under the sampling formula.
 
     Depends only on the block-size multiset, never on labels or block
-    order: it is the likelihood kernel's value at ``params``.
+    order: it is the closed-form log-likelihood at ``params``, whose
+    domain ``PdParams`` enforces.
     """
     terms = _loglik_terms(as_integer_partition(pi))
-    return _loglik_and_grad(*terms, params.alpha, params.theta)[0]
+    return float(_loglik_value(*terms, params.alpha, params.theta))
 
 
 def _opening_thresholds(
@@ -349,10 +336,7 @@ def crp_sample(n: int, params: PdParams, seed: SeedLike = None) -> SeatingPlan:
     hops = ptr[ptr]
     while not np.array_equal(hops, ptr):
         ptr, hops = hops, hops[hops]
-    ys = ys[ptr]
-    return SeatingPlan(
-        assignments=tuple(ys.tolist()), table_counts=tuple(np.bincount(ys)[1:].tolist()), k=k
-    )
+    return SeatingPlan(tuple(ys[ptr].tolist()))
 
 
 def gem_stick_breaking(params: PdParams, m: int, seed: SeedLike = None) -> PopulationVector:

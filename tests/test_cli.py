@@ -4,7 +4,8 @@ import sys
 
 import pytest
 
-from raretype.cli import cli_dispatch
+from raretype.cli import _build_parser, cli_dispatch
+from raretype.lr import MhConfig
 
 
 def run_cli(argv, **kwargs):
@@ -208,6 +209,17 @@ class TestSubprocessDeterminism:
         b = run_cli(argv)
         assert a.returncode == 0, a.stderr
         assert a.stdout == b.stdout
+
+
+@pytest.mark.parametrize("argv", [["true-lr", "--partition", "p.json"], ["experiment"]])
+def test_chain_option_defaults_are_the_config_defaults(argv):
+    args = _build_parser().parse_args(argv)
+    defaults = MhConfig()
+    assert (args.iterations, args.burn_in, args.thinning) == (
+        defaults.iterations,
+        defaults.burn_in,
+        defaults.thinning,
+    )
 
 
 def test_import_loads_no_optimizer_library():

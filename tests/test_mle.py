@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 from scipy.special import gammaln
 
+from raretype import mle
 from raretype.mle import (
     _NEWTON_MAX_ITER,
     _PENALTY,
@@ -27,7 +28,7 @@ from raretype.mle import (
     theta_alpha_of,
 )
 from raretype.partitions import IntegerPartition, SetPartition, to_integer_partition
-from raretype.pitman import PdParams, _loglik_and_grad, _loglik_terms, crp_sample, eppf_log
+from raretype.pitman import PdParams, _loglik_derivs, _loglik_terms, crp_sample, eppf_log
 from raretype.workbench import dutch_fixture
 
 
@@ -141,10 +142,10 @@ class TestFit:
         assume(1 < part.k < part.n)
         fit = fit_mle(part)
         # the reference: the best of one search from each of the 25 grid points
-        objective, hessian = _make_objective(part)
+        objective = _make_objective(part)
         wide = max(
             (
-                _fit_from(part, objective, hessian, _to_z(a0, t0), fit.warnings)
+                _fit_from(part, objective, _to_z(a0, t0), fit.warnings)
                 for a0 in _START_ALPHAS
                 for t0 in _START_THETAS
             ),
@@ -192,7 +193,7 @@ class TestFit:
         plan = crp_sample(n, PdParams(alpha, theta), seed=seed)
         part = IntegerPartition.from_block_sizes(plan.table_counts)
         assume(1 < part.k < part.n)
-        objective, _ = _make_objective(part)
+        objective = _make_objective(part)
         grid = [_to_z(a0, t0) for a0 in _START_ALPHAS for t0 in _START_THETAS]
         start = min(grid, key=lambda z: objective(z)[0])
         assert np.array_equal(_best_start(part), start)
@@ -227,10 +228,10 @@ class TestNewton:
         # draw; each start alone must reach the one interior optimum
         pi = dutch_fixture() if which == "dutch" else crp_18925
         fit = fit_mle(pi)
-        objective, hessian = _make_objective(pi)
+        objective = _make_objective(pi)
         for a0 in _START_ALPHAS:
             for t0 in _START_THETAS:
-                alone = _fit_from(pi, objective, hessian, _to_z(a0, t0), fit.warnings)
+                alone = _fit_from(pi, objective, _to_z(a0, t0), fit.warnings)
                 assert alone.converged, (a0, t0, alone.diagnosis)
                 assert alone.alpha_hat == pytest.approx(fit.alpha_hat, rel=0, abs=1e-9)
 
@@ -238,18 +239,49 @@ class TestNewton:
         # the likelihood peaks at alpha -> 0, where f flattens to its float
         # floor; every search must still stop on its own
         part = IntegerPartition(a=(1, 2), r=(120, 10))
-        objective, hessian = _make_objective(part)
+        objective = _make_objective(part)
         for a0 in _START_ALPHAS:
             for t0 in _START_THETAS:
-                *_, iterations, stopped = _newton(objective, hessian, _to_z(a0, t0))
+                *_, iterations, stopped = _newton(objective, _to_z(a0, t0))
                 assert stopped and iterations < _NEWTON_MAX_ITER, (a0, t0)
+
+    @pytest.mark.parametrize("which", ["dutch", "crp_18925", "boundary"])
+    def test_each_point_takes_one_kernel_pass(self, which, crp_18925, monkeypatch):
+        # the search evaluates no z twice, and each evaluation runs the
+        # kernel once; a converged fit adds one pass for its information
+        pi = {
+            "dutch": dutch_fixture(),
+            "crp_18925": crp_18925,
+            "boundary": IntegerPartition(a=(1, 2), r=(120, 10)),
+        }[which]
+        kernel, newton = mle._loglik_derivs, mle._newton
+        passes, points = [], []
+
+        def counted_kernel(*args):
+            passes.append(args[-2:])
+            return kernel(*args)
+
+        def counted_newton(objective, z0):
+            def counted(z):
+                points.append(tuple(np.asarray(z).tolist()))
+                return objective(z)
+
+            return newton(counted, z0)
+
+        monkeypatch.setattr(mle, "_loglik_derivs", counted_kernel)
+        monkeypatch.setattr(mle, "_newton", counted_newton)
+        fit = fit_mle(pi)
+        assert fit.iterations > 0
+        assert len(set(points)) == len(points)
+        if which != "boundary":
+            assert fit.converged and len(passes) == len(points) + 1
 
     def test_overflowing_theta_returns_the_penalty(self):
         # log(theta + 1) = 800 overflows expm1: theta = inf is outside the domain
-        objective, _ = _make_objective(dutch_fixture())
-        f, g = objective(np.array([0.0, 800.0]))
+        objective = _make_objective(dutch_fixture())
+        f, g, h = objective(np.array([0.0, 800.0]))
         assert f == _PENALTY
-        assert not g.any()
+        assert not g.any() and not h.any()
 
     def test_newton_step_near_a_minimum(self):
         # where the gradient is small against the curvature, one plain
@@ -258,9 +290,7 @@ class TestNewton:
         b = np.array([1.0, -4.0])
         z_min = np.linalg.solve(a, b)
         for z0, most in ((z_min + [0.1, -0.2], 1), (np.array([40.0, -70.0]), _NEWTON_MAX_ITER)):
-            z, _, _, iterations, stopped = _newton(
-                lambda z: (0.5 * z @ a @ z - b @ z, a @ z - b), lambda z: a, z0
-            )
+            z, _, _, iterations, stopped = _newton(lambda z: (0.5 * z @ a @ z - b @ z, a @ z - b, a), z0)
             assert stopped and iterations <= most
             assert np.abs(z - z_min).max() < 1e-12
 
@@ -269,9 +299,9 @@ class TestNewton:
         # plain Newton step from (0.1, 1) heads for the saddle
         def objective(z):
             x, y = z
-            return x**4 / 4 - x**2 / 2 + y**2 / 2, np.array([x**3 - x, y])
+            return x**4 / 4 - x**2 / 2 + y**2 / 2, np.array([x**3 - x, y]), np.diag([3 * x**2 - 1, 1.0])
 
-        z, *_, stopped = _newton(objective, lambda z: np.diag([3 * z[0] ** 2 - 1, 1.0]), [0.1, 1.0])
+        z, *_, stopped = _newton(objective, [0.1, 1.0])
         assert stopped
         assert np.abs(z - [1.0, 0.0]).max() < 1e-9
 
@@ -300,7 +330,7 @@ class TestGradientKernel:
         def direct(al, th):
             return eppf_log(pi, PdParams(al, th))
 
-        _, ga, gt = _loglik_and_grad(n, k, a_big, r_big, alpha, theta)
+        _, (ga, gt), _ = _loglik_derivs(n, k, a_big, r_big, alpha, theta)
         h = 1e-6
         fd_a = (direct(alpha + h, theta) - direct(alpha - h, theta)) / (2 * h)
         fd_t = (direct(alpha, theta + h) - direct(alpha, theta - h)) / (2 * h)
@@ -314,7 +344,7 @@ class TestGradientKernel:
         for _ in range(10):
             alpha = rng.uniform(0.15, 0.85)
             theta = rng.uniform(0.5, 40.0)
-            _, ga, gt = _loglik_and_grad(n, k, a_big, r_big, alpha, theta)
+            _, (ga, gt), _ = _loglik_derivs(n, k, a_big, r_big, alpha, theta)
             h = 1e-5
             fd_a = (
                 eppf_log(pi, PdParams(alpha + h, theta)) - eppf_log(pi, PdParams(alpha - h, theta))
@@ -341,14 +371,15 @@ class TestHessianKernel:
 
         def grad_phi_theta(x):
             phi, th = x
-            _, ga, gt = _loglik_and_grad(*terms, 1.0 - phi * (n + 1.0 + th) / n, th)
+            _, (ga, gt), _ = _loglik_derivs(*terms, 1.0 - phi * (n + 1.0 + th) / n, th)
             return np.array([-ga * (n + 1.0 + th) / n, -ga * phi / n + gt])
 
-        objective, hessian = _make_objective(pi)
+        objective = _make_objective(pi)
+        _, g, h = _loglik_derivs(*terms, alpha, theta)
         phi = n * (1.0 - alpha) / (n + 1.0 + theta)
         for h, grad, x, scale in (
-            (_phi_theta_hessian(*terms, alpha, theta), grad_phi_theta, (phi, theta), 1e-2),
-            (hessian(_to_z(alpha, theta)), lambda z: objective(z)[1], _to_z(alpha, theta), 1.0),
+            (_phi_theta_hessian(n, alpha, theta, g, h), grad_phi_theta, (phi, theta), 1e-2),
+            (objective(_to_z(alpha, theta))[2], lambda z: objective(z)[1], _to_z(alpha, theta), 1.0),
         ):
             x = np.asarray(x, dtype=float)
             fd = np.empty((2, 2))

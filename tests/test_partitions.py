@@ -227,6 +227,18 @@ def test_from_block_sizes_takes_arrays():
         IntegerPartition.from_block_sizes(np.array([], dtype=np.int64))
 
 
+def test_non_integer_entries_rejected():
+    # they were truncated: 2.5 counted as a block of 2, 2.9 as two blocks
+    with pytest.raises(ValueError, match="integers"):
+        IntegerPartition(a=(1.5,), r=(2,))
+    with pytest.raises(ValueError, match="integers"):
+        IntegerPartition.from_block_sizes([2.5, 1])
+    with pytest.raises(ValueError, match="integers"):
+        IntegerPartition.from_dict({"a": [1.5], "r": [2.9]})
+    assert IntegerPartition(a=(np.int64(1),), r=(np.int32(2),)).n == 2
+    assert IntegerPartition.from_block_sizes(np.array([2, 1], dtype=np.uint8)).r == (1, 1)
+
+
 def _dict_blocks(sample):
     """Blocks by a dict of per-label index lists, the grouping reduce_sample
     used before it wrote label strings: the reference for the blocks."""

@@ -186,7 +186,9 @@ def _loop_crp_sample(n, params, seed=None):
         joined.append(y)
         counts[y - 1] += 1
         ys.append(y)
-    return SeatingPlan(assignments=tuple(ys), table_counts=tuple(counts), k=k)
+    plan = SeatingPlan(tuple(ys))
+    assert plan.table_counts == tuple(counts) and plan.k == k
+    return plan
 
 
 @st.composite
@@ -272,32 +274,29 @@ class TestCrpSample:
 class TestSeatingPlan:
     def test_invariants_enforced(self):
         with pytest.raises(ValueError):
-            SeatingPlan(assignments=(2,), table_counts=(1,), k=1)
+            SeatingPlan(assignments=(2,))
         with pytest.raises(ValueError):
-            SeatingPlan(assignments=(1, 3), table_counts=(1, 1), k=2)
-        with pytest.raises(ValueError, match="counts inconsistent"):
-            SeatingPlan(assignments=(1, 1), table_counts=(1,), k=1)
+            SeatingPlan(assignments=(1, 3))
         with pytest.raises(ValueError, match="created in order"):
-            SeatingPlan(assignments=(1, 0), table_counts=(1,), k=1)
-        with pytest.raises(ValueError, match="counts inconsistent"):
-            SeatingPlan(assignments=(1, 2, 1), table_counts=(1, 2), k=2)
+            SeatingPlan(assignments=(1, 0))
 
     @given(st.lists(st.integers(0, 4), min_size=1, max_size=8))
     def test_accepts_exactly_the_ordered_plans(self, ys):
         # loop reference for the vectorized check: each customer sits at an
         # open table or opens the next one
         ordered = ys[0] == 1 and all(1 <= y <= max(ys[:t]) + 1 for t, y in enumerate(ys) if t)
-        k = max(ys)
-        counts = tuple(ys.count(table) for table in range(1, k + 1))
         if ordered:
-            assert SeatingPlan(tuple(ys), counts, k).n == len(ys)
+            plan = SeatingPlan(tuple(ys))
+            assert plan.n == len(ys) and plan.k == max(ys)
+            assert plan.table_counts == tuple(ys.count(table) for table in range(1, max(ys) + 1))
         else:
             with pytest.raises(ValueError):
-                SeatingPlan(tuple(ys), counts, k)
+                SeatingPlan(tuple(ys))
 
     def test_to_set_partition(self):
-        plan = SeatingPlan.from_assignments((1, 2, 1, 3))
+        plan = SeatingPlan((1, 2, 1, 3))
         assert plan.to_set_partition().blocks == ((1, 3), (2,), (4,))
+        assert plan.to_set_partition() is plan.to_set_partition()
 
 
 class TestGem:
@@ -365,7 +364,7 @@ class TestRankedFrequencies:
         assert (np.diff(freqs) <= 0).all()
 
     def test_accepts_plan_and_partitions(self):
-        plan = SeatingPlan.from_assignments((1, 1, 2))
+        plan = SeatingPlan((1, 1, 2))
         assert ranked_frequencies(plan).tolist() == pytest.approx([2 / 3, 1 / 3])
         assert ranked_frequencies(IntegerPartition((1, 2), (1, 1))).tolist() == pytest.approx(
             [2 / 3, 1 / 3]
