@@ -254,7 +254,7 @@ def _run_swap_chain(start: AssignmentVector, cfg: MhConfig):
     cum = np.cumsum(weights) / weights.sum()
 
     def singleton_mass() -> float:
-        return float(probs[slots[ones]].sum())
+        return float(probs[np.fromiter(slots[ones], dtype=np.intp, count=sizes[1])].sum())
 
     retained = range(cfg.burn_in + cfg.thinning, cfg.iterations + 1, cfg.thinning)
     if c_of.size == 0:
@@ -411,27 +411,37 @@ def exact_true_lr(
     chi = np.asarray(chi_init(part, p, strict_support=strict_support).chi)
     probs = p.as_array()
     log_p = np.log(probs)
-    eligible = _support_caps(p, strict_support)[:, None] >= np.asarray(part.a)
-    log_w = np.where(eligible, np.outer(log_p, part.a), -np.inf)
-
-    def log_class_probs(eta: np.ndarray):
-        logits = np.hstack([np.zeros((probs.size, 1)), log_w + eta])
-        log_norm = np.logaddexp.reduce(logits, axis=1, keepdims=True)
-        return logits - log_norm, log_norm
-
-    def dual(eta: np.ndarray):
-        # convex; its gradient is the expected class counts minus r, its
-        # Hessian the class-count covariance, summed over ranks
-        log_pi, log_norm = log_class_probs(eta)
-        q = np.exp(log_pi[:, 1:])
-        expected = q.sum(axis=0)
-        return log_norm.sum() - eta @ part.r, expected - part.r, np.diag(expected) - q.T @ q
-
+    log_w = _class_log_weights(part, p, strict_support)
     eta0 = np.array([-a_j * log_p[chi == j].mean() for j, a_j in enumerate(part.a, start=1)])
-    eta = _newton(dual, eta0)[0]
-    pi = np.exp(log_class_probs(eta)[0]).tolist()
-    fits = eligible.sum(axis=1).tolist()
+    eta = _newton(lambda eta: _count_dual(eta, log_w, part.r), eta0)[0]
+    pi = np.exp(_log_class_probs(eta, log_w)[0]).tolist()
+    fits = np.isfinite(log_w).sum(axis=1).tolist()
     return part.s1 * _exact_pass(probs.tolist(), pi, fits, part.r)
+
+
+def _class_log_weights(part: IntegerPartition, p: PopulationVector, strict_support: bool) -> np.ndarray:
+    """log p_i^{a_j} for rank i and class j, -inf where rank i's census
+    count cannot support a_j."""
+    eligible = _support_caps(p, strict_support)[:, None] >= np.asarray(part.a)
+    return np.where(eligible, np.outer(np.log(p.as_array()), part.a), -np.inf)
+
+
+def _log_class_probs(eta: np.ndarray, log_w: np.ndarray):
+    """Each rank's log class probabilities under the tilt eta (class 0 first),
+    and the log normalisers."""
+    logits = np.hstack([np.zeros((log_w.shape[0], 1)), log_w + eta])
+    log_norm = np.logaddexp.reduce(logits, axis=1, keepdims=True)
+    return logits - log_norm, log_norm
+
+
+def _count_dual(eta: np.ndarray, log_w: np.ndarray, r):
+    """The saddle-point dual sum_i log Z_i(eta) - eta . r with its gradient
+    and Hessian: convex, its gradient the expected class counts minus r,
+    its Hessian the class-count covariance, summed over ranks."""
+    log_pi, log_norm = _log_class_probs(eta, log_w)
+    q = np.exp(log_pi[:, 1:])
+    expected = q.sum(axis=0)
+    return log_norm.sum() - eta @ r, expected - r, np.diag(expected) - q.T @ q
 
 
 def _exact_pass(probs: list, weights: list, fits: list, r: tuple) -> float:

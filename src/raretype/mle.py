@@ -2,8 +2,9 @@
 
 The log-likelihood of (alpha, theta) given a partition is the log
 partition law, a function of the block-size multiset alone. It is
-maximized in unconstrained coordinates (logit(alpha), log(theta+1)) by a
-single damped Newton search on the analytic gradient and Hessian,
+maximized in unconstrained coordinates (logit(alpha), log(theta+1)),
+whose logistic maps are plain ``math`` functions that cannot overflow, by
+a single damped Newton search on the analytic gradient and Hessian,
 started from the best point of a coarse 5x5 grid, whose 25 likelihood
 values come from one vectorised closed-form evaluation; the end of that
 search is diagnosed as converged, near the boundary, or stalled. The
@@ -25,7 +26,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
 
 import numpy as np
-from scipy.special import expit, logit
 
 from .partitions import IntegerPartition, SetPartition, as_integer_partition
 from .pitman import PdParams, _loglik_derivs, _loglik_terms, _loglik_value
@@ -80,8 +80,21 @@ def _phi_theta_hessian(n, alpha, theta, grad, hess) -> np.ndarray:
     return h
 
 
+def _logit(p: float) -> float:
+    """log(p / (1 - p)); near 1/2 as a log1p difference, which keeps its digits."""
+    if 0.3 <= p <= 0.65:
+        s = 2.0 * (p - 0.5)
+        return math.log1p(s) - math.log1p(-s)
+    return math.log(p / (1.0 - p))
+
+
+def _expit(z: float) -> float:
+    """1 / (1 + exp(-z)); exp(z) itself where exp(-z) would overflow."""
+    return math.exp(z) if z < -700.0 else 1.0 / (1.0 + math.exp(-z))
+
+
 def _to_z(alpha: float, theta: float) -> np.ndarray:
-    return np.array([logit(alpha), math.log1p(theta)])
+    return np.array([_logit(alpha), math.log1p(theta)])
 
 
 def _from_z(z) -> tuple[float, float]:
@@ -89,7 +102,7 @@ def _from_z(z) -> tuple[float, float]:
         theta = math.expm1(z[1])
     except OverflowError:  # log(theta + 1) beyond ~709.78: outside the domain
         theta = math.inf
-    return float(expit(z[0])), theta
+    return _expit(float(z[0])), theta
 
 
 def _make_objective(part: IntegerPartition) -> Callable:

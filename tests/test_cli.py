@@ -223,9 +223,39 @@ def test_chain_option_defaults_are_the_config_defaults(argv):
 
 
 def test_import_loads_no_optimizer_library():
-    # both solves use the package's own Newton search; scipy.optimize would
-    # add ~0.3 s to every process start
-    code = "import sys, raretype; print([m for m in sys.modules if m.startswith('scipy.optimize')])"
+    # the package needs numpy alone; importing scipy.special would add
+    # ~0.35 s to every process start
+    code = "import sys, raretype, raretype.cli; print([m for m in sys.modules if m.startswith('scipy')])"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fit", "--partition", "{part}"],
+        ["surface", "--partition", "{part}", "--n-phi", "5", "--n-theta", "5"],
+        ["true-lr", "--partition", "{db}", "--population", "{pop}", "--iterations", "2000",
+         "--burn-in", "200", "--thinning", "20"],
+        ["simulate", "--mode", "crp", "--n", "200", "--alpha", "0.5", "--theta", "10"],
+    ],
+)
+def test_commands_run_where_scipy_cannot_import(argv, tmp_path):
+    # sys.modules["scipy"] = None makes every scipy import raise ImportError
+    part = tmp_path / "part.json"
+    part.write_text(json.dumps({"a": [1, 2, 4, 8], "r": [20, 6, 2, 1]}))
+    db = tmp_path / "db.json"
+    db.write_text(json.dumps({"a": [1, 2], "r": [3, 2]}))
+    pop = tmp_path / "pop.json"
+    pop.write_text(json.dumps({"probs": [0.3, 0.2, 0.15, 0.1, 0.1, 0.05, 0.05, 0.05],
+                               "pop_size": 200}))
+    argv = [arg.format(part=part, db=db, pop=pop) for arg in argv] + ["--seed", "3", "--quiet"]
+    code = (
+        "import runpy, sys; sys.modules['scipy'] = None; "
+        "runpy.run_module('raretype', run_name='__main__')"
+    )
+    out = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout

@@ -20,7 +20,8 @@ from raretype.lr import (
     lr_true_mh,
 )
 from raretype import lr
-from raretype.lr import _BLOCK, _run_swap_chain, _support_caps
+from raretype.lr import _BLOCK, _class_log_weights, _count_dual, _run_swap_chain, _support_caps
+from raretype.mle import _newton
 from raretype.partitions import IntegerPartition
 from raretype.pitman import PdParams, PopulationVector, crp_sample
 from raretype.rng import as_generator, spawn_seeds
@@ -682,6 +683,40 @@ class TestExactEnumeration:
         loose = exact_true_lr(pi, pop)
         strict = exact_true_lr(pi, pop, strict_support=True)
         assert loose != pytest.approx(strict)
+
+
+def _dual_instances():
+    spec = ExperimentSpec(population=dutch_fixture(), replicates=1, seed=77)
+    pop, db_plus = next(dutch_replicates(spec))
+    small = PopulationVector(probs=(0.3, 0.2, 0.15, 0.1, 0.1, 0.05, 0.05, 0.05), pop_size=200)
+    return {"dutch": (db_plus, pop), "small": (IntegerPartition((1, 2), (3, 2)), small)}
+
+
+class TestCountDual:
+    @pytest.mark.parametrize("which", ["dutch", "small"])
+    def test_derivatives_match_central_differences(self, which):
+        # at the saddle point exact_true_lr solves for, and off it: the
+        # exact LR holds for any tilt, so only this check sees the Hessian
+        part, pop = _dual_instances()[which]
+        log_w = _class_log_weights(part, pop, False)
+
+        def dual(eta):
+            return _count_dual(eta, log_w, part.r)
+
+        saddle = _newton(dual, np.zeros(len(part.r)))[0]
+        rng = np.random.default_rng(3)
+        for eta in (saddle, saddle + rng.normal(0.0, 0.5, saddle.size)):
+            _, g, h = dual(eta)
+            fd_g, fd_h = np.empty_like(g), np.empty_like(h)
+            for j in range(eta.size):
+                step = np.zeros(eta.size)
+                step[j] = 1e-5
+                (f_up, g_up, _), (f_down, g_down, _) = dual(eta + step), dual(eta - step)
+                fd_g[j] = (f_up - f_down) / 2e-5
+                fd_h[:, j] = (g_up - g_down) / 2e-5
+            scale = np.abs(h).max()
+            assert np.abs(g - fd_g).max() <= 1e-6 * max(scale, 1.0)
+            assert np.abs(h - fd_h).max() <= 1e-6 * scale
 
 
 class TestDiffMetrics:

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
-from scipy.special import gammaln
+from scipy.special import expit, gammaln, logit
 
 from raretype import mle
 from raretype.mle import (
@@ -16,7 +16,9 @@ from raretype.mle import (
     LoglikSurface,
     SurfaceGrid,
     _best_start,
+    _expit,
     _fit_from,
+    _logit,
     _make_objective,
     _newton,
     _phi_theta_hessian,
@@ -63,6 +65,17 @@ class TestPhi:
             theta_alpha_of(2.0, 0.0, 10)  # alpha would go negative
         with pytest.raises(ValueError):
             theta_alpha_of(-0.1, 0.0, 10)
+
+
+class TestLogistic:
+    def test_expit_saturates_like_scipy(self):
+        # math.exp(800) overflows; the helper never calls it
+        for z in (-800.0, 800.0, -745.5, -30.0, 0.0, 30.0):
+            assert _expit(z) == expit(z)
+
+    @given(st.floats(1e-300, 1.0, exclude_max=True))
+    def test_logit_matches_scipy(self, p):
+        assert _logit(p) == logit(p)
 
 
 class TestFit:
@@ -409,14 +422,16 @@ def _strict_local_maxima(surface):
     return out
 
 
-def _direct_loglik(n, k, a_big, r_big, alpha, theta):
+def _direct_loglik(pi, alpha, theta):
     """The partition log-likelihood with both long rising factorials summed
-    term by term (-inf outside the open domain)."""
+    term by term and the block sizes' as gammaln differences (-inf outside
+    the open domain)."""
     if not (0.0 < alpha < 1.0 and theta > -alpha):
         return -math.inf
-    val = float(np.log(theta + alpha * np.arange(1.0, k)).sum())
-    val -= float(np.log(theta + np.arange(1.0, n)).sum())
-    return val + float(r_big @ (gammaln(a_big - alpha) - gammaln(1.0 - alpha)))
+    val = float(np.log(theta + alpha * np.arange(1.0, pi.k)).sum())
+    val -= float(np.log(theta + np.arange(1.0, pi.n)).sum())
+    a, r = np.asarray(pi.a, dtype=float), np.asarray(pi.r, dtype=float)
+    return val + float(r @ (gammaln(a - alpha) - gammaln(1.0 - alpha)))
 
 
 class TestSurface:
@@ -454,11 +469,10 @@ class TestSurface:
         )
         for pi, fit, grid in cases:
             surf = loglik_surface(pi, fit, grid)
-            terms = _loglik_terms(pi)
-            n = terms[0]
+            n = pi.n
             ref = np.array(
                 [
-                    [_direct_loglik(*terms, 1.0 - phi * (n + 1.0 + theta) / n, theta) for theta in surf.theta]
+                    [_direct_loglik(pi, 1.0 - phi * (n + 1.0 + theta) / n, theta) for theta in surf.theta]
                     for phi in surf.phi
                 ]
             )

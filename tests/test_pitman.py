@@ -2,8 +2,8 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
-from scipy.special import gammaln
+from hypothesis import example, given, settings, strategies as st
+from scipy.special import digamma, gammaln, zeta
 
 from raretype.partitions import (
     IntegerPartition,
@@ -17,7 +17,11 @@ from raretype.pitman import (
     PdParams,
     PopulationVector,
     SeatingPlan,
+    _DENSE_SIZES,
+    _block_dense,
+    _block_value,
     _log_rising,
+    _loglik_terms,
     _opening_thresholds,
     crp_sample,
     eppf_log,
@@ -160,6 +164,50 @@ class TestLogRising:
         x = np.array([1e-6, 0.5, 9.999, 10.0, 216.0, 1e9])
         k = np.array([3, 0, 7, 1, 18924, 3750])
         assert _log_rising(x, k).tolist() == [float(_log_rising(a, b)) for a, b in zip(x, k)]
+
+
+@st.composite
+def block_partitions(draw):
+    """Up to six distinct block sizes in 2..10^6, on both sides of the
+    dense split at D + 1 = 65, with 1-5 blocks each, and an alpha."""
+    sizes = draw(
+        st.sets(
+            st.one_of(st.integers(2, _DENSE_SIZES + 1), st.integers(_DENSE_SIZES + 2, 10**6)),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    counts = draw(st.lists(st.integers(1, 5), min_size=len(sizes), max_size=len(sizes)))
+    alpha = draw(st.floats(1e-6, 1.0 - 1e-6))
+    return IntegerPartition(a=tuple(sorted(sizes)), r=tuple(counts)), alpha
+
+
+class TestBlockTerm:
+    """sum_j r_j log [1-alpha]_{a_j-1;1} and its alpha-derivatives against
+    scipy's gammaln, digamma and zeta(2, .), each within 1e-13 of the sum
+    of its terms' magnitudes. A factor log(i - alpha) counts at least 1:
+    rounding i - alpha moves it by an ulp of 1 however small it is (at
+    a = 2, alpha = 1e-6 scipy's value is 1.5e-16 off log1p(-alpha))."""
+
+    @settings(deadline=None)
+    @given(block_partitions())
+    @example((IntegerPartition(a=(2, 65, 66, 10**6), r=(1, 2, 3, 1)), 1.0 - 1e-6))
+    @example((IntegerPartition(a=(5,), r=(1,)), 0.9))
+    def test_matches_scipy(self, case):
+        part, alpha = case
+        a, r = np.asarray(part.a, dtype=float), np.asarray(part.r, dtype=float)
+        value = float(r @ (gammaln(a - alpha) - gammaln(1.0 - alpha)))
+        # only the factor 1 - alpha has a negative log
+        scale = value - 2.0 * r.sum() * math.log(1.0 - alpha) + float(r @ (a - 1.0))
+        grad = float(r @ (digamma(1.0 - alpha) - digamma(a - alpha)))
+        hess = float(r @ (zeta(2.0, a - alpha) - zeta(2.0, 1.0 - alpha)))
+        _, _, c, large = _loglik_terms(part)
+        assert abs(float(_block_value(c, large, np.array([alpha]))[0]) - value) <= 1e-13 * scale
+        dense, dense_grad, dense_hess = _block_dense(c, alpha)
+        assert abs(dense - value) <= 1e-13 * scale
+        # every term of either derivative has the same sign
+        assert abs(dense_grad - grad) <= 1e-13 * abs(grad)
+        assert abs(dense_hess - hess) <= 1e-13 * abs(hess)
 
 
 def _loop_crp_sample(n, params, seed=None):
@@ -385,3 +433,12 @@ class TestPopulationVector:
     def test_round_trip(self):
         pop = PopulationVector(probs=(0.5, 0.3, 0.2), pop_size=10)
         assert PopulationVector.from_dict(pop.to_dict()) == pop
+
+    def test_pop_size_must_be_an_integer(self):
+        # a fractional population would scale the census caps of lr._support_caps
+        for size in (2.5, 3.0, np.float64(3.0), True, "4"):
+            with pytest.raises(ValueError, match="integer"):
+                PopulationVector(probs=(0.5, 0.5), pop_size=size)
+        with pytest.raises(ValueError, match="integer"):
+            PopulationVector.from_dict({"probs": [0.5, 0.5], "pop_size": 3.7})
+        assert PopulationVector(probs=(0.5, 0.5), pop_size=np.int64(4)).pop_size == 4
