@@ -411,7 +411,7 @@ def exact_true_lr(
     chi = np.asarray(chi_init(part, p, strict_support=strict_support).chi)
     probs = p.as_array()
     log_p = np.log(probs)
-    log_w = _class_log_weights(part, p, strict_support)
+    log_w = _class_log_weights(part, log_p, _support_caps(p, strict_support))
     eta0 = np.array([-a_j * log_p[chi == j].mean() for j, a_j in enumerate(part.a, start=1)])
     eta = _newton(lambda eta: _count_dual(eta, log_w, part.r), eta0)[0]
     pi = np.exp(_log_class_probs(eta, log_w)[0]).tolist()
@@ -419,11 +419,11 @@ def exact_true_lr(
     return part.s1 * _exact_pass(probs.tolist(), pi, fits, part.r)
 
 
-def _class_log_weights(part: IntegerPartition, p: PopulationVector, strict_support: bool) -> np.ndarray:
-    """log p_i^{a_j} for rank i and class j, -inf where rank i's census
-    count cannot support a_j."""
-    eligible = _support_caps(p, strict_support)[:, None] >= np.asarray(part.a)
-    return np.where(eligible, np.outer(np.log(p.as_array()), part.a), -np.inf)
+def _class_log_weights(part: IntegerPartition, log_p: np.ndarray, caps: np.ndarray) -> np.ndarray:
+    """log p_i^{a_j} for rank i and class j, from log_p_i, -inf where
+    rank i's census cap ``caps[i]`` cannot support a_j."""
+    eligible = caps[:, None] >= np.asarray(part.a)
+    return np.where(eligible, np.outer(log_p, part.a), -np.inf)
 
 
 def _log_class_probs(eta: np.ndarray, log_w: np.ndarray):

@@ -81,11 +81,8 @@ def _phi_theta_hessian(n, alpha, theta, grad, hess) -> np.ndarray:
 
 
 def _logit(p: float) -> float:
-    """log(p / (1 - p)); near 1/2 as a log1p difference, which keeps its digits."""
-    if 0.3 <= p <= 0.65:
-        s = 2.0 * (p - 0.5)
-        return math.log1p(s) - math.log1p(-s)
-    return math.log(p / (1.0 - p))
+    """log(p / (1 - p)), within a few ulp of the larger of its two logs."""
+    return math.log(p) - math.log1p(-p)
 
 
 def _expit(z: float) -> float:

@@ -14,8 +14,9 @@ taken from a Stirling expansion free of cancellation once its argument
 reaches 10 (the first factors below 10 are summed as logs), and the
 block-size term is sum_i c_i log(i - alpha), c_i counting the blocks
 larger than i, up to i = 64, with a Stirling log-gamma for each larger
-size. So a value costs O(64 + J) for J distinct block sizes, not
-O(n + k), and a grid is a dense array of logs that numpy vectorises.
+size. The counts c take O(max a) to build, once per partition; a grid
+point then costs O(64 + J) for the J distinct block sizes above 65,
+not O(n + k), and a grid is a dense array of logs that numpy vectorises.
 ``eppf_log``, the start scan and the surface in ``mle`` evaluate it
 alone, the surface over a whole grid at once. The Newton search in
 ``mle`` calls one kernel that returns the value with the gradient and
@@ -262,7 +263,9 @@ def _block_value(c, large, alpha):
     rounding error, a few ulp of log Gamma(a - alpha), is small against
     that block's whole term, which includes the first D logs."""
     dense = c[:_DENSE_SIZES]
-    val = dense @ np.log(np.arange(1.0, dense.size + 1)[:, None] - alpha)
+    logs = np.log(np.arange(1.0, dense.size + 1)[:, None] - alpha)
+    logs[:1] = np.log1p(-alpha)  # rounding 1 - alpha would cost a small alpha its digits
+    val = dense @ logs
     big, r_big = large
     if big.size:
         val += r_big @ _log_gamma_large(big[:, None] - alpha)
@@ -270,9 +273,11 @@ def _block_value(c, large, alpha):
     return val
 
 
-# grid points per pass of ``_loglik_value``: its temporaries hold at most
-# 64 doubles a point, 256 KB a chunk. On a 41x41 surface 512-point chunks
-# measured 0.6x the time of 2048-point ones
+# grid points per pass of ``_loglik_value``: its temporaries hold about
+# 64 + J_large + 10 doubles a point (J_large distinct block sizes above 65,
+# and the first factors ``_log_rising`` sums), 300 KB a chunk when
+# J_large = 0. On a 41x41 surface 512-point chunks measured 0.6x the time
+# of 2048-point ones
 _GRID_CHUNK = 512
 
 
@@ -280,12 +285,9 @@ def _loglik_value(n, k, c, large, alpha, theta):
     """Partition log-likelihood at arrays of (alpha, theta) in the open domain.
 
     ``_rising_terms`` plus ``_block_value``, over chunks of ``_GRID_CHUNK``
-    points, so no temporary grows with the grid. Returns a float for
-    scalar (alpha, theta).
+    points, so no temporary grows with the grid.
     """
     alpha, theta = np.broadcast_arrays(np.asarray(alpha, dtype=float), theta)
-    if alpha.ndim == 0:  # one point: numpy scalars, whose arithmetic is cheaper
-        return _rising_terms(n, k, alpha[()], theta[()]) + _block_value(c, large, alpha[None])[0]
     flat_alpha, flat_theta = alpha.ravel(), theta.ravel()
     out = np.empty(alpha.size)
     for s in range(0, alpha.size, _GRID_CHUNK):
@@ -299,8 +301,10 @@ def _block_dense(c, alpha):
     factors, with its first two alpha-derivatives, -sum c_i / (i - alpha)^q.
     All are pairwise sums, so their rounding stays near a few ulp."""
     steps = np.arange(1.0, c.size + 1) - alpha
+    logs = np.log(steps)
+    logs[:1] = math.log1p(-alpha)
     weighted = c / steps
-    return float((c * np.log(steps)).sum()), -float(weighted.sum()), -float((weighted / steps).sum())
+    return float((c * logs).sum()), -float(weighted.sum()), -float((weighted / steps).sum())
 
 
 def _loglik_derivs(n, k, c, large, alpha, theta):

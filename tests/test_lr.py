@@ -698,7 +698,7 @@ class TestCountDual:
         # at the saddle point exact_true_lr solves for, and off it: the
         # exact LR holds for any tilt, so only this check sees the Hessian
         part, pop = _dual_instances()[which]
-        log_w = _class_log_weights(part, pop, False)
+        log_w = _class_log_weights(part, np.log(pop.as_array()), _support_caps(pop, False))
 
         def dual(eta):
             return _count_dual(eta, log_w, part.r)
