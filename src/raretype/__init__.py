@@ -11,6 +11,7 @@ from .lr import (
     InfeasibleAssignmentError,
     LrReport,
     MhConfig,
+    SaddleLrEstimate,
     TrueLrEstimate,
     chi_init,
     diff_metrics,
@@ -18,6 +19,7 @@ from .lr import (
     lr_empirical_bayes,
     lr_frequentist,
     lr_true_mh,
+    saddle_true_lr,
 )
 from .mle import (
     LoglikSurface,

@@ -9,9 +9,7 @@ started from the best point of a coarse 5x5 grid, whose 25 likelihood
 values come from one vectorised closed-form evaluation; the end of that
 search is diagnosed as converged, near the boundary, or stalled. The
 solver takes one callback that returns the value, gradient and Hessian
-together, so each point it visits costs one kernel pass. The same
-solver finds the saddle point of the exact known-population LR in
-``lr``.
+together, so each point it visits costs one kernel pass.
 
 The reparametrization phi = n(1-alpha)/(n+1+theta) is the posterior
 quantity the plug-in likelihood ratio divides into n; the observed
@@ -102,10 +100,10 @@ def _from_z(z) -> tuple[float, float]:
     return _expit(float(z[0])), theta
 
 
-def _make_objective(part: IntegerPartition) -> Callable:
+def _make_objective(terms) -> Callable:
     """Negative log-likelihood with its gradient and Hessian in
-    z = (logit alpha, log(theta + 1)), from one kernel pass per point."""
-    terms = _loglik_terms(part)
+    z = (logit alpha, log(theta + 1)), from one kernel pass per point;
+    ``terms`` is the partition's ``_loglik_terms``."""
 
     def objective(z):
         alpha, theta = _from_z(z)
@@ -194,11 +192,11 @@ _START_ALPHAS = (0.1, 0.3, 0.5, 0.7, 0.9)
 _START_THETAS = (0.0, 1.0, 10.0, 100.0, 1000.0)
 
 
-def _best_start(part: IntegerPartition) -> np.ndarray:
+def _best_start(terms) -> np.ndarray:
     """The start grid point with the highest likelihood (the first of
-    equals), in search coordinates."""
+    equals), in search coordinates, from the partition's ``_loglik_terms``."""
     alphas, thetas = np.meshgrid(_START_ALPHAS, _START_THETAS, indexing="ij")
-    values = _loglik_value(*_loglik_terms(part), alphas, thetas)
+    values = _loglik_value(*terms, alphas, thetas)
     i, j = np.unravel_index(np.argmax(values), values.shape)
     return _to_z(_START_ALPHAS[i], _START_THETAS[j])
 
@@ -252,8 +250,10 @@ def _newton(objective, z0):
     return z, f, g, _NEWTON_MAX_ITER, False
 
 
-def _fit_from(part: IntegerPartition, objective, z0, warnings) -> MleFit:
-    """Newton search from the start z0; its end point is diagnosed."""
+def _fit_from(terms, objective, z0, warnings) -> MleFit:
+    """Newton search from the start z0; its end point is diagnosed.
+    ``terms`` is the partition's ``_loglik_terms``, whose first entry is n."""
+    n = terms[0]
     z, fz, grad, iterations, stable = _newton(objective, z0)
 
     alpha_hat, theta_hat = _from_z(z)
@@ -280,14 +280,14 @@ def _fit_from(part: IntegerPartition, objective, z0, warnings) -> MleFit:
     hessian_pt = None
     phi_hat = None
     if params is not None:
-        phi_hat = phi_of(params, part.n)
+        phi_hat = phi_of(params, n)
         if converged:
-            _, g, h = _loglik_derivs(*_loglik_terms(part), alpha_hat, theta_hat)
-            h = _phi_theta_hessian(part.n, alpha_hat, theta_hat, g, h)
+            _, g, h = _loglik_derivs(*terms, alpha_hat, theta_hat)
+            h = _phi_theta_hessian(n, alpha_hat, theta_hat, g, h)
             hessian_pt = tuple(tuple(float(v) for v in row) for row in h)
 
     return MleFit(
-        n=part.n,
+        n=n,
         alpha_hat=alpha_hat,
         theta_hat=theta_hat,
         loglik_at_max=loglik,
@@ -342,7 +342,8 @@ def fit_mle(
             warnings,
         )
 
-    return _fit_from(part, _make_objective(part), _best_start(part), warnings)
+    terms = _loglik_terms(part)
+    return _fit_from(terms, _make_objective(terms), _best_start(terms), warnings)
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,18 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .lr import LrReport, MhConfig, diff_metrics, lr_empirical_bayes, lr_frequentist, lr_true_mh
+from .lr import (
+    _EXACT_STATE_BUDGET,
+    SADDLE_LOG10_BOUND,
+    LrReport,
+    MhConfig,
+    _exact_states,
+    diff_metrics,
+    lr_empirical_bayes,
+    lr_frequentist,
+    lr_true_mh,
+    saddle_true_lr,
+)
 from .mle import fit_mle
 from .partitions import (
     IntegerPartition,
@@ -216,9 +227,10 @@ def run_case(db: DatabaseLike, options: CaseOptions = CaseOptions()) -> LrReport
     The database partition is augmented with the suspect as a fresh
     singleton, hyperparameters are fitted on that augmented partition, and
     the fit with its plug-in LR for the database size is reported. When a
-    population is supplied, the known-population LR (with an MH schedule)
-    and the frequentist benchmark (with the matching type's rank) join the
-    report; neither needs the fit, so both are reported when it fails.
+    population is supplied, the known-population LR (given an MH schedule,
+    see ``_known_population_lr`` for its route) and the frequentist
+    benchmark (with the matching type's rank) join the report; neither
+    needs the fit, so both are reported when it fails.
     """
     base = _as_db_partition(db)
     db_plus = base.add_singleton()
@@ -233,18 +245,53 @@ def run_case(db: DatabaseLike, options: CaseOptions = CaseOptions()) -> LrReport
     else:
         report = LrReport(notes=fit.warnings + (f"fit did not converge: {fit.diagnosis}",))
     if options.population is not None and options.mh is not None:
-        est = lr_true_mh(
-            db_plus, options.population, options.mh, strict_support=options.strict_support
-        )
-        report = replace(
-            report, log10_lr_true=est.log10_lr, log10_lr_true_se=est.log10_stderr
-        )
+        report = _known_population_lr(report, db_plus, options)
     if options.population is not None and options.matched_rank is not None:
         report = replace(
             report,
             log10_lr_freq=math.log10(lr_frequentist(options.population, options.matched_rank)),
         )
     return diff_metrics(report)
+
+
+def _known_population_lr(report: LrReport, db_plus: IntegerPartition, options: CaseOptions):
+    """``report`` with the known-population LR and its route.
+
+    Within the exact pass's state budget the swap chain runs, so that its
+    rows keep their standard errors; past the budget the saddle-point
+    route runs, whose error bar is SADDLE_LOG10_BOUND rather than an SE.
+    The chain stands in, with a note, where the saddle point has no
+    converged tilt or lies outside the regime that bound was calibrated in.
+    """
+    pop, strict = options.population, options.strict_support
+    notes = ()
+    if _exact_states(db_plus) > _EXACT_STATE_BUDGET:
+        est = saddle_true_lr(db_plus, pop, strict_support=strict)
+        if est.calibrated:
+            note = (
+                f"known-population LR by the saddle point: {est.newton_steps} Newton steps, "
+                f"{est.sweeps} sweeps, max|g/r| {est.max_rel_grad:.2g}; "
+                f"error bound {SADDLE_LOG10_BOUND} log10"
+            )
+            return replace(
+                report,
+                log10_lr_true=est.log10_lr,
+                log10_lr_true_route="saddle",
+                notes=report.notes + (note,),
+            )
+        if est.converged:
+            why = "outside its calibrated regime (s1 < 10 or correction > 0.008 log10)"
+        else:
+            why = f"without a converged tilt (max|g/r| {est.max_rel_grad:.2g})"
+        notes = (f"saddle point {why}; known-population LR from the chain",)
+    est = lr_true_mh(db_plus, pop, options.mh, strict_support=strict)
+    return replace(
+        report,
+        log10_lr_true=est.log10_lr,
+        log10_lr_true_se=est.log10_stderr,
+        log10_lr_true_route="mcmc",
+        notes=report.notes + notes,
+    )
 
 
 @dataclass(frozen=True)

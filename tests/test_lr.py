@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from raretype.lr import (
     AssignmentVector,
@@ -18,9 +18,22 @@ from raretype.lr import (
     lr_empirical_bayes,
     lr_frequentist,
     lr_true_mh,
+    saddle_true_lr,
 )
 from raretype import lr
-from raretype.lr import _BLOCK, _class_log_weights, _count_dual, _run_swap_chain, _support_caps
+from raretype.lr import (
+    _BLOCK,
+    _EXACT_STATE_BUDGET,
+    SADDLE_LOG10_BOUND,
+    _class_log_weights,
+    _class_probs,
+    _count_dual,
+    _exact_states,
+    _rank_groups,
+    _run_swap_chain,
+    _support_caps,
+    _tilt,
+)
 from raretype.mle import _newton
 from raretype.partitions import IntegerPartition
 from raretype.pitman import PdParams, PopulationVector, crp_sample
@@ -651,6 +664,17 @@ class TestExactEnumeration:
         assert math.isfinite(lr)
         assert lr == pytest.approx(log_space_singletons_lr(probs, 400), rel=1e-9)
 
+    def test_heavy_block_on_steep_population(self):
+        # one block of 2000 over p_i proportional to i^-2 sits on rank 1 (its
+        # weight beats rank 2's by 4^2000), so the 400 singletons fall on
+        # ranks 2..1000; at the tilt, rank 1's logit for the heavy class is
+        # ~1400, past exp's range unless each row is shifted by its largest
+        raw = np.arange(1, 1001, dtype=float) ** -2.0
+        probs = raw / raw.sum()
+        pop = PopulationVector(probs=tuple(probs.tolist()), pop_size=10**7)
+        lr = exact_true_lr(IntegerPartition((1, 2000), (400, 1)), pop)
+        assert lr == pytest.approx(log_space_singletons_lr(probs[1:], 400), rel=1e-9)
+
     def test_uniform_population_with_many_assignments(self):
         # 5000 choose 400 is about 1e640 equally likely assignments, past
         # any float; the pass must still return the number of types
@@ -717,6 +741,90 @@ class TestCountDual:
             scale = np.abs(h).max()
             assert np.abs(g - fd_g).max() <= 1e-6 * max(scale, 1.0)
             assert np.abs(h - fd_h).max() <= 1e-6 * scale
+
+
+@st.composite
+def census_instances(draw):
+    """A crp_sample census of 500-5000 people and a database of 30-200
+    drawn from it plus a suspect, in the exact pass's budget."""
+    size = draw(st.integers(500, 5000))
+    params = PdParams(draw(st.floats(0.1, 0.9)), draw(st.floats(1.0, 300.0)))
+    seed = draw(st.integers(0, 2**32 - 1))
+    counts = np.sort(crp_sample(size, params, seed=seed).table_counts)[::-1]
+    pop = PopulationVector(probs=tuple((counts / size).tolist()), pop_size=size)
+    people = np.random.default_rng(seed).permutation(np.repeat(np.arange(counts.size), counts))
+    sizes = np.bincount(people[: draw(st.integers(30, 200))])
+    part = IntegerPartition.from_block_sizes(np.append(sizes[sizes > 0], 1))
+    assume(part.k <= pop.m and _exact_states(part) <= _EXACT_STATE_BUDGET)
+    return part, pop
+
+
+class TestSaddlePoint:
+    @settings(max_examples=40, deadline=None)
+    @given(census_instances(), st.booleans())
+    def test_within_its_bound_of_the_exact_pass(self, instance, strict):
+        part, pop = instance
+        try:
+            exact = math.log10(exact_true_lr(part, pop, strict_support=strict))
+        except InfeasibleAssignmentError:
+            with pytest.raises(InfeasibleAssignmentError):
+                saddle_true_lr(part, pop, strict_support=strict)
+            return
+        est = saddle_true_lr(part, pop, strict_support=strict)
+        assume(est.calibrated)
+        assert abs(est.log10_lr - exact) <= SADDLE_LOG10_BOUND
+
+    def test_dutch_replicates_match_the_exact_pass(self):
+        # the second order's error is +0.0001 on average and at most 0.00075
+        # here; the first order alone is off by -0.0039 on average
+        spec = ExperimentSpec(population=dutch_fixture(), replicates=40, seed=77)
+        for strict in (False, True):
+            errors = []
+            for pop, db_plus in dutch_replicates(spec):
+                est = saddle_true_lr(db_plus, pop, strict_support=strict)
+                assert est.calibrated and est.max_rel_grad <= 1e-10
+                errors.append(est.log10_lr - math.log10(exact_true_lr(db_plus, pop, strict_support=strict)))
+            assert abs(np.mean(errors)) <= 0.0003
+            assert np.abs(errors).max() <= 0.001
+
+    def test_tilt_matches_the_counts_rank_by_rank(self):
+        # the groups stand for their ranks: at the tilt, the expected class
+        # counts summed over ranks, one row each, equal r
+        spec = ExperimentSpec(population=dutch_fixture(), replicates=3, seed=77)
+        for pop, db_plus in dutch_replicates(spec):
+            groups, eta0 = _rank_groups(db_plus, pop, False)
+            assert groups.mult.sum() == pop.m and groups.p.size < pop.m
+            tilt = _tilt(groups, db_plus.r, eta0)
+            log_w = _class_log_weights(db_plus, np.log(pop.as_array()), _support_caps(pop, False))
+            expected = _class_probs(tilt.eta, log_w)[1].sum(axis=0)
+            assert np.abs(expected / db_plus.r - 1.0).max() <= 1e-9
+
+    def test_no_finite_tilt_gives_no_value(self):
+        # every one of 300 ranks must carry one of the 300 blocks
+        pop = PopulationVector(probs=(1 / 300,) * 300, pop_size=3000)
+        est = saddle_true_lr(IntegerPartition((1, 2, 3), (100, 100, 100)), pop)
+        assert not est.converged and not est.calibrated
+        assert est.log10_lr is est.log10_lr_first_order is None
+
+    def test_infeasible_population(self):
+        pop = PopulationVector(probs=(0.5, 0.3, 0.2), pop_size=10)
+        with pytest.raises(InfeasibleAssignmentError):
+            saddle_true_lr(IntegerPartition((1, 8), (1, 1)), pop)
+
+    @pytest.mark.slow
+    def test_casework_scale_matches_long_chains(self):
+        # a database of 18,925 from a census of 100,000: ~9k ranks, ~90
+        # classes; 5e6-iteration chains agree with each other to ~0.001
+        for seed in (1, 2, 3):
+            counts = np.sort(crp_sample(100_000, PdParams(0.51, 216.0), seed=seed).table_counts)[::-1]
+            pop = PopulationVector(probs=tuple((counts / 100_000).tolist()), pop_size=100_000)
+            people = np.random.default_rng(seed).permutation(np.repeat(np.arange(counts.size), counts))
+            sizes = np.bincount(people[:18_925])
+            db_plus = IntegerPartition.from_block_sizes(np.append(sizes[sizes > 0], 1))
+            est = saddle_true_lr(db_plus, pop)
+            assert est.calibrated and est.max_rel_grad <= 1e-10 and est.newton_steps <= 40
+            chain = lr_true_mh(db_plus, pop, MhConfig(5_000_000, 1_000_000, 1_000, seed=seed))
+            assert abs(est.log10_lr - chain.log10_lr) <= 0.002
 
 
 class TestDiffMetrics:

@@ -157,10 +157,10 @@ class TestFit:
         assume(1 < part.k < part.n)
         fit = fit_mle(part)
         # the reference: the best of one search from each of the 25 grid points
-        objective = _make_objective(part)
+        objective = _make_objective(_loglik_terms(part))
         wide = max(
             (
-                _fit_from(part, objective, _to_z(a0, t0), fit.warnings)
+                _fit_from(_loglik_terms(part), objective, _to_z(a0, t0), fit.warnings)
                 for a0 in _START_ALPHAS
                 for t0 in _START_THETAS
             ),
@@ -208,10 +208,10 @@ class TestFit:
         plan = crp_sample(n, PdParams(alpha, theta), seed=seed)
         part = IntegerPartition.from_block_sizes(plan.table_counts)
         assume(1 < part.k < part.n)
-        objective = _make_objective(part)
+        objective = _make_objective(_loglik_terms(part))
         grid = [_to_z(a0, t0) for a0 in _START_ALPHAS for t0 in _START_THETAS]
         start = min(grid, key=lambda z: objective(z)[0])
-        assert np.array_equal(_best_start(part), start)
+        assert np.array_equal(_best_start(_loglik_terms(part)), start)
 
     def test_params_accessor_raises_on_degenerate(self):
         fit = fit_mle(IntegerPartition((1,), (3,)))
@@ -243,10 +243,10 @@ class TestNewton:
         # draw; each start alone must reach the one interior optimum
         pi = dutch_fixture() if which == "dutch" else crp_18925
         fit = fit_mle(pi)
-        objective = _make_objective(pi)
+        objective = _make_objective(_loglik_terms(pi))
         for a0 in _START_ALPHAS:
             for t0 in _START_THETAS:
-                alone = _fit_from(pi, objective, _to_z(a0, t0), fit.warnings)
+                alone = _fit_from(_loglik_terms(pi), objective, _to_z(a0, t0), fit.warnings)
                 assert alone.converged, (a0, t0, alone.diagnosis)
                 assert alone.alpha_hat == pytest.approx(fit.alpha_hat, rel=0, abs=1e-9)
 
@@ -254,7 +254,7 @@ class TestNewton:
         # the likelihood peaks at alpha -> 0, where f flattens to its float
         # floor; every search must still stop on its own
         part = IntegerPartition(a=(1, 2), r=(120, 10))
-        objective = _make_objective(part)
+        objective = _make_objective(_loglik_terms(part))
         for a0 in _START_ALPHAS:
             for t0 in _START_THETAS:
                 *_, iterations, stopped = _newton(objective, _to_z(a0, t0))
@@ -293,7 +293,7 @@ class TestNewton:
 
     def test_overflowing_theta_returns_the_penalty(self):
         # log(theta + 1) = 800 overflows expm1: theta = inf is outside the domain
-        objective = _make_objective(dutch_fixture())
+        objective = _make_objective(_loglik_terms(dutch_fixture()))
         f, g, h = objective(np.array([0.0, 800.0]))
         assert f == _PENALTY
         assert not g.any() and not h.any()
@@ -389,7 +389,7 @@ class TestHessianKernel:
             _, (ga, gt), _ = _loglik_derivs(*terms, 1.0 - phi * (n + 1.0 + th) / n, th)
             return np.array([-ga * (n + 1.0 + th) / n, -ga * phi / n + gt])
 
-        objective = _make_objective(pi)
+        objective = _make_objective(_loglik_terms(pi))
         _, g, h = _loglik_derivs(*terms, alpha, theta)
         phi = n * (1.0 - alpha) / (n + 1.0 + theta)
         for h, grad, x, scale in (

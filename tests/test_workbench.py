@@ -1,6 +1,8 @@
+import json
 import math
 import os
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ import pytest
 from raretype.lr import MhConfig
 from raretype.mle import fit_mle
 from raretype.partitions import IntegerPartition, reduce_sample
-from raretype.pitman import PopulationVector
+from raretype.pitman import PdParams, PopulationVector, crp_sample
 from raretype.rng import spawn_seeds
 from raretype.workbench import (
     DUTCH_FIXTURE_METADATA,
@@ -212,6 +214,83 @@ class TestRunCase:
         assert report.log10_lr_true is not None
         assert report.log10_lr_freq == pytest.approx(-math.log10(pop.probs[399]), abs=1e-12)
         assert report.diff1 is report.diff2 is None
+
+
+def _close(got, want):
+    """Equal structures with keys in the same order, floats equal to
+    1e-12 relative."""
+    if isinstance(want, float) and isinstance(got, float):
+        return got == pytest.approx(want, rel=1e-12, abs=0.0)
+    if isinstance(want, dict):
+        return isinstance(got, dict) and list(got) == list(want) and all(
+            _close(got[k], want[k]) for k in want
+        )
+    if isinstance(want, list):
+        return isinstance(got, list) and len(got) == len(want) and all(map(_close, got, want))
+    return got == want
+
+
+def past_budget_case(seed=3):
+    """A database of 3000 from a census of 20,000: its classes need ~1e20
+    states, past the exact pass's budget."""
+    counts = np.sort(crp_sample(20_000, PdParams(0.51, 216.0), seed=seed).table_counts)[::-1]
+    pop = PopulationVector(probs=tuple((counts / counts.sum()).tolist()), pop_size=int(counts.sum()))
+    people = np.random.default_rng(seed).permutation(np.repeat(np.arange(counts.size), counts))
+    sizes = np.bincount(people[:3000])
+    return IntegerPartition.from_block_sizes(sizes[sizes > 0]), pop
+
+
+class TestKnownPopulationRoute:
+    def test_in_budget_experiment_keeps_the_chain(self, monkeypatch):
+        # every Dutch-101 replicate fits the exact pass's budget, so each
+        # keeps the chain and its SE: the dump is the one the chain-only
+        # pipeline wrote (tests/data, to 1e-12 for platform rounding)
+        monkeypatch.setenv("RARETYPE_THREADS", "1")
+        want = json.loads((Path(__file__).parent / "data" / "dutch_experiment_seed77.json").read_text())
+        got = run_experiment(ExperimentSpec(dutch_fixture(), replicates=40, seed=77)).to_dict()
+        assert _close(json.loads(json.dumps(got)), want)
+
+    def test_in_budget_case_records_the_chain(self):
+        pi = IntegerPartition((1, 2, 4, 8), (20, 6, 2, 1))
+        options = CaseOptions(
+            population=population_from_partition(dutch_fixture()),
+            mh=MhConfig(iterations=4000, burn_in=500, thinning=50, seed=5),
+        )
+        report = run_case(pi, options)
+        assert report.log10_lr_true_route == "mcmc"
+        assert report.log10_lr_true_se > 0.0
+        assert report.to_dict()["log10_lr_true_route"] == "mcmc"
+
+    def test_past_budget_takes_the_saddle_point(self, monkeypatch):
+        from raretype import workbench
+        from raretype.lr import SADDLE_LOG10_BOUND, saddle_true_lr
+
+        def no_chain(*args, **kwargs):
+            raise AssertionError("the chain ran past the exact budget")
+
+        monkeypatch.setattr(workbench, "lr_true_mh", no_chain)
+        db, pop = past_budget_case()
+        report = run_case(db, CaseOptions(population=pop, matched_rank=pop.m, mh=MhConfig(seed=1)))
+        assert report.log10_lr_true_route == "saddle"
+        assert report.log10_lr_true_se is None
+        assert report.log10_lr_true == saddle_true_lr(db.add_singleton(), pop).log10_lr
+        assert report.diff1 == report.log10_lr_eb - report.log10_lr_true
+        (note,) = [n for n in report.notes if "saddle point" in n]
+        assert "Newton steps" in note and f"error bound {SADDLE_LOG10_BOUND}" in note
+        assert report.to_dict()["log10_lr_true_route"] == "saddle"
+
+    def test_tilt_without_finite_solution_falls_back_to_the_chain(self):
+        # 300 blocks over 300 ranks: every rank is observed, so the tilt
+        # that matches the counts lies at infinity; 101^3 states are past
+        # the budget. Every assignment has the same singleton mass 100/300
+        pop = PopulationVector(probs=(1 / 300,) * 300, pop_size=3000)
+        db = IntegerPartition((1, 2, 3), (99, 100, 100))
+        options = CaseOptions(population=pop, mh=MhConfig(iterations=2000, burn_in=500, thinning=50))
+        report = run_case(db, options)
+        assert report.log10_lr_true_route == "mcmc"
+        assert report.log10_lr_true == pytest.approx(math.log10(300.0), abs=1e-12)
+        assert math.isfinite(report.log10_lr_true_se)
+        assert any("without a converged tilt" in note and "from the chain" in note for note in report.notes)
 
 
 class TestWorkerCount:
