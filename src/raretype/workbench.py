@@ -11,6 +11,7 @@ the plug-in LR against the known-population and frequentist ones.
 from __future__ import annotations
 
 import csv
+import io
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -69,6 +70,9 @@ THREADS_ENV_VAR = "RARETYPE_THREADS"
 # joins multi-column profiles; the unit separator cannot collide with
 # printable allele tokens
 _FIELD_JOIN = "\x1f"
+# a text free of these is read without csv: each line is one row and each
+# delimiter, once replaced by _FIELD_JOIN, one field boundary
+_NOT_PLAIN = ('"', "\r", "\0", _FIELD_JOIN)
 
 
 class ProfileParseError(ValueError):
@@ -122,43 +126,63 @@ def load_profiles(path: str, format: str = "tsv", columns="all") -> ProfileDatab
     one column. Selecting a different column subset changes profile
     identity; values are never interpreted numerically. A header that
     repeats a name is rejected, whichever columns are selected.
+
+    The file is read as one string. A text holding no quote, CR, NUL or
+    unit separator has no csv syntax beyond the delimiter and LF, so its
+    lines are split and checked in whole-text passes, each distinct line
+    once; such a text has no field size limit. Any other text goes through
+    ``csv.reader``, the only reader of quoted fields and CR line ends,
+    whose parse errors (a quoted field over ``csv.field_size_limit()``, a
+    NUL on Python 3.10) raise ``ProfileParseError`` naming the line. Both
+    readers give the same records and the same errors, and a ragged row is
+    reported at the first offending line in file order.
     """
     if format not in ("tsv", "csv"):
         raise ValueError(f"format must be 'tsv' or 'csv', got {format!r}")
     delimiter = "\t" if format == "tsv" else ","
     with open(path, newline="") as fh:
-        reader = csv.reader(fh, delimiter=delimiter)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise EmptyFileError(f"{path}: no header row")
-        # a repeated name would read its first column twice and never the next
-        for i, name in enumerate(header):
-            if name in header[:i]:
-                raise DuplicateColumnError(f"{path}: column {name!r} repeated in header {header}")
-        if columns == "all":
-            wanted = list(header)
-        elif isinstance(columns, str):
-            wanted = [columns]
-        else:
-            wanted = list(columns)
-        if not wanted:
-            # zero fields would join every record to "" and merge them all
-            raise MissingColumnError(f"{path}: no columns selected")
-        indices = []
-        for name in wanted:
-            if name not in header:
-                raise MissingColumnError(f"{path}: column {name!r} not in header {header}")
-            indices.append(header.index(name))
-        # the whole header in header order joins each row as it stands
-        whole = indices == list(range(len(header)))
+        text = fh.read()
+    rows = header = None
+    if any(c in text for c in _NOT_PLAIN):
+        rows = _csv_rows(path, text, delimiter)
+        header = next(rows, None)
+    else:
+        lines = text.replace(delimiter, _FIELD_JOIN).split("\n")
+        if lines[-1] == "":
+            lines.pop()  # the last line's terminator, or the empty file's one line
+        if lines:
+            # csv reads a blank line as no fields, where split gives [""]
+            header = lines[0].split(_FIELD_JOIN) if lines[0] else []
+    if header is None:
+        raise EmptyFileError(f"{path}: no header row")
+    # a repeated name would read its first column twice and never the next
+    for i, name in enumerate(header):
+        if name in header[:i]:
+            raise DuplicateColumnError(f"{path}: column {name!r} repeated in header {header}")
+    if columns == "all":
+        wanted = list(header)
+    elif isinstance(columns, str):
+        wanted = [columns]
+    else:
+        wanted = list(columns)
+    if not wanted:
+        # zero fields would join every record to "" and merge them all
+        raise MissingColumnError(f"{path}: no columns selected")
+    indices = []
+    for name in wanted:
+        if name not in header:
+            raise MissingColumnError(f"{path}: column {name!r} not in header {header}")
+        indices.append(header.index(name))
+    # the whole header in header order joins each row as it stands
+    whole = indices == list(range(len(header)))
+    if rows is None:
+        records = _plain_records(path, lines[1:], len(header), None if whole else indices)
+    else:
         join = _FIELD_JOIN.join
         records = []
-        for lineno, row in enumerate(reader, start=2):
+        for lineno, row in enumerate(rows, start=2):
             if len(row) != len(header):
-                raise RaggedRowError(
-                    f"{path}:{lineno}: expected {len(header)} fields, found {len(row)}"
-                )
+                raise _ragged(path, lineno, len(header), len(row))
             records.append(join(row) if whole else join([row[i] for i in indices]))
     if not records:
         raise EmptyFileError(f"{path}: no data rows")
@@ -166,6 +190,42 @@ def load_profiles(path: str, format: str = "tsv", columns="all") -> ProfileDatab
         records=tuple(records),
         source=ProfileSource(path=str(path), columns=tuple(wanted)),
     )
+
+
+def _csv_rows(path: str, text: str, delimiter: str):
+    """``csv.reader`` rows of ``text``, split at LF, CR and CRLF as a file
+    opened with ``newline=""`` is."""
+    reader = csv.reader(io.StringIO(text, newline=""), delimiter=delimiter)
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise ProfileParseError(f"{path}:{reader.line_num}: {exc}") from None
+
+
+def _ragged(path: str, lineno: int, width: int, found: int) -> RaggedRowError:
+    return RaggedRowError(f"{path}:{lineno}: expected {width} fields, found {found}")
+
+
+def _field_count(line: str) -> int:
+    return line.count(_FIELD_JOIN) + 1 if line else 0
+
+
+def _plain_records(path: str, body: list[str], width: int, indices) -> list[str]:
+    """Records from plain lines whose delimiters are already
+    ``_FIELD_JOIN``: each line whole, or projected on ``indices``. Each
+    distinct line is counted and projected once."""
+    distinct = set(body)
+    if any(_field_count(line) != width for line in distinct):
+        for lineno, line in enumerate(body, start=2):
+            if _field_count(line) != width:
+                raise _ragged(path, lineno, width, _field_count(line))
+    if indices is None:
+        return body
+    project = {}
+    for line in distinct:
+        fields = line.split(_FIELD_JOIN)
+        project[line] = _FIELD_JOIN.join([fields[i] for i in indices])
+    return [project[line] for line in body]
 
 
 # Dutch population summary: 557 distinct types over 2085 individuals in

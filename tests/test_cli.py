@@ -141,6 +141,14 @@ class TestDispatch:
         assert cli_dispatch(argv) == 2
         assert "no columns selected" in capsys.readouterr().err
 
+    def test_csv_parse_error_exits_2(self, capsys, tmp_path):
+        # quoted, so csv reads it; a plain text has no field size limit
+        profiles = tmp_path / "profiles.tsv"
+        profiles.write_text('L1\n"' + "x" * 140_000 + '"\n')
+        assert cli_dispatch(["reduce", "--input", str(profiles), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {profiles}:2: field larger than field limit")
+
     def test_freq_lr(self, capsys, tmp_path):
         pop = tmp_path / "pop.json"
         pop.write_text(json.dumps({"probs": [0.5, 0.3, 0.2], "pop_size": 10}))

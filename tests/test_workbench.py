@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import os
@@ -6,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from raretype.lr import MhConfig
 from raretype.mle import fit_mle
@@ -20,6 +22,7 @@ from raretype.workbench import (
     ExperimentRow,
     ExperimentSpec,
     MissingColumnError,
+    ProfileParseError,
     RaggedRowError,
     _worker_count,
     dutch_fixture,
@@ -114,14 +117,152 @@ class TestLoadProfiles:
                 load_profiles(path, columns=columns)
 
     def test_ragged_row_names_line_and_counts(self, tmp_path):
-        path = write(tmp_path / "db.tsv", "L1\tL2\nx\ty\nonly_one\n")
-        for columns in ("all", ["L2"]):
-            with pytest.raises(RaggedRowError, match=r"db.tsv:3: expected 2 fields, found 1"):
-                load_profiles(path, columns=columns)
+        cases = [
+            ("x\ty\nonly_one\n", "3: expected 2 fields, found 1"),
+            # the first offender in file order, not the first distinct line
+            ("x\ty\n" * 3 + "u\tv\tw\nbad\nx\ty\nbad\nu\tv\tw\n", "5: expected 2 fields, found 3"),
+            ("x\ty\n" * 3 + "".join(f"r{i}\n" for i in range(20)) * 2, "5: expected 2 fields, found 1"),
+            ("x\ty\n\nx\ty\n", "3: expected 2 fields, found 0"),
+            ("x\ty\nx\ty\tz\n", "3: expected 2 fields, found 3"),
+        ]
+        for body, where in cases:
+            # LF alone takes the plain reader, CRLF the csv one
+            for ending in ("\n", "\r\n"):
+                path = write(tmp_path / "db.tsv", ("L1\tL2\n" + body).replace("\n", ending))
+                for columns in ("all", ["L2"]):
+                    with pytest.raises(RaggedRowError, match=rf"^{path}:{where}$"):
+                        load_profiles(path, columns=columns)
+
+    def test_csv_error_is_a_parse_error(self, tmp_path):
+        # unquoted, the same field would take the plain reader, which has no limit
+        path = write(tmp_path / "db.tsv", 'L1\nx\n"' + "y" * 140_000 + '"\n')
+        with pytest.raises(ProfileParseError, match=r"db.tsv:3: field larger than field limit"):
+            load_profiles(path)
+        unquoted = write(tmp_path / "plain.tsv", "L1\nx\n" + "y" * 140_000 + "\n")
+        assert load_profiles(unquoted).records == ("x", "y" * 140_000)
 
     def test_unknown_format(self, tmp_path):
         with pytest.raises(ValueError):
             load_profiles(write(tmp_path / "db.tsv", "L1\nx\n"), format="xlsx")
+
+
+def reference_load(path, format="tsv", columns="all"):
+    """The csv-reader loop ``load_profiles`` ran before it read plain
+    texts in whole-text passes: (records, columns), or what it raised."""
+    delimiter = "\t" if format == "tsv" else ","
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh, delimiter=delimiter)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise EmptyFileError(f"{path}: no header row")
+        for i, name in enumerate(header):
+            if name in header[:i]:
+                raise DuplicateColumnError(f"{path}: column {name!r} repeated in header {header}")
+        if columns == "all":
+            wanted = list(header)
+        elif isinstance(columns, str):
+            wanted = [columns]
+        else:
+            wanted = list(columns)
+        if not wanted:
+            raise MissingColumnError(f"{path}: no columns selected")
+        indices = []
+        for name in wanted:
+            if name not in header:
+                raise MissingColumnError(f"{path}: column {name!r} not in header {header}")
+            indices.append(header.index(name))
+        whole = indices == list(range(len(header)))
+        join = "\x1f".join
+        records = []
+        for lineno, row in enumerate(reader, start=2):
+            if len(row) != len(header):
+                raise RaggedRowError(
+                    f"{path}:{lineno}: expected {len(header)} fields, found {len(row)}"
+                )
+            records.append(join(row) if whole else join([row[i] for i in indices]))
+    if not records:
+        raise EmptyFileError(f"{path}: no data rows")
+    return tuple(records), tuple(wanted)
+
+
+def load_outcome(load, path, format, columns):
+    try:
+        db = load(path, format, columns)
+    except (ValueError, csv.Error) as exc:
+        return type(exc), str(exc)
+    return db if isinstance(db, tuple) else (db.records, db.source.columns)
+
+
+NAMES = ["L1", "L2", "L3"]
+FIELDS = ["x", "y", "7", " ", ""]
+
+
+@st.composite
+def profile_tables(draw):
+    """A table text that is plain or holds quotes, CR, NUL or the join
+    character, with blank, short and long rows."""
+    plain = draw(st.booleans())
+    alphabet = st.sampled_from("xy7 \t," + ("" if plain else '"\r\0\x1f\n'))
+    field = st.one_of(st.sampled_from(FIELDS), st.text(alphabet, max_size=3))
+    if not plain:
+        quoted = st.text(alphabet, max_size=3).map(lambda s: '"' + s.replace('"', '""') + '"')
+        field = st.one_of(field, quoted)
+    names = st.sampled_from(NAMES)
+    header = draw(
+        st.one_of(
+            st.permutations(NAMES),
+            st.lists(names, max_size=3, unique=True),
+            st.lists(names, max_size=3),
+        )
+    )
+    width = st.integers(0, 4) if draw(st.booleans()) else st.just(len(header))
+    rows = draw(st.lists(width.flatmap(lambda k: st.lists(field, min_size=k, max_size=k)), max_size=6))
+    ending = st.just("\n") if plain else st.sampled_from(["\n", "\r\n", "\r"])
+    delimiter = draw(st.sampled_from(["\t", ","]))
+    text = ""
+    for fields in [header, *rows]:
+        text += delimiter.join(fields) + draw(ending)
+    if draw(st.booleans()):
+        text = text.rstrip("\r\n")  # no final line end
+    return text
+
+
+# "L9" is in no header
+columns_choices = st.one_of(
+    st.just("all"),
+    st.sampled_from(NAMES + ["L9"]),
+    st.lists(st.sampled_from(NAMES * 4 + ["L9"]), min_size=1, max_size=3, unique=True),
+    st.just([]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    text=profile_tables(),
+    format=st.sampled_from(["tsv", "csv"]),
+    columns=columns_choices,
+)
+# csv reads an empty header line as no fields, where str.split gives [""]
+@example(text="\nx\n", format="tsv", columns="all")
+@example(text="\nx\n", format="csv", columns=["L1"])
+@example(text="L1\n\n", format="tsv", columns="all")
+@example(text="L1\tL2\nx\ty", format="tsv", columns=["L2", "L1"])
+@example(text='L1,L2\r\n"a,b",c\r\n', format="csv", columns="all")
+@example(text="L1\tL2\na\x1fb\tc\n", format="tsv", columns="all")
+# csv rejects a NUL on Python 3.10 and reads it as a character from 3.11
+@example(text="L1\nx\0y\n", format="tsv", columns="all")
+def test_loader_agrees_with_the_csv_reader_loop(tmp_path_factory, text, format, columns):
+    path = str(tmp_path_factory.getbasetemp() / "loader-agreement.txt")
+    with open(path, "w", newline="") as fh:
+        fh.write(text)
+    want = load_outcome(reference_load, path, format, columns)
+    got = load_outcome(load_profiles, path, format, columns)
+    if want[0] is csv.Error:
+        assert got[0] is ProfileParseError
+        assert got[1].startswith(f"{path}:") and got[1].endswith(f": {want[1]}")
+    else:
+        assert got == want
 
 
 class TestDutchFixture:
