@@ -57,7 +57,7 @@ from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
-from .partitions import IntegerPartition, SetPartition, as_integer_partition
+from .partitions import IntegerPartition, SetPartition, _are_integers, as_integer_partition
 from .pitman import PdParams, PopulationVector
 from .rng import SeedLike, as_generator
 
@@ -211,6 +211,9 @@ class MhConfig:
     seed: SeedLike = None
 
     def __post_init__(self) -> None:
+        for name in ("iterations", "burn_in", "thinning"):
+            if not _are_integers((getattr(self, name),)):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
         if not 0 <= self.burn_in < self.iterations:
@@ -511,12 +514,13 @@ def _count_dual(eta: np.ndarray, log_w: np.ndarray, r, mult=None):
     """The saddle-point dual sum_i mult_i log Z_i(eta) - eta . r with its
     gradient and Hessian: convex, its gradient the expected class counts
     minus r, its Hessian the class-count covariance, summed over rows of
-    ``log_w`` weighted by ``mult`` (one per row when None)."""
+    ``log_w`` weighted by ``mult`` (one per row when None). The class
+    probabilities of classes 1..J behind them come fourth."""
     _, q, log_norm = _class_probs(eta, log_w)
     mult = np.ones(q.shape[0]) if mult is None else mult
     mq = mult[:, None] * q
     expected = mq.sum(axis=0)
-    return mult @ log_norm - eta @ r, expected - r, np.diag(expected) - mq.T @ q
+    return mult @ log_norm - eta @ r, expected - r, np.diag(expected) - mq.T @ q, q
 
 
 class _Tilt(NamedTuple):
@@ -525,6 +529,8 @@ class _Tilt(NamedTuple):
     sweeps: int  # log-space scaling sweeps
     max_rel_grad: float  # max_j |E N_j - r_j| / r_j at eta
     converged: bool  # max_rel_grad met _TILT_TOL at a finite saddle point
+    q: np.ndarray  # (G, J) class probabilities of classes 1..J at eta
+    cov: np.ndarray  # (J, J) class-count covariance at eta
 
 
 _TILT_TOL = 1e-10
@@ -563,13 +569,13 @@ def _tilt(groups: _RankGroups, r, eta: np.ndarray) -> _Tilt:
         return eta + np.log(r) - top - np.log(np.exp(log_e - top).sum(axis=0))
 
     def dual(eta):
-        f, g, h = _count_dual(eta, log_w, r, mult)
-        return f, g, h, float(np.max(np.abs(g) / r))
+        f, g, h, q = _count_dual(eta, log_w, r, mult)
+        return f, g, h, float(np.max(np.abs(g) / r)), q
 
     sweeps = _TILT_START_SWEEPS
     for _ in range(sweeps):
         eta = sweep(eta)
-    f, g, h, worst = dual(eta)
+    f, g, h, worst, q = dual(eta)
     steps = 0
     while worst > _TILT_TOL and steps < _TILT_MAX_STEPS:
         steps += 1
@@ -596,12 +602,12 @@ def _tilt(groups: _RankGroups, r, eta: np.ndarray) -> _Tilt:
                 eta = sweep(eta)
                 trial = dual(eta)
                 break
-        f, g, h, worst = trial
+        f, g, h, worst, q = trial
     # class j can go on the ranks whose caps support a_j; classes j..J need
     # that many ranks between them, and a finite tilt needs room to spare
     room = mult @ np.isfinite(log_w)
     finite = bool((np.cumsum(r[::-1])[::-1] < room).all())
-    return _Tilt(eta, steps, sweeps, worst, finite and worst <= _TILT_TOL)
+    return _Tilt(eta, steps, sweeps, worst, finite and worst <= _TILT_TOL, q, h)
 
 
 # the saddle-point route's error bound in log10 and the regime it was
@@ -670,7 +676,7 @@ def saddle_true_lr(
     tilt = _tilt(groups, part.r, eta0)
     first = second = None
     if tilt.converged:
-        mass_1, mass_2 = _saddle_masses(groups, tilt.eta)
+        mass_1, mass_2 = _saddle_masses(groups, tilt)
         first = math.log10(part.s1 / mass_1)
         if mass_2 > 0.0:
             second = math.log10(part.s1 / mass_2)
@@ -690,14 +696,13 @@ def saddle_true_lr(
     )
 
 
-def _saddle_masses(groups: _RankGroups, eta: np.ndarray) -> tuple[float, float]:
+def _saddle_masses(groups: _RankGroups, tilt: _Tilt) -> tuple[float, float]:
     """First- and second-order E[singleton mass | counts = r] at the
-    saddle point eta (see ``saddle_true_lr``)."""
-    q = _class_probs(eta, groups.log_w)[1]
+    saddle point (see ``saddle_true_lr``)."""
+    q, sigma = tilt.q, tilt.cov
     m, p = groups.mult, groups.p
     mq = m[:, None] * q
     first = float(mq[:, 0] @ p)
-    sigma = np.diag(mq.sum(axis=0)) - mq.T @ q
     # a count with little variance (a class that one rank nearly surely
     # takes) equals r with probability near 1, and its lattice law is far
     # from Gaussian: it is left out of the conditioning. So, in effect, is

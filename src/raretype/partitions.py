@@ -14,6 +14,7 @@ concurrent tasks. Enumeration streams are single-consumer generators.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from typing import Hashable, Iterator, Sequence, Union
 
@@ -35,6 +36,13 @@ __all__ = [
 _BELL = (1, 1, 2, 5, 15, 52, 203, 877, 4140, 21147, 115975, 678570, 4213597)
 
 DEFAULT_ENUMERATION_CAP = 12
+
+
+def _are_integers(values) -> bool:
+    """Whether every value is an integer count: numpy integers register as
+    Integral, while bool, which subclasses int, does not count. Checked
+    once per distinct type, as an Integral check costs ~1 us a value."""
+    return all(issubclass(t, numbers.Integral) and t is not bool for t in set(map(type, values)))
 
 
 def bell_number(n: int) -> int:
@@ -140,7 +148,7 @@ class IntegerPartition:
     def __post_init__(self) -> None:
         if len(self.a) != len(self.r) or not self.a:
             raise ValueError("a and r must be nonempty and of equal length")
-        if not all(isinstance(x, (int, np.integer)) for x in (*self.a, *self.r)):
+        if not _are_integers((*self.a, *self.r)):
             raise ValueError("entries of a and r must be integers")
         if any(x < 1 for x in self.a) or any(x < 1 for x in self.r):
             raise ValueError("entries of a and r must be >= 1")

@@ -40,7 +40,6 @@ only at interfaces (n near 2*10^4 underflows direct products).
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from typing import Hashable, Iterable, Optional, Sequence, Union
 
@@ -49,6 +48,7 @@ import numpy as np
 from .partitions import (
     IntegerPartition,
     SetPartition,
+    _are_integers,
     as_integer_partition,
     reduce_sample,
 )
@@ -98,30 +98,38 @@ class PopulationVector:
     probs: tuple[float, ...]
     pop_size: Optional[int] = None
     tail_mass: Optional[float] = None
+    # the checked frequencies as a read-only float array, built once
+    _probs: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.probs:
             raise ValueError("population must list at least one type")
-        if any(p <= 0 for p in self.probs):
+        probs = np.array(self.probs, dtype=float)
+        # every comparison with NaN is False, so finiteness comes first
+        if not np.isfinite(probs).all():
+            raise ValueError("population frequencies must be finite")
+        if not (probs > 0.0).all():
             raise ValueError("population frequencies must be positive")
-        if any(self.probs[i] < self.probs[i + 1] for i in range(len(self.probs) - 1)):
+        if (probs[:-1] < probs[1:]).any():
             raise ValueError("population frequencies must be nonincreasing")
         total = math.fsum(self.probs)
         if abs(total - 1.0) > _SUM_TOL:
             raise ValueError(f"population frequencies must sum to 1 (got {total!r})")
         if self.pop_size is not None:
-            # bool subclasses int; numpy integers register as Integral
-            if isinstance(self.pop_size, bool) or not isinstance(self.pop_size, numbers.Integral):
+            if not _are_integers((self.pop_size,)):
                 raise ValueError(f"pop_size must be an integer count, got {self.pop_size!r}")
             if self.pop_size < 1:
                 raise ValueError("pop_size must be a positive count")
+        probs.flags.writeable = False
+        object.__setattr__(self, "_probs", probs)
 
     @property
     def m(self) -> int:
         return len(self.probs)
 
     def as_array(self) -> np.ndarray:
-        return np.asarray(self.probs, dtype=float)
+        """The frequencies as a float array, read-only and shared between calls."""
+        return self._probs
 
     def to_dict(self) -> dict:
         d: dict = {"probs": list(self.probs)}

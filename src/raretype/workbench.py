@@ -14,7 +14,6 @@ import csv
 import io
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Optional, Union
 
@@ -590,6 +589,10 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     if workers == 1:
         rows = [_worker(payload) for payload in payloads]
     else:
+        # imported here: loading concurrent.futures pulls in multiprocessing,
+        # which the serial branch and run_case never use
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_worker, payloads))
     return ExperimentResult(rows=tuple(rows), summary=summarize_rows(rows))

@@ -89,6 +89,18 @@ class TestDispatch:
         assert any(line.startswith("error:") for line in err.splitlines())
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["freq-lr", "true-lr"])
+    def test_nan_population_exits_2(self, capsys, tmp_path, command):
+        # json reads NaN, and every comparison with NaN is False: freq-lr
+        # printed "lr": NaN and true-lr exited 3 as infeasible
+        part = tmp_path / "part.json"
+        part.write_text(json.dumps({"a": [1], "r": [2]}))
+        pop = tmp_path / "pop.json"
+        pop.write_text('{"probs": [0.5, NaN, 0.5], "pop_size": 10}')
+        extra = ["--rank", "2"] if command == "freq-lr" else ["--partition", str(part), "--seed", "1"]
+        assert cli_dispatch([command, "--population", str(pop), "--quiet", *extra]) == 2
+        assert "population frequencies must be finite" in capsys.readouterr().err
+
     def test_one_retained_sample_exits_2(self, capsys, tmp_path):
         # a single retained sample would report a NaN error bar
         part = tmp_path / "part.json"

@@ -171,6 +171,18 @@ class TestMhConfig:
             MhConfig(thinning=0)
         assert MhConfig().n_retained == 80
 
+    @pytest.mark.parametrize(
+        "schedule", [{"iterations": 1500.5}, {"thinning": 2.5}, {"burn_in": 10.0}, {"thinning": True}]
+    )
+    def test_schedule_must_be_integers(self, schedule):
+        # a fractional schedule made n_retained a float and the chain's range fail
+        with pytest.raises(ValueError, match="must be an integer"):
+            MhConfig(**schedule)
+
+    def test_numpy_integer_schedule(self):
+        cfg = MhConfig(iterations=np.int64(3000), burn_in=np.int32(1000), thinning=np.int64(100))
+        assert cfg.n_retained == 20
+
 
 def small_cfg(seed, iterations=100_000):
     # burn_in must lie in [0, iterations): a fifth of the chain is discarded
@@ -725,7 +737,7 @@ class TestCountDual:
         log_w = _class_log_weights(part, np.log(pop.as_array()), _support_caps(pop, False))
 
         def dual(eta):
-            return _count_dual(eta, log_w, part.r)
+            return _count_dual(eta, log_w, part.r)[:3]
 
         saddle = _newton(dual, np.zeros(len(part.r)))[0]
         rng = np.random.default_rng(3)

@@ -1,0 +1,107 @@
+"""The package namespace imports each submodule on first use. Every check
+runs in a fresh interpreter, since this one has imported them all."""
+import json
+import subprocess
+import sys
+
+# what ``from raretype import *`` bound when the package imported every
+# submodule eagerly: the exported names plus the submodules themselves
+OLD_STAR_NAMES = sorted(
+    """
+    AssignmentVector CaseOptions DUTCH_FIXTURE_METADATA ExperimentResult ExperimentSpec
+    InfeasibleAssignmentError IntegerPartition LoglikSurface LrReport MhConfig MleFit PdParams
+    PopulationVector ProfileDatabase SaddleLrEstimate SeatingPlan SetPartition SurfaceGrid
+    SymmetryReport TrueLrEstimate as_integer_partition augment bell_number chi_init crp_sample
+    diff_metrics dutch_fixture enumerate_partitions eppf_log exact_true_lr fit_mle
+    gem_stick_breaking load_profiles loglik_surface lr lr_empirical_bayes lr_frequentist
+    lr_true_mh mle partitions phi_of pitman population_from_partition powerlaw_reference
+    ranked_frequencies reduce_sample rng run_case run_experiment saddle_true_lr
+    symmetry_diagnostic theta_alpha_of to_integer_partition workbench
+    """.split()
+)
+
+
+def fresh(code: str, *argv: str):
+    """Run ``code`` in a new interpreter; return what it prints as JSON."""
+    out = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    return json.loads(out.stdout)
+
+
+LOADED = (
+    "print(json.dumps(sorted(m for m in sys.modules"
+    " if m.startswith('raretype.') or m == 'concurrent.futures')))"
+)
+
+
+def test_import_loads_no_submodule():
+    assert fresh("import json, sys, raretype; " + LOADED) == []
+
+
+def test_model_check_loads_neither_lr_nor_the_pool():
+    # the model check: seat a sample, reduce it, fit, surface, symmetry
+    code = f"""
+import json, sys
+import raretype as rt
+plan = rt.crp_sample(300, rt.PdParams(0.5, 10.0), seed=1)
+part = rt.to_integer_partition(plan.to_set_partition())
+fit = rt.fit_mle(part)
+rt.symmetry_diagnostic(rt.loglik_surface(part, fit, rt.SurfaceGrid(5, 5)))
+{LOADED}
+"""
+    assert fresh(code) == ["raretype.mle", "raretype.partitions", "raretype.pitman", "raretype.rng"]
+
+
+def test_run_case_leaves_the_pool_unloaded(tmp_path):
+    table = tmp_path / "profiles.tsv"
+    table.write_text("L1\tL2\n" + "".join(f"a{i % 7}\tb{i % 5}\n" for i in range(60)))
+    pop = {"probs": [0.01] * 100, "pop_size": 10_000}
+    code = f"""
+import json, sys
+import raretype as rt
+pop = rt.PopulationVector.from_dict(json.loads(sys.argv[2]))
+options = rt.CaseOptions(population=pop, matched_rank=3, mh=rt.MhConfig(2000, 500, 50, seed=1))
+rt.run_case(rt.load_profiles(sys.argv[1]), options)
+{LOADED}
+"""
+    loaded = fresh(code, str(table), json.dumps(pop))
+    assert "raretype.workbench" in loaded and "concurrent.futures" not in loaded
+
+
+def test_exports_are_the_submodules_objects():
+    code = """
+import importlib, json
+import raretype
+same = all(
+    getattr(raretype, name) is getattr(importlib.import_module("raretype." + module), name)
+    for name, module in raretype._EXPORTS.items()
+)
+star = {}
+exec("from raretype import *", star)
+print(json.dumps({"same": same, "star": sorted(set(star) - {"__builtins__"}),
+                  "dir": sorted(set(raretype.__all__) - set(dir(raretype)))}))
+"""
+    out = fresh(code)
+    assert out["same"]
+    assert out["star"] == OLD_STAR_NAMES
+    assert out["dir"] == []
+
+
+def test_rebinding_wins_and_unknown_names_raise():
+    # perfbench's spans getattr a name, then setattr a wrapper in its place
+    code = """
+import json
+import raretype
+original = raretype.fit_mle
+raretype.fit_mle = len
+rebound = raretype.fit_mle is len
+try:
+    raretype.no_such_name
+    unknown = "no error"
+except AttributeError as exc:
+    unknown = str(exc)
+print(json.dumps({"rebound": rebound, "original": original.__module__, "unknown": unknown}))
+"""
+    out = fresh(code)
+    assert out["rebound"] and out["original"] == "raretype.mle"
+    assert out["unknown"] == "module 'raretype' has no attribute 'no_such_name'"

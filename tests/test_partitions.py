@@ -235,6 +235,9 @@ def test_non_integer_entries_rejected():
         IntegerPartition.from_block_sizes([2.5, 1])
     with pytest.raises(ValueError, match="integers"):
         IntegerPartition.from_dict({"a": [1.5], "r": [2.9]})
+    # bool subclasses int; to_dict() would write JSON true
+    with pytest.raises(ValueError, match="integers"):
+        IntegerPartition(a=(True, 2), r=(3, 1))
     assert IntegerPartition(a=(np.int64(1),), r=(np.int32(2),)).n == 2
     assert IntegerPartition.from_block_sizes(np.array([2, 1], dtype=np.uint8)).r == (1, 1)
 

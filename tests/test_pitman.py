@@ -439,6 +439,29 @@ class TestPopulationVector:
         with pytest.raises(ValueError):
             PopulationVector(probs=(1.0,), pop_size=0)
 
+    @pytest.mark.parametrize(
+        "probs, message",
+        [
+            # every comparison with NaN is False, so a NaN passed each check
+            ((0.5, math.nan, 0.5), "finite"),
+            ((math.inf, 0.5), "finite"),
+            ((0.5, 0.5, -0.0), "positive"),
+            ((0.5, 0.5, 0.0), "positive"),
+        ],
+    )
+    def test_rejects_non_finite_and_non_positive(self, probs, message):
+        with pytest.raises(ValueError, match=f"must be {message}"):
+            PopulationVector(probs=probs, pop_size=10)
+
+    def test_array_is_read_only_and_built_once(self):
+        pop = PopulationVector(probs=(0.5, 0.3, 0.2), pop_size=10)
+        probs = pop.as_array()
+        assert probs is pop.as_array() and probs.tolist() == [0.5, 0.3, 0.2]
+        with pytest.raises(ValueError):
+            probs[0] = 1.0
+        # not a compared field
+        assert pop == PopulationVector(probs=(0.5, 0.3, 0.2), pop_size=10)
+
     def test_round_trip(self):
         pop = PopulationVector(probs=(0.5, 0.3, 0.2), pop_size=10)
         assert PopulationVector.from_dict(pop.to_dict()) == pop
