@@ -212,8 +212,9 @@ class MhConfig:
 
     def __post_init__(self) -> None:
         for name in ("iterations", "burn_in", "thinning"):
-            if not _are_integers((getattr(self, name),)):
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+            value = getattr(self, name)
+            if not _are_integers((value,)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
         if not 0 <= self.burn_in < self.iterations:
