@@ -15,13 +15,11 @@ __version__ = "0.1.0"
 
 # each exported name and the submodule that defines it
 _EXPORTS = {
-    "AssignmentVector": "lr",
     "InfeasibleAssignmentError": "lr",
     "LrReport": "lr",
     "MhConfig": "lr",
     "SaddleLrEstimate": "lr",
     "TrueLrEstimate": "lr",
-    "chi_init": "lr",
     "diff_metrics": "lr",
     "exact_true_lr": "lr",
     "lr_empirical_bayes": "lr",

@@ -30,7 +30,11 @@ saddle point, falling back to the chain, with a note, where the tilt has
 no finite solution or does not converge, or the instance lies outside
 the regime the bound was calibrated in.
 
-The chain proposes a uniformly random pair of ranks carrying different
+The chain's state is a label array chi over the population ranks: chi_i
+= j > 0 puts rank i in the class observed a_j times, 0 leaves it
+unobserved. It starts from the greedy fill (``_greedy_labels``), where the
+largest classes take the most frequent ranks whose census counts support
+them, and proposes a uniformly random pair of ranks carrying different
 classes, rejects outright if the swap would let a rank be observed more
 often than its population count supports, and otherwise accepts with
 probability min(1, R), where R is the likelihood ratio of the proposed
@@ -46,7 +50,9 @@ flat slot list, grouped by class, so numpy turns each draw into a slot
 index and an accepted swap is two writes. Draws come in blocks, and each
 block runs in segments that end at the retained steps, where the
 singleton mass is read off the class-1 slots; per proposal, Python does
-only the accept/reject decision.
+only the accept/reject decision. At the end of the run,
+``_check_assignment`` re-checks the final labels against the class counts
+and the census caps.
 """
 from __future__ import annotations
 
@@ -63,13 +69,11 @@ from .rng import SeedLike, as_generator
 
 __all__ = [
     "InfeasibleAssignmentError",
-    "AssignmentVector",
     "MhConfig",
     "TrueLrEstimate",
     "LrReport",
     "lr_empirical_bayes",
     "lr_frequentist",
-    "chi_init",
     "lr_true_mh",
     "exact_true_lr",
     "SaddleLrEstimate",
@@ -107,8 +111,6 @@ def _support_caps(p: PopulationVector, strict: bool) -> np.ndarray:
     above it, which forbids observing a type exactly as often as it
     occurs; it is kept for sensitivity analysis.
     """
-    if p.pop_size is None:
-        raise ValueError("population needs pop_size for assignment-space computations")
     scaled = p.pop_size * p.as_array()
     if strict:
         caps = np.ceil(scaled - 1e-9) - 1.0
@@ -117,52 +119,26 @@ def _support_caps(p: PopulationVector, strict: bool) -> np.ndarray:
     return caps.astype(np.int64)
 
 
-@dataclass(frozen=True)
-class AssignmentVector:
-    """Map from population ranks to observed size classes.
-
-    chi[i] = j > 0 puts rank i+1 (1-based) in the class observed a_j
-    times; 0 marks an unobserved rank. Exactly r_j ranks carry class j,
-    and an assigned rank's population count must support its class size.
-    """
-
-    chi: tuple[int, ...]
-    partition: IntegerPartition
-    population: PopulationVector
-    strict_support: bool = False
-
-    def __post_init__(self) -> None:
-        part, pop = self.partition, self.population
-        if len(self.chi) != pop.m:
-            raise ValueError(f"chi must have one entry per population rank ({pop.m})")
-        J = part.num_size_classes
-        chi = np.asarray(self.chi, dtype=np.int64)
-        outside = (chi < 0) | (chi > J)
-        if outside.any():
-            raise ValueError(f"class labels must lie in 0..{J}, got {chi[outside.argmax()]}")
-        counts = tuple(np.bincount(chi, minlength=J + 1)[1:].tolist())
-        if counts != part.r:
-            raise ValueError(f"class counts {counts} must equal r={part.r}")
-        caps = _support_caps(pop, self.strict_support)
-        need = np.asarray((0,) + part.a)[chi]
-        short = (chi > 0) & (caps < need)
-        if short.any():
-            i = int(short.argmax())
-            raise InfeasibleAssignmentError(
-                f"rank {i + 1} cannot carry block size {need[i]} "
-                f"(supported count {caps[i]})"
-            )
-
-    def singleton_mass(self) -> float:
-        """Total frequency of ranks assigned to the singleton class."""
-        if self.partition.a[0] != 1:
-            return 0.0
-        return math.fsum(p for p, c in zip(self.population.probs, self.chi) if c == 1)
+def _check_assignment(chi: np.ndarray, part: IntegerPartition, caps: np.ndarray) -> None:
+    """Raise unless the labels ``chi`` (0..J, one per rank) give class j to
+    exactly r_j ranks and every labelled rank's census cap supports its
+    class's block size."""
+    counts = tuple(np.bincount(chi, minlength=part.num_size_classes + 1)[1:].tolist())
+    if counts != part.r:
+        raise ValueError(f"class counts {counts} must equal r={part.r}")
+    need = np.asarray((0,) + part.a)[chi]
+    short = (chi > 0) & (caps < need)
+    if short.any():
+        i = int(short.argmax())
+        raise InfeasibleAssignmentError(
+            f"rank {i + 1} cannot carry block size {need[i]} "
+            f"(supported count {caps[i]})"
+        )
 
 
 def _greedy_labels(part: IntegerPartition, caps: np.ndarray) -> np.ndarray:
-    """Class labels of the leading ranks under the greedy fill: largest
-    classes grab the most frequent supportable ranks.
+    """Class label of each rank under the greedy fill: largest classes
+    grab the most frequent supportable ranks, the rest are unobserved (0).
 
     Ranks are scanned in frequency order; because the support caps are
     nonincreasing in rank, eligibility for each class is a prefix, and
@@ -181,23 +157,7 @@ def _greedy_labels(part: IntegerPartition, caps: np.ndarray) -> np.ndarray:
             f"class of block size {a_j} needs {r_j} ranks with supported "
             f"count >= {a_j}; only {placed} available"
         )
-    return labels
-
-
-def chi_init(
-    pi: Union[IntegerPartition, SetPartition],
-    p: PopulationVector,
-    strict_support: bool = False,
-) -> AssignmentVector:
-    """Greedy feasible start: largest classes grab the most frequent
-    supportable ranks (see ``_greedy_labels``)."""
-    part = as_integer_partition(pi)
-    labels = _greedy_labels(part, _support_caps(p, strict_support))
-    chi = np.zeros(p.m, dtype=np.int64)
-    chi[: labels.size] = labels
-    return AssignmentVector(
-        chi=tuple(chi.tolist()), partition=part, population=p, strict_support=strict_support
-    )
+    return np.pad(labels, (0, caps.size - labels.size))
 
 
 @dataclass(frozen=True)
@@ -257,15 +217,15 @@ class TrueLrEstimate:
 _BLOCK = 8192
 
 
-def _run_swap_chain(start: AssignmentVector, cfg: MhConfig):
-    """Drive the swap chain; returns (trace of retained (step, singleton
-    mass), acceptance rate)."""
-    part, pop = start.partition, start.population
-    probs = pop.as_array()
+def _run_swap_chain(
+    chi: np.ndarray, part: IntegerPartition, probs: np.ndarray, caps: np.ndarray, cfg: MhConfig
+):
+    """Drive the swap chain from the feasible labels ``chi``, one per rank
+    of probability ``probs`` and census cap ``caps``; returns (trace of
+    retained (step, singleton mass), acceptance rate)."""
     log_probs = np.log(probs).tolist()
-    caps = _support_caps(pop, start.strict_support).tolist()
+    cap_of = caps.tolist()
     a_ext = np.array((0,) + part.a)
-    chi = np.asarray(start.chi)
     # one flat slot list: class 0's ranks, then class 1's, and so on, each
     # in rank order; class c owns slots offset[c] .. offset[c] + sizes[c] - 1
     # and an accepted swap rewrites two slots
@@ -313,7 +273,7 @@ def _run_swap_chain(start: AssignmentVector, cfg: MhConfig):
             # census support is enforced by rejecting the proposal outright.
             # The state is feasible and c < d, so j's cap covers a_d > a_c:
             # only i, moving up to class d, can lack support
-            if caps[i] >= ad:
+            if cap_of[i] >= ad:
                 log_r = da * (log_probs[j] - log_probs[i])
                 if log_r >= 0.0 or w < exp(log_r):
                     slots[x] = j
@@ -323,15 +283,10 @@ def _run_swap_chain(start: AssignmentVector, cfg: MhConfig):
             trace.append((stop, singleton_mass()))
         t = stop
     # swaps conserve class counts and rejected proposals never land, so the
-    # final state must still satisfy every constraint; constructing the
-    # AssignmentVector re-checks that
-    chi[slots] = np.repeat(np.arange(a_ext.size), sizes)
-    AssignmentVector(
-        chi=tuple(chi.tolist()),
-        partition=part,
-        population=pop,
-        strict_support=start.strict_support,
-    )
+    # final state must still satisfy every constraint; re-check it
+    end = np.empty_like(chi)
+    end[slots] = np.repeat(np.arange(a_ext.size), sizes)
+    _check_assignment(end, part, caps)
     return trace, accepted / cfg.iterations
 
 
@@ -367,14 +322,17 @@ def lr_true_mh(
     """Estimate the LR given the full population vector.
 
     ``pi_db_plus`` is the suspect-augmented partition (the suspect's type
-    is one of its singletons). The chain targets p(chi | a, r, p); the
-    estimate is s1 over the average total frequency of singleton-class
-    ranks across retained states.
+    is one of its singletons). The chain targets p(chi | a, r, p) from the
+    greedy fill (``_greedy_labels``), which raises InfeasibleAssignmentError
+    when no assignment fits the census; the estimate is s1 over the
+    average total frequency of singleton-class ranks across retained
+    states. The final state is re-checked against the class counts and
+    census caps (``_check_assignment``).
     """
     part = as_integer_partition(pi_db_plus)
     _check_true_lr_inputs(part, p)
-    start = chi_init(part, p, strict_support=strict_support)
-    trace, acceptance = _run_swap_chain(start, cfg)
+    caps = _support_caps(p, strict_support)
+    trace, acceptance = _run_swap_chain(_greedy_labels(part, caps), part, p.as_array(), caps, cfg)
     if len(trace) < 2:
         # one sample has no spread to put an error bar on
         raise ValueError(
@@ -440,10 +398,9 @@ def exact_true_lr(
             f"{_EXACT_STATE_BUDGET}; estimate the LR with saddle_true_lr or lr_true_mh instead"
         )
     groups, eta0 = _rank_groups(part, p, strict_support)
-    eta = _tilt(groups, part.r, eta0).eta
+    tilt = _tilt(groups, part.r, eta0)
     # the pass runs per rank: each group's row stands for its ranks
-    q0, q, _ = _class_probs(eta, groups.log_w)
-    pi = np.repeat(np.column_stack([q0, q]), groups.mult, axis=0)
+    pi = np.repeat(np.column_stack([tilt.q0, tilt.q]), groups.mult, axis=0)
     fits = np.repeat(np.isfinite(groups.log_w).sum(axis=1), groups.mult)
     return part.s1 * _exact_pass(p.as_array().tolist(), pi.tolist(), fits.tolist(), part.r)
 
@@ -511,17 +468,16 @@ def _class_probs(eta: np.ndarray, log_w: np.ndarray):
     return e0 / norm, e / norm[:, None], top + np.log(norm)
 
 
-def _count_dual(eta: np.ndarray, log_w: np.ndarray, r, mult=None):
+def _count_dual(eta: np.ndarray, log_w: np.ndarray, r, mult: np.ndarray):
     """The saddle-point dual sum_i mult_i log Z_i(eta) - eta . r with its
     gradient and Hessian: convex, its gradient the expected class counts
     minus r, its Hessian the class-count covariance, summed over rows of
-    ``log_w`` weighted by ``mult`` (one per row when None). The class
-    probabilities of classes 1..J behind them come fourth."""
-    _, q, log_norm = _class_probs(eta, log_w)
-    mult = np.ones(q.shape[0]) if mult is None else mult
+    ``log_w`` weighted by ``mult``. The class probabilities behind them
+    come fourth (class 0's) and fifth (classes 1..J's)."""
+    q0, q, log_norm = _class_probs(eta, log_w)
     mq = mult[:, None] * q
     expected = mq.sum(axis=0)
-    return mult @ log_norm - eta @ r, expected - r, np.diag(expected) - mq.T @ q, q
+    return mult @ log_norm - eta @ r, expected - r, np.diag(expected) - mq.T @ q, q0, q
 
 
 class _Tilt(NamedTuple):
@@ -530,6 +486,7 @@ class _Tilt(NamedTuple):
     sweeps: int  # log-space scaling sweeps
     max_rel_grad: float  # max_j |E N_j - r_j| / r_j at eta
     converged: bool  # max_rel_grad met _TILT_TOL at a finite saddle point
+    q0: np.ndarray  # (G,) class 0's probabilities at eta
     q: np.ndarray  # (G, J) class probabilities of classes 1..J at eta
     cov: np.ndarray  # (J, J) class-count covariance at eta
 
@@ -570,13 +527,13 @@ def _tilt(groups: _RankGroups, r, eta: np.ndarray) -> _Tilt:
         return eta + np.log(r) - top - np.log(np.exp(log_e - top).sum(axis=0))
 
     def dual(eta):
-        f, g, h, q = _count_dual(eta, log_w, r, mult)
-        return f, g, h, float(np.max(np.abs(g) / r)), q
+        f, g, h, q0, q = _count_dual(eta, log_w, r, mult)
+        return f, g, h, float(np.max(np.abs(g) / r)), q0, q
 
     sweeps = _TILT_START_SWEEPS
     for _ in range(sweeps):
         eta = sweep(eta)
-    f, g, h, worst, q = dual(eta)
+    f, g, h, worst, q0, q = dual(eta)
     steps = 0
     while worst > _TILT_TOL and steps < _TILT_MAX_STEPS:
         steps += 1
@@ -603,12 +560,12 @@ def _tilt(groups: _RankGroups, r, eta: np.ndarray) -> _Tilt:
                 eta = sweep(eta)
                 trial = dual(eta)
                 break
-        f, g, h, worst, q = trial
+        f, g, h, worst, q0, q = trial
     # class j can go on the ranks whose caps support a_j; classes j..J need
     # that many ranks between them, and a finite tilt needs room to spare
     room = mult @ np.isfinite(log_w)
     finite = bool((np.cumsum(r[::-1])[::-1] < room).all())
-    return _Tilt(eta, steps, sweeps, worst, finite and worst <= _TILT_TOL, q, h)
+    return _Tilt(eta, steps, sweeps, worst, finite and worst <= _TILT_TOL, q0, q, h)
 
 
 # the saddle-point route's error bound in log10 and the regime it was

@@ -409,6 +409,8 @@ ROW_COLUMNS = (
     "diff1",
     "diff2",
 )
+# the columns of each row in the JSON and CSV output, in order
+_OUTPUT_COLUMNS = ("replicate",) + ROW_COLUMNS + ("log10_lr_true_se",)
 
 
 @dataclass(frozen=True)
@@ -472,12 +474,7 @@ class ExperimentResult:
     def to_dict(self) -> dict:
         return {
             "rows": [
-                {
-                    "replicate": r.replicate,
-                    **{col: getattr(r, col) for col in ROW_COLUMNS},
-                    "log10_lr_true_se": r.log10_lr_true_se,
-                    "notes": list(r.notes),
-                }
+                {**{col: getattr(r, col) for col in _OUTPUT_COLUMNS}, "notes": list(r.notes)}
                 for r in self.rows
             ],
             "summary": {col: s.to_dict() for col, s in self.summary.items()},
@@ -485,13 +482,9 @@ class ExperimentResult:
 
     def write_rows_csv(self, fh) -> None:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(("replicate",) + ROW_COLUMNS + ("log10_lr_true_se",))
+        writer.writerow(_OUTPUT_COLUMNS)
         for r in self.rows:
-            writer.writerow(
-                [r.replicate]
-                + [_csv_cell(getattr(r, col)) for col in ROW_COLUMNS]
-                + [_csv_cell(r.log10_lr_true_se)]
-            )
+            writer.writerow([_csv_cell(getattr(r, col)) for col in _OUTPUT_COLUMNS])
 
 
 def _csv_cell(v):

@@ -2,6 +2,7 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from raretype.cli import _build_parser, cli_dispatch
@@ -182,6 +183,33 @@ class TestDispatch:
         )
         assert code == 3
         capsys.readouterr()
+
+    def test_true_lr_trace(self, capsys, tmp_path):
+        # the Dutch fixture against a census that doubles each of its types
+        # and adds 200 types carried once, so the singleton mass moves
+        dutch, pop, trace = tmp_path / "dutch.json", tmp_path / "pop.json", tmp_path / "trace.csv"
+        assert cli_dispatch(["fixture", "--quiet", "--out", str(dutch)]) == 0
+        fixture = json.loads(dutch.read_text())
+        doubled = [2 * a for a, r in zip(fixture["a"], fixture["r"]) for _ in range(r)]
+        counts = sorted(doubled + [1] * 200, reverse=True)
+        pop.write_text(json.dumps({"probs": [c / sum(counts) for c in counts], "pop_size": sum(counts)}))
+        capsys.readouterr()
+        code = cli_dispatch(
+            [
+                "true-lr", "--partition", str(dutch), "--population", str(pop),
+                "--iterations", "3000", "--burn-in", "500", "--thinning", "100",
+                "--seed", "1", "--trace", str(trace), "--quiet",
+            ]
+        )
+        assert code == 0
+        payload = json.loads(capsys.readouterr().out)
+        header, *rows = trace.read_text().splitlines()
+        assert header == "step,singleton_mass"
+        steps, masses = zip(*(row.split(",") for row in rows))
+        assert [int(t) for t in steps] == list(range(600, 3001, 100))
+        masses = [float(m) for m in masses]
+        assert len(set(masses)) > 1
+        assert float(np.mean(masses)) == payload["mean_singleton_mass"]
 
     def test_surface_csv(self, capsys, tmp_path):
         part = tmp_path / "part.json"

@@ -7,12 +7,11 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from raretype.cli import cli_dispatch
 from raretype.lr import (
-    AssignmentVector,
     InfeasibleAssignmentError,
     LrReport,
     MhConfig,
-    chi_init,
     diff_metrics,
     exact_true_lr,
     lr_empirical_bayes,
@@ -25,10 +24,12 @@ from raretype.lr import (
     _BLOCK,
     _EXACT_STATE_BUDGET,
     SADDLE_LOG10_BOUND,
+    _check_assignment,
     _class_log_weights,
     _class_probs,
     _count_dual,
     _exact_states,
+    _greedy_labels,
     _rank_groups,
     _run_swap_chain,
     _support_caps,
@@ -99,26 +100,34 @@ class TestFrequentist:
             lr_frequentist(pop, 6)
 
 
+def greedy_start(pi, pop, strict_support=False):
+    """The swap chain's arguments before its schedule: the greedy labels,
+    the partition, the probabilities and the census caps."""
+    caps = _support_caps(pop, strict_support)
+    return _greedy_labels(pi, caps), pi, pop.as_array(), caps
+
+
 class TestChiInit:
+    """The chain's greedy start (``_greedy_labels``)."""
+
     def test_uniform_all_singletons(self):
         pi = IntegerPartition((1,), (4,))
         pop = uniform_population(4, pop_size=40)
-        chi = chi_init(pi, pop)
-        assert chi.chi == (1, 1, 1, 1)
+        assert greedy_start(pi, pop)[0].tolist() == [1, 1, 1, 1]
 
     def test_more_classes_than_types_is_infeasible(self):
         pi = IntegerPartition((1,), (5,))
         pop = uniform_population(4, pop_size=40)
         with pytest.raises(InfeasibleAssignmentError):
-            chi_init(pi, pop)
+            lr_true_mh(pi, pop)
 
     def test_dutch_population_supports_itself(self):
         from raretype.workbench import dutch_fixture, population_from_partition
 
         pi = dutch_fixture()
         pop = population_from_partition(pi)
-        chi = chi_init(pi, pop)
-        assert chi.singleton_mass() > 0
+        est = lr_true_mh(pi, pop, MhConfig(2000, 0, 100, seed=0))
+        assert est.mean_singleton_mass > 0
 
     def test_strict_rule_rejects_exact_counts(self):
         # under the strict census rule a type carried by exactly a_j
@@ -129,38 +138,31 @@ class TestChiInit:
         pi = dutch_fixture()
         pop = population_from_partition(pi)
         with pytest.raises(InfeasibleAssignmentError):
-            chi_init(pi, pop, strict_support=True)
+            lr_true_mh(pi, pop, strict_support=True)
 
     def test_greedy_prefers_frequent_ranks(self):
         pi = IntegerPartition((1, 3), (1, 1))
         pop = PopulationVector(probs=(0.6, 0.3, 0.1), pop_size=100)
-        chi = chi_init(pi, pop)
         # block of size 3 takes rank 1, singleton takes rank 2
-        assert chi.chi == (2, 1, 0)
+        assert greedy_start(pi, pop)[0].tolist() == [2, 1, 0]
 
 
 class TestAssignmentVector:
+    """The chain's end-of-run check on its labels (``_check_assignment``)."""
+
     def test_class_counts_enforced(self):
         pi = IntegerPartition((1, 2), (2, 1))
-        pop = PopulationVector(probs=(0.4, 0.3, 0.2, 0.1), pop_size=1000)
-        AssignmentVector(chi=(2, 1, 1, 0), partition=pi, population=pop)
-        with pytest.raises(ValueError):
-            AssignmentVector(chi=(2, 1, 0, 0), partition=pi, population=pop)
-        with pytest.raises(ValueError):
-            AssignmentVector(chi=(2, 1, 1), partition=pi, population=pop)
+        caps = _support_caps(PopulationVector(probs=(0.4, 0.3, 0.2, 0.1), pop_size=1000), False)
+        _check_assignment(np.array([2, 1, 1, 0]), pi, caps)
+        with pytest.raises(ValueError, match=r"class counts \(1, 1\) must equal r=\(2, 1\)"):
+            _check_assignment(np.array([2, 1, 0, 0]), pi, caps)
 
     def test_support_enforced(self):
         pi = IntegerPartition((1, 5), (1, 1))
-        pop = PopulationVector(probs=(0.7, 0.2, 0.1), pop_size=10)
+        caps = _support_caps(PopulationVector(probs=(0.7, 0.2, 0.1), pop_size=10), False)
         # rank 3 carries 1 individual: cannot be seen 5 times
-        with pytest.raises(InfeasibleAssignmentError):
-            AssignmentVector(chi=(1, 0, 2), partition=pi, population=pop)
-
-    def test_singleton_mass(self):
-        pi = IntegerPartition((1, 2), (2, 1))
-        pop = PopulationVector(probs=(0.4, 0.3, 0.2, 0.1), pop_size=1000)
-        chi = AssignmentVector(chi=(2, 1, 1, 0), partition=pi, population=pop)
-        assert chi.singleton_mass() == pytest.approx(0.5)
+        with pytest.raises(InfeasibleAssignmentError, match="rank 3 cannot carry block size 5"):
+            _check_assignment(np.array([1, 0, 2]), pi, caps)
 
 
 class TestMhConfig:
@@ -252,11 +254,21 @@ class TestTrueLr:
         with pytest.raises(InfeasibleAssignmentError):
             lr_true_mh(IntegerPartition((1,), (2,)), pop, cfg)
 
-    def test_requires_pop_size(self):
+    @pytest.mark.parametrize(
+        "route", [lr_true_mh, exact_true_lr, saddle_true_lr], ids=lambda f: f.__name__
+    )
+    def test_requires_pop_size(self, route, tmp_path, capsys):
+        # census caps need the population's size: every known-population
+        # route refuses without it, and so does the CLI's chain
         pop = PopulationVector(probs=(0.5, 0.5))
-        cfg = small_cfg(0, 1000)
-        with pytest.raises(ValueError, match="pop_size"):
-            lr_true_mh(IntegerPartition((1,), (1,)), pop, cfg)
+        with pytest.raises(ValueError, match="^population needs pop_size"):
+            route(IntegerPartition((1,), (1,)), pop)
+        (tmp_path / "part.json").write_text('{"a": [1], "r": [1]}')
+        (tmp_path / "pop.json").write_text('{"probs": [0.5, 0.5]}')
+        argv = ["true-lr", "--partition", str(tmp_path / "part.json"),
+                "--population", str(tmp_path / "pop.json"), "--quiet"]
+        assert cli_dispatch(argv) == 2
+        assert "population needs pop_size" in capsys.readouterr().err
 
     def test_zero_retained_is_config_error(self):
         pi = IntegerPartition((1,), (1,))
@@ -285,7 +297,8 @@ class TestTrueLr:
 
 
 def _loop_chi_init(pi, pop, strict_support=False):
-    """Rank-by-rank greedy fill, the reference for chi_init's vectorised fill."""
+    """Rank-by-rank greedy fill, the reference for _greedy_labels'
+    vectorised fill."""
     caps = _support_caps(pop, strict_support)
     chi = [0] * pop.m
     cursor = 0
@@ -304,15 +317,10 @@ def _loop_chi_init(pi, pop, strict_support=False):
 
 
 def _loop_assignment_check(chi, pi, pop, strict_support=False):
-    """Rank-by-rank validation, the reference for AssignmentVector's
+    """Rank-by-rank validation, the reference for _check_assignment's
     vectorised checks."""
-    if len(chi) != pop.m:
-        raise ValueError(f"chi must have one entry per population rank ({pop.m})")
-    J = pi.num_size_classes
-    counts = [0] * (J + 1)
+    counts = [0] * (pi.num_size_classes + 1)
     for c in chi:
-        if not 0 <= c <= J:
-            raise ValueError(f"class labels must lie in 0..{J}, got {c}")
         counts[c] += 1
     if tuple(counts[1:]) != pi.r:
         raise ValueError(f"class counts {tuple(counts[1:])} must equal r={pi.r}")
@@ -336,7 +344,8 @@ def _outcome(f, *args, **kwargs):
 @st.composite
 def assignment_cases(draw):
     """A census of 1-8 types, a partition of 1-6 blocks of sizes 1-4, and a
-    labelling that is the greedy start, a shuffle of it or a small edit."""
+    labelling with classes 0..J that is the greedy start, a shuffle of it
+    or a one-label edit."""
     counts = sorted(draw(st.lists(st.integers(1, 6), min_size=1, max_size=8)), reverse=True)
     pop = PopulationVector(probs=tuple(c / sum(counts) for c in counts), pop_size=sum(counts))
     pi = IntegerPartition.from_block_sizes(draw(st.lists(st.integers(1, 4), min_size=1, max_size=6)))
@@ -344,13 +353,8 @@ def assignment_cases(draw):
     labels = [j for j, r_j in enumerate(pi.r, start=1) for _ in range(r_j)][: pop.m]
     chi[: len(labels)] = labels
     chi = draw(st.permutations(chi))
-    edit = draw(st.sampled_from(["none", "none", "value", "drop", "append"]))
-    if edit == "value":
-        chi[draw(st.integers(0, len(chi) - 1))] = draw(st.integers(-1, pi.num_size_classes + 1))
-    elif edit == "drop":
-        chi.pop()
-    elif edit == "append":
-        chi.append(draw(st.integers(0, pi.num_size_classes)))
+    if draw(st.integers(0, 2)) == 0:
+        chi[draw(st.integers(0, len(chi) - 1))] = draw(st.integers(0, pi.num_size_classes))
     return pi, pop, tuple(chi)
 
 
@@ -360,16 +364,16 @@ class TestVectorisedChecks:
     def test_chi_init_matches_loop_reference(self, case, strict):
         pi, pop, _ = case
         expected = _outcome(_loop_chi_init, pi, pop, strict)
-        got = _outcome(chi_init, pi, pop, strict)
-        assert (got.chi if isinstance(got, AssignmentVector) else got) == expected
+        got = _outcome(_greedy_labels, pi, _support_caps(pop, strict))
+        assert (tuple(got.tolist()) if isinstance(got, np.ndarray) else got) == expected
 
     @settings(max_examples=300, deadline=None)
     @given(assignment_cases(), st.booleans())
     def test_assignment_checks_match_loop_reference(self, case, strict):
         pi, pop, chi = case
         expected = _outcome(_loop_assignment_check, chi, pi, pop, strict)
-        got = _outcome(AssignmentVector, chi, pi, pop, strict)
-        assert (None if isinstance(got, AssignmentVector) else got) == expected
+        got = _outcome(_check_assignment, np.array(chi), pi, _support_caps(pop, strict))
+        assert got == expected
 
 
 def stationary_acceptance(pi, pop, class_pair_weight):
@@ -381,7 +385,7 @@ def stationary_acceptance(pi, pop, class_pair_weight):
     a_ext = (0,) + pi.a
     sizes = (pop.m - pi.k,) + pi.r
     states = []
-    for chi in set(itertools.permutations(sorted(chi_init(pi, pop).chi))):
+    for chi in set(itertools.permutations(sorted(_greedy_labels(pi, caps).tolist()))):
         if all(caps[i] >= a_ext[c] for i, c in enumerate(chi)):
             states.append((chi, math.prod(p ** a_ext[c] for p, c in zip(pop.probs, chi))))
     z = math.fsum(w for _, w in states)
@@ -452,16 +456,13 @@ def test_chain_agrees_with_exact_pass_over_dutch_replicates():
     assert math.sqrt(np.mean(np.square(errors))) <= 0.03
 
 
-def _members_swap_chain(start, cfg):
+def _members_swap_chain(chi, part, probs, caps, cfg):
     """The swap chain on one member list per class, tested for the retained
     step at every proposal: the reference for _run_swap_chain's flat slot
     list and retained-step segments, which must match it draw for draw."""
-    part, pop = start.partition, start.population
-    probs = pop.as_array()
     log_probs = np.log(probs).tolist()
-    caps = _support_caps(pop, start.strict_support).tolist()
+    caps = caps.tolist()
     a_ext = np.array((0,) + part.a)
-    chi = np.asarray(start.chi)
     members = [np.flatnonzero(chi == c).tolist() for c in range(a_ext.size)]
     sizes = np.array([len(ranks) for ranks in members])
     c_of, d_of = np.nonzero(np.triu(np.outer(sizes, sizes), k=1))
@@ -524,9 +525,9 @@ def chain_instances(draw):
         pi = IntegerPartition.from_block_sizes(sizes + [1])
     strict = draw(st.booleans())
     try:
-        start = chi_init(pi, pop, strict)
+        start = greedy_start(pi, pop, strict)
     except InfeasibleAssignmentError:
-        start = chi_init(IntegerPartition((1,), (1,)), pop)
+        start = greedy_start(IntegerPartition((1,), (1,)), pop)
     cfg = draw(st.sampled_from(SCHEDULES))
     return start, MhConfig(cfg.iterations, cfg.burn_in, cfg.thinning, seed=draw(st.integers(0, 999)))
 
@@ -536,15 +537,15 @@ class TestChainReference:
     @given(chain_instances())
     def test_matches_members_chain(self, instance):
         start, cfg = instance
-        trace, acceptance = _run_swap_chain(start, cfg)
-        expected_trace, expected_acceptance = _members_swap_chain(start, cfg)
+        trace, acceptance = _run_swap_chain(*start, cfg)
+        expected_trace, expected_acceptance = _members_swap_chain(*start, cfg)
         assert tuple(trace) == tuple(expected_trace)
         assert acceptance == expected_acceptance
 
     def test_frozen_start_matches(self):
-        start = chi_init(IntegerPartition((1,), (5,)), uniform_population(5))
+        start = greedy_start(IntegerPartition((1,), (5,)), uniform_population(5))
         cfg = MhConfig(16384, 0, 8192, seed=3)
-        assert _run_swap_chain(start, cfg) == _members_swap_chain(start, cfg)
+        assert _run_swap_chain(*start, cfg) == _members_swap_chain(*start, cfg)
 
 
 @pytest.mark.slow
@@ -553,7 +554,7 @@ def test_chain_matches_members_chain_at_scale():
     # ranks: a database of 18925 drawn from 100,000 people seated
     # under PD(0.51, 216)
     spec = ExperimentSpec(population=dutch_fixture(), replicates=24, seed=2024)
-    starts = [chi_init(db_plus, pop) for pop, db_plus in dutch_replicates(spec)]
+    starts = [greedy_start(db_plus, pop) for pop, db_plus in dutch_replicates(spec)]
     plan = crp_sample(100_000, PdParams(0.51, 216.0), seed=11)
     census = np.sort(plan.table_counts)[::-1]
     people = np.repeat(np.arange(census.size), census)
@@ -561,11 +562,11 @@ def test_chain_matches_members_chain_at_scale():
     sizes = np.bincount(drawn)
     db_plus = IntegerPartition.from_block_sizes(sizes[sizes > 0]).add_singleton()
     pop = PopulationVector(probs=tuple((census / census.sum()).tolist()), pop_size=100_000)
-    starts.append(chi_init(db_plus, pop))
-    assert starts[-1].population.m > 9_000
+    starts.append(greedy_start(db_plus, pop))
+    assert starts[-1][0].size > 9_000
     for k, start in enumerate(starts):
         cfg = MhConfig(seed=k)
-        assert _run_swap_chain(start, cfg) == _members_swap_chain(start, cfg)
+        assert _run_swap_chain(*start, cfg) == _members_swap_chain(*start, cfg)
 
 
 def brute_force_true_lr(pi, pop, strict_support=False):
@@ -737,7 +738,7 @@ class TestCountDual:
         log_w = _class_log_weights(part, np.log(pop.as_array()), _support_caps(pop, False))
 
         def dual(eta):
-            return _count_dual(eta, log_w, part.r)[:3]
+            return _count_dual(eta, log_w, part.r, np.ones(log_w.shape[0]))[:3]
 
         saddle = _newton(dual, np.zeros(len(part.r)))[0]
         rng = np.random.default_rng(3)

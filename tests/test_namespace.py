@@ -4,14 +4,14 @@ import json
 import subprocess
 import sys
 
-# what ``from raretype import *`` bound when the package imported every
+# what ``from raretype import *`` binds, as when the package imported every
 # submodule eagerly: the exported names plus the submodules themselves
 OLD_STAR_NAMES = sorted(
     """
-    AssignmentVector CaseOptions DUTCH_FIXTURE_METADATA ExperimentResult ExperimentSpec
+    CaseOptions DUTCH_FIXTURE_METADATA ExperimentResult ExperimentSpec
     InfeasibleAssignmentError IntegerPartition LoglikSurface LrReport MhConfig MleFit PdParams
     PopulationVector ProfileDatabase SaddleLrEstimate SeatingPlan SetPartition SurfaceGrid
-    SymmetryReport TrueLrEstimate as_integer_partition augment bell_number chi_init crp_sample
+    SymmetryReport TrueLrEstimate as_integer_partition augment bell_number crp_sample
     diff_metrics dutch_fixture enumerate_partitions eppf_log exact_true_lr fit_mle
     gem_stick_breaking load_profiles loglik_surface lr lr_empirical_bayes lr_frequentist
     lr_true_mh mle partitions phi_of pitman population_from_partition powerlaw_reference

@@ -567,6 +567,14 @@ class TestExperiment:
         out = tmp_path / "rows.csv"
         with out.open("w") as fh:
             result.write_rows_csv(fh)
-        lines = out.read_text().splitlines()
-        assert lines[0].startswith("replicate,alpha_hat,theta_hat,log10_lr")
-        assert len(lines) == 3
+        header, *lines = csv.reader(out.read_text().splitlines())
+        columns = [
+            "replicate", "alpha_hat", "theta_hat", "log10_lr", "log10_lr_true",
+            "log10_lr_freq", "diff1", "diff2", "log10_lr_true_se",
+        ]
+        assert header == columns
+        dumped = result.to_dict()["rows"]
+        assert len(lines) == len(dumped) == 2
+        for line, row in zip(lines, dumped):
+            assert list(row) == columns + ["notes"]
+            assert line == ["" if row[col] is None else repr(row[col]) for col in columns]
