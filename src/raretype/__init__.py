@@ -39,8 +39,6 @@ _EXPORTS = {
     "SetPartition": "partitions",
     "as_integer_partition": "partitions",
     "augment": "partitions",
-    "bell_number": "partitions",
-    "enumerate_partitions": "partitions",
     "reduce_sample": "partitions",
     "to_integer_partition": "partitions",
     "PdParams": "pitman",

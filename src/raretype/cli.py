@@ -16,8 +16,10 @@ import json
 import math
 import sys
 
+# the parser takes its chain defaults from MhConfig, so every subcommand
+# loads ``lr`` (and with it ``partitions`` and ``pitman``); the commands
+# that need ``mle`` or ``workbench`` import them themselves
 from .lr import MhConfig, lr_empirical_bayes, lr_frequentist, lr_true_mh
-from .mle import SurfaceGrid, fit_mle, loglik_surface, symmetry_diagnostic
 from .partitions import IntegerPartition, SetPartition, reduce_sample, to_integer_partition
 from .pitman import (
     PdParams,
@@ -26,15 +28,6 @@ from .pitman import (
     gem_stick_breaking,
     powerlaw_reference,
     ranked_frequencies,
-)
-from .workbench import (
-    DUTCH_FIXTURE_METADATA,
-    ExperimentSpec,
-    ProfileParseError,
-    dutch_fixture,
-    load_profiles,
-    population_from_partition,
-    run_experiment,
 )
 
 EXIT_OK = 0
@@ -107,6 +100,8 @@ def _load_population(args) -> PopulationVector:
             )
         return PopulationVector.from_dict(data)
     if args.population_from_partition:
+        from .workbench import population_from_partition
+
         return population_from_partition(_load_partition(args.population_from_partition))
     raise ValueError("a population is required: --population or --population-from-partition")
 
@@ -121,6 +116,8 @@ def _mh_config(args) -> MhConfig:
 
 
 def cmd_reduce(args) -> int:
+    from .workbench import load_profiles
+
     db = load_profiles(args.input, format=args.input_format, columns=_columns(args.columns))
     partition = reduce_sample(db.records)
     if args.integer:
@@ -136,6 +133,8 @@ def _columns(spec: str):
 
 
 def cmd_fit(args) -> int:
+    from .mle import fit_mle
+
     part = _load_partition(args.partition)
     fit = fit_mle(part, small_n_threshold=args.small_n_threshold)
     _json_only(args, fit.to_dict(), "fit")
@@ -235,6 +234,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_surface(args) -> int:
+    from .mle import SurfaceGrid, fit_mle, loglik_surface, symmetry_diagnostic
+
     part = _load_partition(args.partition)
     fit = fit_mle(part)
     if not fit.converged:
@@ -266,6 +267,8 @@ def cmd_surface(args) -> int:
 
 
 def cmd_experiment(args) -> int:
+    from .workbench import ExperimentSpec, dutch_fixture, run_experiment
+
     population = (
         _load_partition(args.population_partition) if args.population_partition else dutch_fixture()
     )
@@ -292,6 +295,8 @@ def cmd_experiment(args) -> int:
 
 
 def cmd_fixture(args) -> int:
+    from .workbench import DUTCH_FIXTURE_METADATA, dutch_fixture
+
     payload = dutch_fixture().to_dict()
     if args.with_meta:
         payload["metadata"] = DUTCH_FIXTURE_METADATA
@@ -400,7 +405,8 @@ def cli_dispatch(argv) -> int:
     except RuntimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (ProfileParseError, OSError, json.JSONDecodeError, ValueError, KeyError) as exc:
+    # a workbench.ProfileParseError is a ValueError
+    except (OSError, json.JSONDecodeError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

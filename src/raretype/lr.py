@@ -326,7 +326,8 @@ def lr_true_mh(
     greedy fill (``_greedy_labels``), which raises InfeasibleAssignmentError
     when no assignment fits the census; the estimate is s1 over the
     average total frequency of singleton-class ranks across retained
-    states. The final state is re-checked against the class counts and
+    states, with a batch-means SE, or 0 when every retained mass is the
+    same. The final state is re-checked against the class counts and
     census caps (``_check_assignment``).
     """
     part = as_integer_partition(pi_db_plus)
@@ -340,8 +341,13 @@ def lr_true_mh(
             f"(schedule keeps {cfg.n_retained})"
         )
     masses = np.array([s for _, s in trace])
-    mean_mass = float(masses.mean())
-    se_mass = _batch_means_stderr(masses)
+    if (masses == masses[0]).all():
+        # a chain that never left its state: its mass, with no spread, where
+        # the mean and the batch means would each round it differently
+        mean_mass, se_mass = float(masses[0]), 0.0
+    else:
+        mean_mass = float(masses.mean())
+        se_mass = _batch_means_stderr(masses)
     lr = part.s1 / mean_mass
     se_lr = part.s1 * se_mass / mean_mass**2
     return TrueLrEstimate(
@@ -468,6 +474,34 @@ def _class_probs(eta: np.ndarray, log_w: np.ndarray):
     return e0 / norm, e / norm[:, None], top + np.log(norm)
 
 
+# OpenBLAS runs a product on one thread only below a size threshold; above
+# it, in some processes, every product waits 8-24 ms for a second thread
+# (see the README's OpenBLAS note). The saddle route sums or stacks its
+# products over row chunks of at most OpenBLAS's default threshold in
+# multiply-adds, which sets no thread count.
+_ONE_THREAD_MADDS = 65536 * 4
+
+
+def _chunk_rows(per_row: int) -> int:
+    """Rows per chunk of a product costing ``per_row`` multiply-adds a row."""
+    return max(1, _ONE_THREAD_MADDS // per_row)
+
+
+def _gram(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a.T @ b over the shared first axis, summed over row chunks."""
+    rows = _chunk_rows(a[0].size * b[0].size)
+    out = a[:rows].T @ b[:rows]
+    for s in range(rows, len(a), rows):
+        out += a[s : s + rows].T @ b[s : s + rows]
+    return out
+
+
+def _row_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for a 2-d ``a``, stacked over row chunks of ``a``."""
+    rows = _chunk_rows(b.size)
+    return np.concatenate([a[s : s + rows] @ b for s in range(0, len(a), rows)])
+
+
 def _count_dual(eta: np.ndarray, log_w: np.ndarray, r, mult: np.ndarray):
     """The saddle-point dual sum_i mult_i log Z_i(eta) - eta . r with its
     gradient and Hessian: convex, its gradient the expected class counts
@@ -477,7 +511,7 @@ def _count_dual(eta: np.ndarray, log_w: np.ndarray, r, mult: np.ndarray):
     q0, q, log_norm = _class_probs(eta, log_w)
     mq = mult[:, None] * q
     expected = mq.sum(axis=0)
-    return mult @ log_norm - eta @ r, expected - r, np.diag(expected) - mq.T @ q, q0, q
+    return mult @ log_norm - eta @ r, expected - r, np.diag(expected) - _gram(mq, q), q0, q
 
 
 class _Tilt(NamedTuple):
@@ -518,11 +552,15 @@ def _tilt(groups: _RankGroups, r, eta: np.ndarray) -> _Tilt:
     """
     r = np.asarray(r, dtype=float)
     log_w, mult = groups.log_w, groups.mult
-    log_mult = np.log(mult)[:, None]
+    log_mult = np.log(mult)
 
     def sweep(eta):
-        # log q_gj + log m_g from the logits, so that no q underflows to 0 here
-        log_e = log_w + eta - _class_probs(eta, log_w)[2][:, None] + log_mult
+        # each row's log normaliser, as in _class_probs, then log q_gj + log m_g
+        # from the logits, so that no q underflows to 0 here
+        logits = log_w + eta
+        top = np.maximum(logits.max(axis=1), 0.0)
+        log_norm = top + np.log(np.exp(-top) + np.exp(logits - top[:, None]).sum(axis=1))
+        log_e = logits + (log_mult - log_norm)[:, None]
         top = log_e.max(axis=0)
         return eta + np.log(r) - top - np.log(np.exp(log_e - top).sum(axis=0))
 
@@ -672,7 +710,7 @@ def _saddle_masses(groups: _RankGroups, tilt: _Tilt) -> tuple[float, float]:
     scaled = sigma * np.outer(d, d) + _SADDLE_RIDGE * np.eye(d.size)
     s = d[:, None] * np.linalg.inv(scaled) * d
     # Cov(M, N_k) = sum_i p_i (q_i1 [k = 1] - q_i1 q_ik)
-    cov = -(mq[:, 0] * p) @ q
+    cov = -_gram(q, mq[:, 0] * p)
     cov[0] += first
     beta = s @ cov
     # a rank in class c adds u_c = p [c = 1] - beta_c to eps
@@ -681,11 +719,11 @@ def _saddle_masses(groups: _RankGroups, tilt: _Tilt) -> tuple[float, float]:
     qu = q * u
     qu_sum = qu.sum(axis=1)
     s_diag = np.diag(s)
-    qs = q @ s
+    qs = _row_product(q, s)
     # sum_jk S_jk kappa(eps_i, X_ij, X_ik) for one rank of each group, X one-hot
     kappa = (
-        qu @ s_diag
-        - qu_sum * (q @ s_diag)
+        _row_product(qu, s_diag)
+        - qu_sum * _row_product(q, s_diag)
         - 2.0 * (qs * qu).sum(axis=1)
         + 2.0 * qu_sum * (qs * q).sum(axis=1)
     )

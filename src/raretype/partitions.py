@@ -10,13 +10,13 @@ partitions keep only the multiset of block sizes in the compact (a, r)
 form: distinct sizes ``a`` (increasing) with repetition counts ``r``.
 
 All values are immutable after construction and safe to share between
-concurrent tasks. Enumeration streams are single-consumer generators.
+concurrent tasks.
 """
 from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass, field
-from typing import Hashable, Iterator, Sequence, Union
+from typing import Hashable, Sequence, Union
 
 import numpy as np
 
@@ -27,15 +27,7 @@ __all__ = [
     "augment",
     "to_integer_partition",
     "as_integer_partition",
-    "enumerate_partitions",
-    "bell_number",
-    "DEFAULT_ENUMERATION_CAP",
 ]
-
-# Bell numbers B_0..B_12; B_12 = 4,213,597 motivates the enumeration cap.
-_BELL = (1, 1, 2, 5, 15, 52, 203, 877, 4140, 21147, 115975, 678570, 4213597)
-
-DEFAULT_ENUMERATION_CAP = 12
 
 
 def _are_integers(values) -> bool:
@@ -43,24 +35,6 @@ def _are_integers(values) -> bool:
     Integral, while bool, which subclasses int, does not count. Checked
     once per distinct type, as an Integral check costs ~1 us a value."""
     return all(issubclass(t, numbers.Integral) and t is not bool for t in set(map(type, values)))
-
-
-def bell_number(n: int) -> int:
-    """Number of partitions of an n-element set."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if n < len(_BELL):
-        return _BELL[n]
-    # Bell triangle: each row starts with the previous row's last entry
-    row = [1]
-    bells = [1]
-    while len(bells) <= n:
-        nxt = [row[-1]]
-        for x in row:
-            nxt.append(nxt[-1] + x)
-        row = nxt
-        bells.append(row[0])
-    return bells[n]
 
 
 def _rgs_sizes(labels: Sequence[int]) -> np.ndarray:
@@ -239,27 +213,3 @@ def to_integer_partition(p: SetPartition) -> IntegerPartition:
 def as_integer_partition(p: Union[SetPartition, IntegerPartition]) -> IntegerPartition:
     """The block-size multiset of ``p``; integer partitions pass through."""
     return p if isinstance(p, IntegerPartition) else to_integer_partition(p)
-
-
-def enumerate_partitions(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> Iterator[SetPartition]:
-    """Yield every partition of {1..n} exactly once (Bell(n) of them).
-
-    Refuses n beyond ``cap``: Bell numbers grow superexponentially and the
-    stream is meant for brute-force normalization checks at small n.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if n > cap:
-        raise ValueError(f"n={n} exceeds enumeration cap {cap} (Bell({n}) partitions)")
-
-    def rec(labels: list[int], k: int) -> Iterator[SetPartition]:
-        if len(labels) == n:
-            yield SetPartition(tuple(labels))
-            return
-        # the next element joins one of the k blocks or opens block k+1
-        for label in range(1, k + 2):
-            labels.append(label)
-            yield from rec(labels, max(k, label))
-            labels.pop()
-
-    yield from rec([1], 1)

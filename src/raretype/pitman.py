@@ -20,10 +20,10 @@ not O(n + k), and a grid is a dense array of logs that numpy vectorises.
 ``eppf_log``, the start scan and the surface in ``mle`` evaluate it
 alone, the surface over a whole grid at once. The Newton search in
 ``mle`` calls one kernel that returns the value with the gradient and
-Hessian in (alpha, theta) from one pass. The derivatives stay direct
-sums over the n + k factors and the block sizes' max a - 1, because
-the digamma and trigamma differences that would close them cancel
-catastrophically once theta dwarfs the counts. The same law arises
+Hessian in (alpha, theta) from one pass. Its sums over the n - 1
+customers are digamma and trigamma differences arranged so that nothing
+cancels; those over the k tables and the block sizes' max a - 1 stay
+direct sums. The same law arises
 from the sequential seating scheme: customer n+1 opens a new table with
 probability (theta + k*alpha)/(n + theta) and joins table i with
 probability (n_i - alpha)/(n + theta). ``crp_sample`` runs it without a
@@ -315,17 +315,62 @@ def _block_dense(c, alpha):
     return float((c * logs).sum()), -float(weighted.sum()), -float((weighted / steps).sum())
 
 
+# ``_rising_sums`` adds its first terms one by one until x + i reaches this
+_SUMS_FROM = 16.0
+
+
+def _psi_tails(z: float) -> tuple[float, float]:
+    """T(z) = log z - 1/(2z) - psi(z) and U(z) = psi'(z) - 1/z - 1/(2z^2)
+    for z >= 16, each to its B_12 term (A&S 6.3.18, 6.4.12)."""
+    w = 1.0 / (z * z)
+    t = 1 / 240 - w * (1 / 132 - w * 691 / 32760)
+    t = w * (1 / 12 - w * (1 / 120 - w * (1 / 252 - w * t)))
+    u = 1 / 30 - w * (5 / 66 - w * 691 / 2730)
+    u = w / z * (1 / 6 - w * (1 / 30 - w * (1 / 42 - w * u)))
+    return t, u
+
+
+def _rising_sums(x: float, k: int) -> tuple[float, float]:
+    """sum_{i<k} 1/(x + i) and sum_{i<k} 1/(x + i)^2 for x > 0, k >= 0:
+    the first two x-derivatives of ``_log_rising(x, k)``, up to sign.
+
+    The terms below x + i = 16 are added directly. From there on the sums
+    are the differences psi(y) - psi(x) and psi'(x) - psi'(y), y = x + k,
+    of the asymptotic series (``_psi_tails``), arranged as
+    log1p(k/x) + k/(2xy) - (T(y) - T(x)) and
+    k/(xy) + k(x + y)/(2x^2 y^2) + (U(x) - U(y)). T and U fall with z, so
+    every part is positive and nothing cancels, whatever x and k; the
+    series' first omitted terms are below 3e-16 of the sums from z = 16.
+    Both stay within a few ulp of ``math.fsum`` over the terms.
+    """
+    head = []
+    while len(head) < k and x + len(head) < _SUMS_FROM:
+        head.append(x + len(head))
+    head1 = math.fsum(1.0 / z for z in head)
+    head2 = math.fsum(1.0 / (z * z) for z in head)
+    i = len(head)
+    if i == k:
+        return head1, head2
+    x, k = x + i, k - i
+    y = x + k
+    (t_x, u_x), (t_y, u_y) = _psi_tails(x), _psi_tails(y)
+    xy = x * y
+    sum1 = math.log1p(k / x) + k / (2.0 * xy) - (t_y - t_x)
+    sum2 = k / xy + k * (x + y) / (2.0 * xy * xy) + (u_x - u_y)
+    return head1 + sum1, head2 + sum2
+
+
 def _loglik_derivs(n, k, c, large, alpha, theta):
     """Partition log-likelihood with its gradient and Hessian in (alpha, theta).
 
     At one point the block-size term is cheapest as ``_block_dense`` (the
     large-size split, ``large``, serves grids only); the rising factorials
-    are ``_rising_terms``. The derivatives sum the n + k - 2 terms
-    i^p / (theta + alpha i)^q and 1 / (theta + i)^q, and the block sizes'
-    c_i / (i - alpha)^q, directly, each long array built once: the
-    digamma and trigamma differences that would close the long sums
-    cancel catastrophically once theta dwarfs the counts. Returns
-    (-inf, zeros, zeros) outside the open domain.
+    are ``_rising_terms``. The theta-derivatives of
+    log [theta+1]_{n-1;1} are ``_rising_sums``. The k - 1 terms
+    i^p / (theta + alpha i)^q and the block sizes' c_i / (i - alpha)^q are
+    summed directly, each array built once: the digamma forms of the
+    i-weighted sums cancel catastrophically once theta dwarfs the counts.
+    Returns (-inf, zeros, zeros) outside the open domain.
     """
     if not (0.0 < alpha < 1.0 and theta > -alpha) or not math.isfinite(theta):
         return -math.inf, np.zeros(2), np.zeros((2, 2))
@@ -342,9 +387,9 @@ def _loglik_derivs(n, k, c, large, alpha, theta):
         h_tt -= float(inv2.sum())
         h_at -= float((i * inv2).sum())
         h_aa -= float((i * i * inv2).sum())
-    customers = theta + np.arange(1.0, n)
-    g_theta -= float((1.0 / customers).sum())
-    h_tt += float((1.0 / customers**2).sum())
+    sum1, sum2 = _rising_sums(theta + 1.0, n - 1)
+    g_theta -= sum1
+    h_tt += sum2
     return val, np.array([g_alpha, g_theta]), np.array([[h_aa, h_at], [h_at, h_tt]])
 
 

@@ -25,12 +25,13 @@ from raretype.mle import fit_mle
 from raretype.partitions import (
     IntegerPartition,
     augment,
-    enumerate_partitions,
     reduce_sample,
     to_integer_partition,
 )
 from raretype.pitman import PdParams, PopulationVector, crp_sample, eppf_log
 from raretype.workbench import ExperimentSpec, dutch_fixture, run_experiment
+
+from enumeration import enumerate_partitions
 
 
 def _report(k: int, name: str, ok: bool, detail: str = "") -> None:

@@ -211,6 +211,24 @@ class TestDispatch:
         assert len(set(masses)) > 1
         assert float(np.mean(masses)) == payload["mean_singleton_mass"]
 
+    def test_true_lr_constant_chain_has_no_error_bar(self, capsys, tmp_path):
+        # the fixture's own census supports one assignment only: every
+        # proposal is rejected and every retained mass is the same
+        dutch = tmp_path / "dutch.json"
+        assert cli_dispatch(["fixture", "--quiet", "--out", str(dutch)]) == 0
+        code = cli_dispatch(
+            [
+                "true-lr", "--partition", str(dutch), "--population-from-partition", str(dutch),
+                "--iterations", "5000", "--burn-in", "1000", "--thinning", "100",
+                "--seed", "1", "--quiet",
+            ]
+        )
+        assert code == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["acceptance_rate"] == 0.0
+        assert payload["stderr"] == 0.0 and payload["log10_stderr"] == 0.0
+        assert payload["lr"] == 356 / payload["mean_singleton_mass"]
+
     def test_surface_csv(self, capsys, tmp_path):
         part = tmp_path / "part.json"
         part.write_text(json.dumps({"a": [1, 2, 4, 8], "r": [20, 6, 2, 1]}))
@@ -268,6 +286,20 @@ def test_chain_option_defaults_are_the_config_defaults(argv):
         defaults.burn_in,
         defaults.thinning,
     )
+
+
+def test_lr_loads_neither_the_fit_nor_the_workbench():
+    code = (
+        "import json, sys; from raretype.cli import cli_dispatch; "
+        "code = cli_dispatch(['lr', '--n', '18925', '--alpha', '0.51', '--theta', '216', '--quiet']); "
+        "print(json.dumps([code, sorted(m for m in sys.modules if m.startswith('raretype.') "
+        "or m == 'concurrent.futures')]))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    code, loaded = json.loads(out.stdout.splitlines()[-1])
+    assert code == 0
+    assert loaded == ["raretype.cli", "raretype.lr", "raretype.partitions", "raretype.pitman", "raretype.rng"]
 
 
 def test_import_loads_no_optimizer_library():

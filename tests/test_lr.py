@@ -23,14 +23,18 @@ from raretype import lr
 from raretype.lr import (
     _BLOCK,
     _EXACT_STATE_BUDGET,
+    _ONE_THREAD_MADDS,
     SADDLE_LOG10_BOUND,
     _check_assignment,
+    _chunk_rows,
     _class_log_weights,
     _class_probs,
     _count_dual,
     _exact_states,
+    _gram,
     _greedy_labels,
     _rank_groups,
+    _row_product,
     _run_swap_chain,
     _support_caps,
     _tilt,
@@ -754,6 +758,23 @@ class TestCountDual:
             scale = np.abs(h).max()
             assert np.abs(g - fd_g).max() <= 1e-6 * max(scale, 1.0)
             assert np.abs(h - fd_h).max() <= 1e-6 * scale
+
+
+def test_saddle_products_run_in_small_chunks():
+    # the casework shapes: 244 rank groups by 90 classes
+    rng = np.random.default_rng(5)
+    a, b, s = rng.random((244, 90)), rng.random((244, 90)), rng.random((90, 90))
+    for got, want in (
+        (_gram(a, b), a.T @ b),
+        (_gram(a, b[:, 0]), a.T @ b[:, 0]),
+        (_row_product(a, s), a @ s),
+        (_row_product(a, s[0]), a @ s[0]),
+    ):
+        np.testing.assert_allclose(got, want, rtol=1e-13)
+    # so a 90x90 product over 244 rows takes several chunks, each within
+    # OpenBLAS's default single-thread threshold
+    rows = _chunk_rows(90 * 90)
+    assert rows < 244 and rows * 90 * 90 <= _ONE_THREAD_MADDS == 65536 * 4
 
 
 @st.composite

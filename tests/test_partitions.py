@@ -9,12 +9,12 @@ from raretype.partitions import (
     SetPartition,
     as_integer_partition,
     augment,
-    bell_number,
-    enumerate_partitions,
     reduce_sample,
     to_integer_partition,
 )
 from raretype.pitman import PdParams, crp_sample
+
+from enumeration import bell_number, enumerate_partitions
 
 # worked example used throughout: ten draws with six distinct values
 EXAMPLE_SAMPLE = (2, 4, 2, 4, 3, 3, 10, 13, 5, 4)

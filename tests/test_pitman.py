@@ -9,7 +9,6 @@ from raretype.partitions import (
     IntegerPartition,
     SetPartition,
     augment,
-    enumerate_partitions,
     reduce_sample,
     to_integer_partition,
 )
@@ -23,6 +22,7 @@ from raretype.pitman import (
     _log_rising,
     _loglik_terms,
     _opening_thresholds,
+    _rising_sums,
     crp_sample,
     eppf_log,
     gem_stick_breaking,
@@ -30,6 +30,8 @@ from raretype.pitman import (
     ranked_frequencies,
 )
 from raretype.rng import as_generator
+
+from enumeration import enumerate_partitions
 
 PARAM_GRID = [PdParams(a, t) for a in (0.2, 0.5, 0.8) for t in (-0.1, 1.0, 50.0)]
 
@@ -164,6 +166,24 @@ class TestLogRising:
         x = np.array([1e-6, 0.5, 9.999, 10.0, 216.0, 1e9])
         k = np.array([3, 0, 7, 1, 18924, 3750])
         assert _log_rising(x, k).tolist() == [float(_log_rising(a, b)) for a, b in zip(x, k)]
+
+
+class TestRisingSums:
+    # from theta = -alpha (alpha = 0.51) over a grid that crosses the
+    # direct head's end at theta + 1 = 16, out to theta >> n
+    THETAS = [-0.51 + 1e-9, -0.5, *np.linspace(0.0, 30.0, 121).tolist(), 204.85, 1e3, 1e5, 1e8]
+
+    @pytest.mark.parametrize("n", [2, 3, 17, 18, 101, 2086, 18926])
+    def test_matches_fsum_over_the_terms(self, n):
+        for theta in self.THETAS:
+            sum1, sum2 = _rising_sums(theta + 1.0, n - 1)
+            want1 = math.fsum(1.0 / (theta + i) for i in range(1, n))
+            want2 = math.fsum(1.0 / (theta + i) ** 2 for i in range(1, n))
+            assert abs(sum1 - want1) <= 1e-15 * want1, (theta, n)
+            assert abs(sum2 - want2) <= 1e-15 * want2, (theta, n)
+
+    def test_no_terms(self):
+        assert _rising_sums(0.3, 0) == _rising_sums(1e8, 0) == (0.0, 0.0)
 
 
 @st.composite

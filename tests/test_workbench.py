@@ -11,7 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from raretype.lr import MhConfig
 from raretype.mle import fit_mle
-from raretype.partitions import IntegerPartition, reduce_sample
+from raretype.partitions import IntegerPartition, reduce_sample, to_integer_partition
 from raretype.pitman import PdParams, PopulationVector, crp_sample
 from raretype.rng import spawn_seeds
 from raretype.workbench import (
@@ -24,6 +24,7 @@ from raretype.workbench import (
     MissingColumnError,
     ProfileParseError,
     RaggedRowError,
+    _as_db_partition,
     _worker_count,
     dutch_fixture,
     load_profiles,
@@ -132,6 +133,15 @@ class TestLoadProfiles:
                 for columns in ("all", ["L2"]):
                     with pytest.raises(RaggedRowError, match=rf"^{path}:{where}$"):
                         load_profiles(path, columns=columns)
+
+    def test_width_one_ragged_rows(self, tmp_path):
+        # at width 1 a blank line has one field fewer, not zero separators too many
+        for body, where in (("x\n\nx\n", "3: expected 1 fields, found 0"),
+                            ("x\nx\ty\n", "3: expected 1 fields, found 2")):
+            for ending in ("\n", "\r\n"):
+                path = write(tmp_path / "db.tsv", ("L1\n" + body).replace("\n", ending))
+                with pytest.raises(RaggedRowError, match=rf"^{path}:{where}$"):
+                    load_profiles(path)
 
     def test_csv_error_is_a_parse_error(self, tmp_path):
         # unquoted, the same field would take the plain reader, which has no limit
@@ -263,6 +273,31 @@ def test_loader_agrees_with_the_csv_reader_loop(tmp_path_factory, text, format, 
         assert got[1].startswith(f"{path}:") and got[1].endswith(f": {want[1]}")
     else:
         assert got == want
+
+
+@st.composite
+def counted_tables(draw):
+    """A well-formed table with repeated rows, for either reader (LF
+    takes the plain one, CRLF the csv one), and a nonempty column choice."""
+    header = NAMES[: draw(st.integers(1, 3))]
+    row = st.lists(st.sampled_from(["x", "y", "7", "xy"]), min_size=len(header), max_size=len(header))
+    rows = draw(st.lists(row, min_size=1, max_size=40))
+    delimiter = draw(st.sampled_from(["\t", ","]))
+    ending = draw(st.sampled_from(["\n", "\r\n"]))
+    text = "".join(delimiter.join(fields) + ending for fields in [header, *rows])
+    columns = draw(st.one_of(st.just("all"), st.lists(st.sampled_from(header), min_size=1, unique=True)))
+    return text, "tsv" if delimiter == "\t" else "csv", columns
+
+
+@settings(max_examples=150, deadline=None)
+@given(table=counted_tables())
+def test_case_partition_counts_the_records(tmp_path_factory, table):
+    text, format, columns = table
+    path = str(tmp_path_factory.getbasetemp() / "counted.txt")
+    with open(path, "w", newline="") as fh:
+        fh.write(text)
+    db = load_profiles(path, format, columns)
+    assert _as_db_partition(db) == to_integer_partition(reduce_sample(db.records))
 
 
 class TestDutchFixture:
