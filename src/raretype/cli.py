@@ -2,16 +2,17 @@
 
 Subcommands: reduce, fit, lr, true-lr, freq-lr, simulate, surface,
 experiment, fixture. Every stochastic command takes --seed and is
-byte-reproducible for a given seed. Structured payloads (JSON at full
-precision, CSV for tabular data) go to stdout or --out; a short human
-summary with 4 significant digits goes to stderr unless --quiet.
+byte-reproducible for a given seed. Each command builds one payload,
+which goes to stdout or --out as JSON at full precision or, with
+--format csv, as one line per record under the records' keys; payloads
+that nest lists or dicts are JSON only. A short human summary with 4
+significant digits goes to stderr unless --quiet.
 
 Exit codes: 0 success, 2 bad input, 3 non-convergence or infeasibility.
 """
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import math
 import sys
@@ -44,22 +45,30 @@ def _say(args, message: str) -> None:
         print(message, file=sys.stderr)
 
 
-def _emit(args, text: str) -> None:
+def _cell(v) -> str:
+    if v is None:
+        return ""
+    return json.dumps(v) if isinstance(v, bool) else repr(v)
+
+
+def _emit(args, payload, table=None) -> None:
+    """Write ``payload`` as JSON, or its records as CSV: ``table`` if
+    given, else the payload itself (a record or a list of records)."""
+    if args.format == "json":
+        text = json.dumps(payload, indent=2) + "\n"
+    else:
+        records = table if table is not None else payload
+        if isinstance(records, dict):
+            records = [records]
+        if any(isinstance(v, (list, dict)) for rec in records for v in rec.values()):
+            raise ValueError(f"{args.command} output is JSON only")
+        lines = [",".join(records[0])] + [",".join(map(_cell, rec.values())) for rec in records]
+        text = "\n".join(lines) + "\n"
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _emit_json(args, payload) -> None:
-    _emit(args, json.dumps(payload, indent=2) + "\n")
-
-
-def _json_only(args, payload, name: str) -> None:
-    if args.format == "csv":
-        raise ValueError(f"{name} output is JSON only")
-    _emit_json(args, payload)
 
 
 def _is_a(x, kind) -> bool:
@@ -120,10 +129,7 @@ def cmd_reduce(args) -> int:
 
     db = load_profiles(args.input, format=args.input_format, columns=_columns(args.columns))
     partition = reduce_sample(db.records)
-    if args.integer:
-        _json_only(args, to_integer_partition(partition).to_dict(), "reduce")
-    else:
-        _json_only(args, partition.to_dict(), "reduce")
+    _emit(args, (to_integer_partition(partition) if args.integer else partition).to_dict())
     _say(args, f"reduced {db.n} records to {partition.k} blocks")
     return EXIT_OK
 
@@ -137,7 +143,7 @@ def cmd_fit(args) -> int:
 
     part = _load_partition(args.partition)
     fit = fit_mle(part, small_n_threshold=args.small_n_threshold)
-    _json_only(args, fit.to_dict(), "fit")
+    _emit(args, fit.to_dict())
     if not fit.converged:
         _say(args, f"fit did not converge: {fit.diagnosis}")
         return EXIT_NUMERIC
@@ -152,11 +158,7 @@ def cmd_fit(args) -> int:
 def cmd_lr(args) -> int:
     params = PdParams(alpha=args.alpha, theta=args.theta)
     lr = lr_empirical_bayes(args.n, params)
-    payload = {"lr": lr, "log10_lr": math.log10(lr)}
-    if args.format == "csv":
-        _emit(args, "lr,log10_lr\n" + f"{lr!r},{math.log10(lr)!r}\n")
-    else:
-        _emit_json(args, payload)
+    _emit(args, {"lr": lr, "log10_lr": math.log10(lr)})
     _say(args, f"log10 LR = {_fmt(math.log10(lr))} (LR = {_fmt(lr)})")
     return EXIT_OK
 
@@ -170,15 +172,7 @@ def cmd_true_lr(args) -> int:
             fh.write("step,singleton_mass\n")
             for step, mass in est.trace:
                 fh.write(f"{step},{mass!r}\n")
-    if args.format == "csv":
-        _emit(
-            args,
-            "lr,log10_lr,stderr,log10_stderr,acceptance_rate,n_retained\n"
-            f"{est.lr!r},{est.log10_lr!r},{est.stderr!r},{est.log10_stderr!r},"
-            f"{est.acceptance_rate!r},{est.n_retained}\n",
-        )
-    else:
-        _emit_json(args, est.to_dict())
+    _emit(args, est.to_dict())
     _say(
         args,
         f"log10 LR|p = {_fmt(est.log10_lr)} +/- {_fmt(est.log10_stderr)} "
@@ -190,10 +184,7 @@ def cmd_true_lr(args) -> int:
 def cmd_freq_lr(args) -> int:
     pop = _load_population(args)
     lr = lr_frequentist(pop, args.rank)
-    if args.format == "csv":
-        _emit(args, "lr,log10_lr\n" + f"{lr!r},{math.log10(lr)!r}\n")
-    else:
-        _emit_json(args, {"lr": lr, "log10_lr": math.log10(lr)})
+    _emit(args, {"lr": lr, "log10_lr": math.log10(lr)})
     _say(args, f"log10 LR_f = {_fmt(math.log10(lr))}")
     return EXIT_OK
 
@@ -212,23 +203,11 @@ def cmd_simulate(args) -> int:
         pop = gem_stick_breaking(params, args.m, seed=args.seed)
         freqs = pop.as_array()
         note = f"stick-breaking draw of length {args.m}, tail mass {_fmt(pop.tail_mass)}"
-    ranks = range(1, len(freqs) + 1)
+    rows = [{"rank": i, "rel_freq": f} for i, f in enumerate(freqs.tolist(), start=1)]
     if args.powerlaw:
-        ref = dict(powerlaw_reference(params.alpha, ranks))
-        rows = [(i, float(freqs[i - 1]), ref[i]) for i in ranks]
-        header = "rank,rel_freq,ref_value"
-        lines = [f"{i},{f!r},{v!r}" for i, f, v in rows]
-    else:
-        header = "rank,rel_freq"
-        lines = [f"{i},{float(freqs[i - 1])!r}" for i in ranks]
-    if args.format == "json":
-        if args.powerlaw:
-            payload = [{"rank": i, "rel_freq": f, "ref_value": v} for i, f, v in rows]
-        else:
-            payload = [{"rank": i, "rel_freq": float(freqs[i - 1])} for i in ranks]
-        _emit_json(args, payload)
-    else:
-        _emit(args, header + "\n" + "\n".join(lines) + "\n")
+        for row, (_, ref) in zip(rows, powerlaw_reference(params.alpha, range(1, len(rows) + 1))):
+            row["ref_value"] = ref
+    _emit(args, rows)
     _say(args, note)
     return EXIT_OK
 
@@ -245,22 +224,25 @@ def cmd_surface(args) -> int:
         n_phi=args.n_phi, n_theta=args.n_theta, half_width_sd=args.half_width_sd
     )
     surface = loglik_surface(part, fit, grid)
-    if args.format == "json":
-        payload = {
-            "mode": list(surface.mode),
-            "hessian": surface.hessian.tolist(),
-            "covariance": surface.covariance.tolist(),
-            "rows": [
-                {"phi": p, "theta": t, "rel_loglik": (r if ok else None), "gauss_overlay": o, "valid": ok}
-                for p, t, r, o, ok in surface.iter_rows()
-            ],
-            "metadata": surface.metadata,
-        }
-        _emit_json(args, payload)
-    else:
-        buf = io.StringIO()
-        surface.write_csv(buf)
-        _emit(args, buf.getvalue())
+    thetas = surface.theta.tolist()
+    rows = [
+        {"phi": p, "theta": t, "rel_loglik": r if ok else None, "gauss_overlay": o, "valid": ok}
+        for p, rels, overlays, valid in zip(
+            surface.phi.tolist(),
+            surface.rel_loglik.tolist(),
+            surface.gauss_overlay.tolist(),
+            surface.valid.tolist(),
+        )
+        for t, r, o, ok in zip(thetas, rels, overlays, valid)
+    ]
+    payload = {
+        "mode": list(surface.mode),
+        "hessian": surface.hessian.tolist(),
+        "covariance": surface.covariance.tolist(),
+        "rows": rows,
+        "metadata": surface.metadata,
+    }
+    _emit(args, payload, rows)
     report = symmetry_diagnostic(surface)
     _say(args, f"asymmetry score {_fmt(report.score)} over {report.pairs_checked} offset pairs")
     return EXIT_OK
@@ -281,12 +263,8 @@ def cmd_experiment(args) -> int:
         strict_support=args.strict_support,
     )
     result = run_experiment(spec)
-    if args.format == "csv":
-        buf = io.StringIO()
-        result.write_rows_csv(buf)
-        _emit(args, buf.getvalue())
-    else:
-        _emit_json(args, result.to_dict())
+    payload = result.to_dict()
+    _emit(args, payload, [{k: v for k, v in row.items() if k != "notes"} for row in payload["rows"]])
     for col in ("log10_lr", "log10_lr_true", "log10_lr_freq", "diff1", "diff2"):
         if col in result.summary:
             s = result.summary[col]
@@ -300,7 +278,7 @@ def cmd_fixture(args) -> int:
     payload = dutch_fixture().to_dict()
     if args.with_meta:
         payload["metadata"] = DUTCH_FIXTURE_METADATA
-    _json_only(args, payload, "fixture")
+    _emit(args, payload)
     return EXIT_OK
 
 

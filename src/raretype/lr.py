@@ -65,7 +65,7 @@ import numpy as np
 
 from .partitions import IntegerPartition, SetPartition, _are_integers, as_integer_partition
 from .pitman import PdParams, PopulationVector
-from .rng import SeedLike, as_generator
+from .rng import SeedLike
 
 __all__ = [
     "InfeasibleAssignmentError",
@@ -246,7 +246,7 @@ def _run_swap_chain(
     if c_of.size == 0:
         # no cross-class pair exists: the start is the whole constraint set
         return [(t, singleton_mass()) for t in retained], 0.0
-    rng = as_generator(cfg.seed)
+    rng = np.random.default_rng(cfg.seed)
 
     def draw_block(block: int):
         pair = np.searchsorted(cum, rng.random(block), side="right")

@@ -380,23 +380,6 @@ class LoglikSurface:
     covariance: np.ndarray
     metadata: dict = field(default_factory=dict)
 
-    def iter_rows(self):
-        for i, phi in enumerate(self.phi):
-            for j, theta in enumerate(self.theta):
-                yield (
-                    float(phi),
-                    float(theta),
-                    float(self.rel_loglik[i, j]),
-                    float(self.gauss_overlay[i, j]),
-                    bool(self.valid[i, j]),
-                )
-
-    def write_csv(self, fh) -> None:
-        fh.write("phi,theta,rel_loglik,gauss_overlay,valid\n")
-        for phi, theta, rel, overlay, ok in self.iter_rows():
-            rel_s = repr(rel) if ok else ""
-            fh.write(f"{phi!r},{theta!r},{rel_s},{overlay!r},{str(ok).lower()}\n")
-
 
 def loglik_surface(
     pi: Union[IntegerPartition, SetPartition],

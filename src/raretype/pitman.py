@@ -52,7 +52,7 @@ from .partitions import (
     as_integer_partition,
     reduce_sample,
 )
-from .rng import SeedLike, as_generator
+from .rng import SeedLike
 
 __all__ = [
     "PdParams",
@@ -449,7 +449,7 @@ def crp_sample(n: int, params: PdParams, seed: SeedLike = None) -> SeatingPlan:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    rng = as_generator(seed)
+    rng = np.random.default_rng(seed)
     alpha, theta = params.alpha, params.theta
     u = rng.random(n - 1) * (np.arange(1, n) + theta)  # u[t - 1] is customer t+1's
     levels = theta + np.arange(n) * alpha
@@ -491,7 +491,7 @@ def gem_stick_breaking(params: PdParams, m: int, seed: SeedLike = None) -> Popul
     """
     if m < 1:
         raise ValueError("truncation length must be >= 1")
-    rng = as_generator(seed)
+    rng = np.random.default_rng(seed)
     i = np.arange(1, m + 1, dtype=float)
     v = rng.beta(1.0 - params.alpha, params.theta + i * params.alpha)
     leftovers = np.concatenate(([1.0], np.cumprod(1.0 - v)[:-1]))

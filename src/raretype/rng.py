@@ -15,13 +15,6 @@ import numpy as np
 SeedLike = Union[None, int, Sequence[int], np.random.SeedSequence, np.random.Generator]
 
 
-def as_generator(seed: SeedLike = None) -> np.random.Generator:
-    """Return a PCG64 Generator for ``seed``; Generators pass through."""
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
-
-
 def spawn_seeds(seed: SeedLike, n: int) -> list[np.random.SeedSequence]:
     """Split ``seed`` into ``n`` independent child seeds.
 

@@ -44,7 +44,7 @@ from .partitions import (
     to_integer_partition,
 )
 from .pitman import PopulationVector
-from .rng import SeedLike, as_generator, spawn_seeds
+from .rng import SeedLike, spawn_seeds
 
 __all__ = [
     "ProfileParseError",
@@ -374,7 +374,6 @@ class ExperimentSpec:
     seed: SeedLike = None
     mh: MhConfig = MhConfig()
     strict_support: bool = False
-    max_conditioning_attempts: int = 10_000
 
     def __post_init__(self) -> None:
         if self.sample_size < 2:
@@ -486,16 +485,6 @@ class ExperimentResult:
             "summary": {col: s.to_dict() for col, s in self.summary.items()},
         }
 
-    def write_rows_csv(self, fh) -> None:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(_OUTPUT_COLUMNS)
-        for r in self.rows:
-            writer.writerow([_csv_cell(getattr(r, col)) for col in _OUTPUT_COLUMNS])
-
-
-def _csv_cell(v):
-    return "" if v is None else repr(v)
-
 
 def _experiment_population(spec: ExperimentSpec) -> tuple[PopulationVector, np.ndarray]:
     if isinstance(spec.population, IntegerPartition):
@@ -515,6 +504,11 @@ def _experiment_population(spec: ExperimentSpec) -> tuple[PopulationVector, np.n
     return pop, counts
 
 
+# draws per replicate before a population counts as too concentrated for
+# the suspect's type to go unseen
+_CONDITIONING_ATTEMPTS = 10_000
+
+
 def _run_replicate(
     spec: ExperimentSpec,
     pop: PopulationVector,
@@ -523,9 +517,9 @@ def _run_replicate(
     seed: np.random.SeedSequence,
 ) -> ExperimentRow:
     sample_seed, mh_seed = seed.spawn(2)
-    rng = as_generator(sample_seed)
+    rng = np.random.default_rng(sample_seed)
     individuals = np.repeat(np.arange(1, pop.m + 1), counts)
-    for _ in range(spec.max_conditioning_attempts):
+    for _ in range(_CONDITIONING_ATTEMPTS):
         drawn = rng.choice(individuals, size=spec.sample_size, replace=False)
         suspect = int(drawn[-1])
         db_ranks = drawn[:-1]
@@ -533,7 +527,7 @@ def _run_replicate(
             break
     else:
         raise RuntimeError(
-            f"rare-type conditioning failed in {spec.max_conditioning_attempts} attempts: "
+            f"rare-type conditioning failed in {_CONDITIONING_ATTEMPTS} attempts: "
             "population too concentrated"
         )
     type_counts = np.bincount(db_ranks)

@@ -1,3 +1,5 @@
+import argparse
+import csv
 import json
 import subprocess
 import sys
@@ -7,6 +9,7 @@ import pytest
 
 from raretype.cli import _build_parser, cli_dispatch
 from raretype.lr import MhConfig
+from raretype.workbench import dutch_fixture
 
 
 def run_cli(argv, **kwargs):
@@ -242,6 +245,117 @@ class TestDispatch:
         lines = capsys.readouterr().out.splitlines()
         assert lines[0] == "phi,theta,rel_loglik,gauss_overlay,valid"
         assert len(lines) == 26
+
+
+def _run(capsys, argv, fmt):
+    code = cli_dispatch([*argv, "--format", fmt, "--quiet"])
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def _cell(v):
+    # the CSV rule: None is empty, a bool is JSON's true/false, anything else its repr
+    return "" if v is None else json.dumps(v) if isinstance(v, bool) else repr(v)
+
+
+@pytest.fixture
+def inputs(tmp_path):
+    files = {
+        "part": {"a": [1, 2, 4, 8], "r": [20, 6, 2, 1]},
+        "dutch": dutch_fixture().to_dict(),
+        "db": {"a": [1, 2], "r": [3, 2]},
+        "pop": {"probs": [0.3, 0.2, 0.15, 0.1, 0.1, 0.05, 0.05, 0.05], "pop_size": 200},
+    }
+    paths = {}
+    for name, payload in files.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(payload))
+    paths["profiles"] = tmp_path / "profiles.tsv"
+    paths["profiles"].write_text("L1\tL2\na\tb\nc\td\nc\td\ne\tf\n")
+    return {name: str(path) for name, path in paths.items()}
+
+
+TRUE_LR = ["true-lr", "--partition", "{db}", "--population", "{pop}", "--iterations", "5000",
+           "--burn-in", "500", "--thinning", "50", "--seed", "11"]
+# every subcommand, and whether its payload nests lists or dicts
+SUBCOMMANDS = [
+    (["reduce", "--input", "{profiles}", "--integer"], True),
+    (["fit", "--partition", "{part}"], True),
+    (["fixture"], True),
+    (["lr", "--n", "100", "--alpha", "0.5", "--theta", "10"], False),
+    (TRUE_LR, False),
+    (["freq-lr", "--population", "{pop}", "--rank", "3"], False),
+    (["simulate", "--mode", "gem", "--m", "40", "--alpha", "0.5", "--theta", "10", "--seed", "3",
+      "--powerlaw"], False),
+    # 6 sd wide, so some points are invalid and write an empty rel_loglik
+    (["surface", "--partition", "{dutch}", "--n-phi", "21", "--n-theta", "21",
+      "--half-width-sd", "6"], False),
+    (["experiment", "--sample-size", "31", "--replicates", "2", "--seed", "99",
+      "--iterations", "3000", "--burn-in", "500", "--thinning", "50"], False),
+]
+EXPERIMENT_COLUMNS = [
+    "replicate", "alpha_hat", "theta_hat", "log10_lr", "log10_lr_true",
+    "log10_lr_freq", "diff1", "diff2", "log10_lr_true_se",
+]
+
+
+class TestCsvPayloads:
+    def test_every_subcommand_is_covered(self):
+        parser = _build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        assert sorted(argv[0] for argv, _ in SUBCOMMANDS) == sorted(sub.choices)
+
+    @pytest.mark.parametrize("argv, json_only", SUBCOMMANDS, ids=[a[0] for a, _ in SUBCOMMANDS])
+    def test_csv_rows_are_the_json_records(self, capsys, monkeypatch, inputs, argv, json_only):
+        monkeypatch.setenv("RARETYPE_THREADS", "1")
+        argv = [arg.format(**inputs) for arg in argv]
+        code, out, _ = _run(capsys, argv, "json")
+        assert code == 0
+        payload = json.loads(out)
+        code, out, err = _run(capsys, argv, "csv")
+        if json_only:
+            assert (code, out) == (2, "")
+            assert err == f"error: {argv[0]} output is JSON only\n"
+            return
+        assert code == 0
+        if isinstance(payload, list):
+            records = payload
+        else:
+            records = payload.get("rows", [payload])
+        # experiment's CSV rows leave out their notes
+        records = [{k: v for k, v in rec.items() if k != "notes"} for rec in records]
+        header, *lines = csv.reader(out.splitlines())
+        assert header == list(records[0])
+        assert lines == [[_cell(v) for v in rec.values()] for rec in records]
+
+    def test_true_lr_csv_header_is_the_json_keys(self, capsys, inputs):
+        argv = [arg.format(**inputs) for arg in TRUE_LR]
+        keys = list(json.loads(_run(capsys, argv, "json")[1]))
+        header = _run(capsys, argv, "csv")[1].splitlines()[0]
+        assert header.split(",") == keys
+        assert "mean_singleton_mass" in keys
+
+    def test_surface_csv_shape(self, capsys, inputs):
+        argv = ["surface", "--partition", inputs["dutch"], "--n-phi", "5", "--n-theta", "5",
+                "--half-width-sd", "1.0"]
+        rows = json.loads(_run(capsys, argv, "json")[1])["rows"]
+        header, *lines = csv.reader(_run(capsys, argv, "csv")[1].splitlines())
+        assert header == ["phi", "theta", "rel_loglik", "gauss_overlay", "valid"]
+        assert len(lines) == len(rows) == 25
+        for line, row in zip(lines, rows):
+            assert line == [_cell(row[col]) for col in header]
+
+    def test_experiment_rows_csv_shape(self, capsys, monkeypatch):
+        monkeypatch.setenv("RARETYPE_THREADS", "1")
+        argv = ["experiment", "--sample-size", "31", "--replicates", "2", "--seed", "99",
+                "--iterations", "3000", "--burn-in", "500", "--thinning", "50"]
+        dumped = json.loads(_run(capsys, argv, "json")[1])["rows"]
+        header, *lines = csv.reader(_run(capsys, argv, "csv")[1].splitlines())
+        assert header == EXPERIMENT_COLUMNS
+        assert len(lines) == len(dumped) == 2
+        for line, row in zip(lines, dumped):
+            assert list(row) == EXPERIMENT_COLUMNS + ["notes"]
+            assert line == ["" if row[col] is None else repr(row[col]) for col in EXPERIMENT_COLUMNS]
 
 
 @pytest.mark.slow

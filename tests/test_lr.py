@@ -42,7 +42,7 @@ from raretype.lr import (
 from raretype.mle import _newton
 from raretype.partitions import IntegerPartition
 from raretype.pitman import PdParams, PopulationVector, crp_sample
-from raretype.rng import as_generator, spawn_seeds
+from raretype.rng import spawn_seeds
 from raretype.workbench import (
     ExperimentSpec,
     _experiment_population,
@@ -479,7 +479,7 @@ def _members_swap_chain(chi, part, probs, caps, cfg):
     retained = range(cfg.burn_in + cfg.thinning, cfg.iterations + 1, cfg.thinning)
     if c_of.size == 0:
         return [(t, singleton_mass()) for t in retained], 0.0
-    rng = as_generator(cfg.seed)
+    rng = np.random.default_rng(cfg.seed)
     trace = []
     accepted = 0
     for t0 in range(0, cfg.iterations, _BLOCK):

@@ -511,15 +511,6 @@ class TestSurface:
         with pytest.raises(ValueError):
             SurfaceGrid(half_width_sd=0)
 
-    def test_csv_shape(self, dutch_fit, tmp_path):
-        surf = loglik_surface(dutch_fixture(), dutch_fit, SurfaceGrid(5, 5, 1.0))
-        out = tmp_path / "surface.csv"
-        with out.open("w") as fh:
-            surf.write_csv(fh)
-        lines = out.read_text().splitlines()
-        assert lines[0] == "phi,theta,rel_loglik,gauss_overlay,valid"
-        assert len(lines) == 1 + 25
-
 
 def _quadratic_surface(c=0.0):
     phis = np.linspace(-1, 1, 9)

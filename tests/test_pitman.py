@@ -29,7 +29,6 @@ from raretype.pitman import (
     powerlaw_reference,
     ranked_frequencies,
 )
-from raretype.rng import as_generator
 
 from enumeration import enumerate_partitions
 
@@ -241,7 +240,7 @@ class TestBlockTerm:
 
 def _loop_crp_sample(n, params, seed=None):
     """Reference: the seating scheme one customer at a time."""
-    rng = as_generator(seed)
+    rng = np.random.default_rng(seed)
     alpha, theta = params.alpha, params.theta
     ys = [1]
     counts = [1]

@@ -553,7 +553,6 @@ class TestExperiment:
             replicates=1,
             seed=0,
             mh=MhConfig(iterations=1000, burn_in=100, thinning=10),
-            max_conditioning_attempts=50,
         )
         with pytest.raises(RuntimeError, match="too concentrated"):
             run_experiment(spec)
@@ -595,21 +594,3 @@ class TestExperiment:
             )
         # replicate 1's fit fails, so both paths through run_case are compared
         assert [row.log10_lr is None for row in rows] == [False, True, False]
-
-    def test_rows_csv_shape(self, monkeypatch, tmp_path):
-        monkeypatch.setenv("RARETYPE_THREADS", "1")
-        result = run_experiment(tiny_spec(replicates=2))
-        out = tmp_path / "rows.csv"
-        with out.open("w") as fh:
-            result.write_rows_csv(fh)
-        header, *lines = csv.reader(out.read_text().splitlines())
-        columns = [
-            "replicate", "alpha_hat", "theta_hat", "log10_lr", "log10_lr_true",
-            "log10_lr_freq", "diff1", "diff2", "log10_lr_true_se",
-        ]
-        assert header == columns
-        dumped = result.to_dict()["rows"]
-        assert len(lines) == len(dumped) == 2
-        for line, row in zip(lines, dumped):
-            assert list(row) == columns + ["notes"]
-            assert line == ["" if row[col] is None else repr(row[col]) for col in columns]
