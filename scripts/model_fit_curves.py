@@ -48,12 +48,12 @@ def main() -> int:
 
     out_dir = pathlib.Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    write_freqs(out_dir / "data_ranked.csv", ranked_frequencies(part))
+    write_freqs(out_dir / "data_ranked.csv", ranked_frequencies(part.sizes_desc()))
 
     n = args.n or part.n
     for rep in range(args.realizations):
         plan = crp_sample(n, fit.params(), seed=(args.seed, rep))
-        write_freqs(out_dir / f"sim_ranked_{rep:02d}.csv", ranked_frequencies(plan))
+        write_freqs(out_dir / f"sim_ranked_{rep:02d}.csv", ranked_frequencies(plan.table_counts))
 
     with (out_dir / "powerlaw_ref.csv").open("w") as fh:
         fh.write("rank,ref_value\n")

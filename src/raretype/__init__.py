@@ -37,8 +37,6 @@ _EXPORTS = {
     "theta_alpha_of": "mle",
     "IntegerPartition": "partitions",
     "SetPartition": "partitions",
-    "as_integer_partition": "partitions",
-    "augment": "partitions",
     "reduce_sample": "partitions",
     "to_integer_partition": "partitions",
     "PdParams": "pitman",

@@ -17,10 +17,8 @@ import json
 import math
 import sys
 
-# the parser takes its chain defaults from MhConfig, so every subcommand
-# loads ``lr`` (and with it ``partitions`` and ``pitman``); the commands
-# that need ``mle`` or ``workbench`` import them themselves
-from .lr import MhConfig, lr_empirical_bayes, lr_frequentist, lr_true_mh
+# every subcommand loads ``partitions`` and ``pitman``; those that need
+# ``lr``, ``mle`` or ``workbench`` import them themselves
 from .partitions import IntegerPartition, SetPartition, reduce_sample, to_integer_partition
 from .pitman import (
     PdParams,
@@ -115,13 +113,12 @@ def _load_population(args) -> PopulationVector:
     raise ValueError("a population is required: --population or --population-from-partition")
 
 
-def _mh_config(args) -> MhConfig:
-    return MhConfig(
-        iterations=args.iterations,
-        burn_in=args.burn_in,
-        thinning=args.thinning,
-        seed=args.seed,
-    )
+def _mh_config(args):
+    """The chain schedule: the options given, MhConfig's defaults for the rest."""
+    from .lr import MhConfig
+
+    given = {k: getattr(args, k) for k in ("iterations", "burn_in", "thinning")}
+    return MhConfig(**{k: v for k, v in given.items() if v is not None}, seed=args.seed)
 
 
 def cmd_reduce(args) -> int:
@@ -156,6 +153,8 @@ def cmd_fit(args) -> int:
 
 
 def cmd_lr(args) -> int:
+    from .lr import lr_empirical_bayes
+
     params = PdParams(alpha=args.alpha, theta=args.theta)
     lr = lr_empirical_bayes(args.n, params)
     _emit(args, {"lr": lr, "log10_lr": math.log10(lr)})
@@ -164,6 +163,8 @@ def cmd_lr(args) -> int:
 
 
 def cmd_true_lr(args) -> int:
+    from .lr import lr_true_mh
+
     part = _load_partition(args.partition)
     pop = _load_population(args)
     est = lr_true_mh(part, pop, _mh_config(args), strict_support=args.strict_support)
@@ -182,6 +183,8 @@ def cmd_true_lr(args) -> int:
 
 
 def cmd_freq_lr(args) -> int:
+    from .lr import lr_frequentist
+
     pop = _load_population(args)
     lr = lr_frequentist(pop, args.rank)
     _emit(args, {"lr": lr, "log10_lr": math.log10(lr)})
@@ -195,7 +198,7 @@ def cmd_simulate(args) -> int:
         if args.n is None:
             raise ValueError("--n is required for crp mode")
         plan = crp_sample(args.n, params, seed=args.seed)
-        freqs = ranked_frequencies(plan)
+        freqs = ranked_frequencies(plan.table_counts)
         note = f"seated {args.n} customers at {plan.k} tables"
     else:
         if args.m is None:
@@ -283,10 +286,10 @@ def cmd_fixture(args) -> int:
 
 
 def _add_chain_options(p: argparse.ArgumentParser) -> None:
-    defaults = MhConfig()
-    p.add_argument("--iterations", type=int, default=defaults.iterations)
-    p.add_argument("--burn-in", type=int, default=defaults.burn_in)
-    p.add_argument("--thinning", type=int, default=defaults.thinning)
+    # left as None, each takes MhConfig's default in _mh_config
+    p.add_argument("--iterations", type=int, default=None)
+    p.add_argument("--burn-in", type=int, default=None)
+    p.add_argument("--thinning", type=int, default=None)
 
 
 def _add_population_options(p: argparse.ArgumentParser) -> None:

@@ -59,11 +59,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from itertools import islice
-from typing import NamedTuple, Optional, Union
+from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .partitions import IntegerPartition, SetPartition, _are_integers, as_integer_partition
+from .partitions import IntegerPartition, _are_integers
 from .pitman import PdParams, PopulationVector
 from .rng import SeedLike
 
@@ -313,7 +313,7 @@ def _check_true_lr_inputs(part: IntegerPartition, p: PopulationVector) -> None:
 
 
 def lr_true_mh(
-    pi_db_plus: Union[IntegerPartition, SetPartition],
+    part: IntegerPartition,
     p: PopulationVector,
     cfg: MhConfig = MhConfig(),
     *,
@@ -321,8 +321,8 @@ def lr_true_mh(
 ) -> TrueLrEstimate:
     """Estimate the LR given the full population vector.
 
-    ``pi_db_plus`` is the suspect-augmented partition (the suspect's type
-    is one of its singletons). The chain targets p(chi | a, r, p) from the
+    ``part`` is the suspect-augmented partition (the suspect's type is
+    one of its singletons). The chain targets p(chi | a, r, p) from the
     greedy fill (``_greedy_labels``), which raises InfeasibleAssignmentError
     when no assignment fits the census; the estimate is s1 over the
     average total frequency of singleton-class ranks across retained
@@ -330,7 +330,6 @@ def lr_true_mh(
     same. The final state is re-checked against the class counts and
     census caps (``_check_assignment``).
     """
-    part = as_integer_partition(pi_db_plus)
     _check_true_lr_inputs(part, p)
     caps = _support_caps(p, strict_support)
     trace, acceptance = _run_swap_chain(_greedy_labels(part, caps), part, p.as_array(), caps, cfg)
@@ -373,7 +372,7 @@ def _exact_states(part: IntegerPartition) -> int:
 
 
 def exact_true_lr(
-    pi_db_plus: Union[IntegerPartition, SetPartition],
+    part: IntegerPartition,
     p: PopulationVector,
     *,
     strict_support: bool = False,
@@ -395,7 +394,6 @@ def exact_true_lr(
     ValueError, pointing to ``saddle_true_lr`` and ``lr_true_mh``, before
     allocating anything.
     """
-    part = as_integer_partition(pi_db_plus)
     _check_true_lr_inputs(part, p)
     states = _exact_states(part)
     if states > _EXACT_STATE_BUDGET:
@@ -634,7 +632,7 @@ class SaddleLrEstimate:
 
 
 def saddle_true_lr(
-    pi_db_plus: Union[IntegerPartition, SetPartition],
+    part: IntegerPartition,
     p: PopulationVector,
     *,
     strict_support: bool = False,
@@ -666,7 +664,6 @@ def saddle_true_lr(
     with no finite saddle point or one that does not converge in its step
     cap gives no value.
     """
-    part = as_integer_partition(pi_db_plus)
     _check_true_lr_inputs(part, p)
     groups, eta0 = _rank_groups(part, p, strict_support)
     tilt = _tilt(groups, part.r, eta0)

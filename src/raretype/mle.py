@@ -21,11 +21,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Union
+from typing import Callable, Optional
 
 import numpy as np
 
-from .partitions import IntegerPartition, SetPartition, as_integer_partition
+from .partitions import IntegerPartition
 from .pitman import PdParams, _loglik_derivs, _loglik_terms, _loglik_value
 
 __all__ = [
@@ -302,7 +302,7 @@ def _fit_from(terms, objective, z0, warnings) -> MleFit:
 
 
 def fit_mle(
-    pi: Union[IntegerPartition, SetPartition],
+    part: IntegerPartition,
     *,
     small_n_threshold: int = 500,
 ) -> MleFit:
@@ -319,7 +319,6 @@ def fit_mle(
     ``small_n_threshold`` carry a warning that the Gaussian shape of the
     likelihood is not established at that scale.
     """
-    part = as_integer_partition(pi)
     warnings: tuple[str, ...] = ()
     if part.n < small_n_threshold:
         warnings += (
@@ -382,14 +381,13 @@ class LoglikSurface:
 
 
 def loglik_surface(
-    pi: Union[IntegerPartition, SetPartition],
+    part: IntegerPartition,
     fit: MleFit,
     grid: SurfaceGrid = SurfaceGrid(),
 ) -> LoglikSurface:
     """Evaluate the relative log-likelihood around a converged fit."""
     if not fit.converged or fit.hessian is None:
         raise ValueError("surface requires a converged fit with an information matrix")
-    part = as_integer_partition(pi)
     if part.n != fit.n:
         raise ValueError(f"fit was made on n={fit.n}, partition has n={part.n}")
     hess = np.asarray(fit.hessian, dtype=float)

@@ -5,9 +5,11 @@ index set induced by "same value"; that partition is the only structure
 the rest of the package ever consults. A set partition is stored as its
 restricted growth string (Knuth, TAOCP 4A, 7.2.1.5), the canonical form
 a seating plan's assignments already take; its blocks are derived on
-demand and its block sizes come from one ``bincount``. Integer
-partitions keep only the multiset of block sizes in the compact (a, r)
-form: distinct sizes ``a`` (increasing) with repetition counts ``r``.
+demand and its block sizes come from one ``bincount``. Set partitions
+live at the label boundary only: the likelihood, the fit and every LR
+depend on the block sizes alone and take an integer partition, which
+keeps the multiset of block sizes in the compact (a, r) form: distinct
+sizes ``a`` (increasing) with repetition counts ``r``.
 
 All values are immutable after construction and safe to share between
 concurrent tasks.
@@ -16,7 +18,7 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass, field
-from typing import Hashable, Sequence, Union
+from typing import Hashable, Sequence
 
 import numpy as np
 
@@ -24,9 +26,7 @@ __all__ = [
     "SetPartition",
     "IntegerPartition",
     "reduce_sample",
-    "augment",
     "to_integer_partition",
-    "as_integer_partition",
 ]
 
 
@@ -191,25 +191,6 @@ def reduce_sample(sample: Sequence[Hashable]) -> SetPartition:
     return SetPartition(tuple(map(ids.__getitem__, sample)))
 
 
-def augment(p: SetPartition, mode: str) -> SetPartition:
-    """Extend a database partition for the rare-type-match hypotheses.
-
-    ``suspect_only`` appends the singleton block {n+1}; ``suspect_and_trace``
-    appends the block {n+1, n+2}. The new block has the largest least
-    element, so it takes the next label, k+1.
-    """
-    if mode == "suspect_only":
-        return SetPartition(p.labels + (p.k + 1,))
-    if mode == "suspect_and_trace":
-        return SetPartition(p.labels + (p.k + 1, p.k + 1))
-    raise ValueError(f"unknown augmentation mode {mode!r}")
-
-
 def to_integer_partition(p: SetPartition) -> IntegerPartition:
     """Forget the index detail, keeping the block-size multiset."""
     return IntegerPartition.from_block_sizes(p._sizes)
-
-
-def as_integer_partition(p: Union[SetPartition, IntegerPartition]) -> IntegerPartition:
-    """The block-size multiset of ``p``; integer partitions pass through."""
-    return p if isinstance(p, IntegerPartition) else to_integer_partition(p)

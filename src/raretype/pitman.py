@@ -41,17 +41,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Hashable, Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .partitions import (
-    IntegerPartition,
-    SetPartition,
-    _are_integers,
-    as_integer_partition,
-    reduce_sample,
-)
+from .partitions import IntegerPartition, SetPartition, _are_integers
 from .rng import SeedLike
 
 __all__ = [
@@ -393,15 +387,12 @@ def _loglik_derivs(n, k, c, large, alpha, theta):
     return val, np.array([g_alpha, g_theta]), np.array([[h_aa, h_at], [h_at, h_tt]])
 
 
-def eppf_log(pi: Union[IntegerPartition, SetPartition], params: PdParams) -> float:
-    """Log probability of a partition under the sampling formula.
-
-    Depends only on the block-size multiset, never on labels or block
-    order: it is the closed-form log-likelihood at ``params``, whose
+def eppf_log(part: IntegerPartition, params: PdParams) -> float:
+    """Log probability of a partition with these block sizes under the
+    sampling formula: the closed-form log-likelihood at ``params``, whose
     domain ``PdParams`` enforces.
     """
-    terms = _loglik_terms(as_integer_partition(pi))
-    return float(_loglik_value(*terms, params.alpha, params.theta))
+    return float(_loglik_value(*_loglik_terms(part), params.alpha, params.theta))
 
 
 def _opening_thresholds(
@@ -518,17 +509,7 @@ def powerlaw_reference(alpha: float, ranks: Iterable[int]) -> list[tuple[int, fl
     return out
 
 
-RankedInput = Union[SeatingPlan, SetPartition, IntegerPartition, Sequence[Hashable]]
-
-
-def ranked_frequencies(x: RankedInput) -> np.ndarray:
-    """Relative block frequencies, largest first; sums to 1."""
-    if isinstance(x, SeatingPlan):
-        sizes = x.table_counts
-    elif isinstance(x, IntegerPartition):
-        sizes = x.sizes_desc()
-    else:
-        # a label sequence reduces to its set partition, rejecting an empty one
-        sizes = (x if isinstance(x, SetPartition) else reduce_sample(x)).block_sizes()
+def ranked_frequencies(sizes: Sequence[int]) -> np.ndarray:
+    """Relative frequencies of these block sizes, largest first; sums to 1."""
     sizes = np.asarray(sizes, dtype=float)
     return np.sort(sizes)[::-1] / sizes.sum()

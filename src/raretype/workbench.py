@@ -36,8 +36,6 @@ from .lr import (
 from .mle import fit_mle
 from .partitions import (
     IntegerPartition,
-    SetPartition,
-    as_integer_partition,
     # not called here since run_case counts records directly; perfbench's
     # traced casework run still wraps both names in this namespace
     reduce_sample,
@@ -102,7 +100,6 @@ class EmptyFileError(ProfileParseError):
 class ProfileSource:
     path: str
     columns: tuple[str, ...]
-    notes: str = ""
 
 
 @dataclass(frozen=True)
@@ -271,19 +268,19 @@ class CaseOptions:
 
     population: Optional[PopulationVector] = None
     matched_rank: Optional[int] = None
-    mh: Optional[MhConfig] = None
+    mh: MhConfig = MhConfig()
     strict_support: bool = False
     small_n_threshold: int = 500
 
 
-DatabaseLike = Union[ProfileDatabase, IntegerPartition, SetPartition]
+DatabaseLike = Union[ProfileDatabase, IntegerPartition]
 
 
 def _as_db_partition(db: DatabaseLike) -> IntegerPartition:
     if isinstance(db, ProfileDatabase):
         # the block sizes are the records' counts; no set partition is built
         return IntegerPartition.from_block_sizes(list(Counter(db.records).values()))
-    return as_integer_partition(db)
+    return db
 
 
 def run_case(db: DatabaseLike, options: CaseOptions = CaseOptions()) -> LrReport:
@@ -292,10 +289,10 @@ def run_case(db: DatabaseLike, options: CaseOptions = CaseOptions()) -> LrReport
     The database partition is augmented with the suspect as a fresh
     singleton, hyperparameters are fitted on that augmented partition, and
     the fit with its plug-in LR for the database size is reported. When a
-    population is supplied, the known-population LR (given an MH schedule,
-    see ``_known_population_lr`` for its route) and the frequentist
-    benchmark (with the matching type's rank) join the report; neither
-    needs the fit, so both are reported when it fails.
+    population is supplied, the known-population LR (see
+    ``_known_population_lr`` for its route) and the frequentist benchmark
+    (with the matching type's rank) join the report; neither needs the
+    fit, so both are reported when it fails.
     """
     base = _as_db_partition(db)
     db_plus = base.add_singleton()
@@ -309,7 +306,7 @@ def run_case(db: DatabaseLike, options: CaseOptions = CaseOptions()) -> LrReport
         )
     else:
         report = LrReport(notes=fit.warnings + (f"fit did not converge: {fit.diagnosis}",))
-    if options.population is not None and options.mh is not None:
+    if options.population is not None:
         report = _known_population_lr(report, db_plus, options)
     if options.population is not None and options.matched_rank is not None:
         report = replace(
@@ -472,9 +469,6 @@ def summarize_rows(rows) -> dict[str, SummaryStats]:
 class ExperimentResult:
     rows: tuple[ExperimentRow, ...]
     summary: dict[str, SummaryStats]
-
-    def recompute_summary(self) -> dict[str, SummaryStats]:
-        return summarize_rows(self.rows)
 
     def to_dict(self) -> dict:
         return {

@@ -1,5 +1,6 @@
 """Brute-force enumeration of set partitions, for the tests' exact
-normalisation and likelihood checks at small n."""
+normalisation and likelihood checks at small n, and the rare-type
+augmentation of a set partition."""
 from typing import Iterator
 
 from raretype.partitions import SetPartition
@@ -50,3 +51,17 @@ def enumerate_partitions(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> Iterator
             labels.pop()
 
     yield from rec([1], 1)
+
+
+def augment(p: SetPartition, mode: str) -> SetPartition:
+    """Extend a database partition for the rare-type-match hypotheses.
+
+    ``suspect_only`` appends the singleton block {n+1}; ``suspect_and_trace``
+    appends the block {n+1, n+2}. The new block has the largest least
+    element, so it takes the next label, k+1.
+    """
+    if mode == "suspect_only":
+        return SetPartition(p.labels + (p.k + 1,))
+    if mode == "suspect_and_trace":
+        return SetPartition(p.labels + (p.k + 1, p.k + 1))
+    raise ValueError(f"unknown augmentation mode {mode!r}")

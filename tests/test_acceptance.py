@@ -22,16 +22,11 @@ from raretype.lr import (
     lr_true_mh,
 )
 from raretype.mle import fit_mle
-from raretype.partitions import (
-    IntegerPartition,
-    augment,
-    reduce_sample,
-    to_integer_partition,
-)
+from raretype.partitions import IntegerPartition, reduce_sample, to_integer_partition
 from raretype.pitman import PdParams, PopulationVector, crp_sample, eppf_log
 from raretype.workbench import ExperimentSpec, dutch_fixture, run_experiment
 
-from enumeration import enumerate_partitions
+from enumeration import augment, enumerate_partitions
 
 
 def _report(k: int, name: str, ok: bool, detail: str = "") -> None:
@@ -97,7 +92,9 @@ def test_criterion_4_crp_eppf_agreement():
         observed[key] = observed.get(key, 0) + 1
     partitions = list(enumerate_partitions(5))
     assert len(partitions) == 52
-    expected = np.array([reps * math.exp(eppf_log(p, params)) for p in partitions])
+    expected = np.array(
+        [reps * math.exp(eppf_log(to_integer_partition(p), params)) for p in partitions]
+    )
     counts = np.array([observed.get(p.blocks, 0) for p in partitions], dtype=float)
     stat, pvalue = chisquare(counts, expected * counts.sum() / expected.sum())
     elapsed = time.time() - t0
@@ -159,9 +156,10 @@ def test_criterion_6_sequential_consistency():
         alpha = float(rng.uniform(0.05, 0.95))
         theta = float(rng.uniform(-alpha + 0.02, 50.0))
         params = PdParams(alpha, theta)
-        delta = eppf_log(augment(db, "suspect_and_trace"), params) - eppf_log(
-            augment(db, "suspect_only"), params
+        plus, plusplus = (
+            to_integer_partition(augment(db, mode)) for mode in ("suspect_only", "suspect_and_trace")
         )
+        delta = eppf_log(plusplus, params) - eppf_log(plus, params)
         expected = math.log((1.0 - alpha) / (db.n + 1 + theta))
         worst = max(worst, abs(delta - expected))
     ok = worst <= 1e-12

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from raretype.cli import _build_parser, cli_dispatch
+from raretype.cli import _build_parser, _mh_config, cli_dispatch
 from raretype.lr import MhConfig
 from raretype.workbench import dutch_fixture
 
@@ -143,6 +143,22 @@ class TestDispatch:
         code = cli_dispatch(["fit", "--partition", str(part_path), "--quiet"])
         assert code in (0, 3)  # tiny sample may legitimately sit on a boundary
         capsys.readouterr()
+
+    def test_fit_of_the_set_form_is_the_fit_of_the_integer_form(self, capsys, tmp_path):
+        profiles = tmp_path / "profiles.tsv"
+        sizes = [1] * 20 + [2] * 6 + [3] * 3 + [5, 8]
+        rows = [f"t{j}" for j, size in enumerate(sizes) for _ in range(size)]
+        profiles.write_text("L\n" + "\n".join(rows[::2] + rows[1::2]) + "\n")
+        fits = []
+        for form in ([], ["--integer"]):
+            part_path = tmp_path / f"part{len(form)}.json"
+            argv = ["reduce", "--input", str(profiles), *form, "--out", str(part_path), "--quiet"]
+            assert cli_dispatch(argv) == 0
+            code = cli_dispatch(["fit", "--partition", str(part_path), "--quiet"])
+            fits.append((code, capsys.readouterr().out))
+        assert "blocks" in json.loads((tmp_path / "part0.json").read_text())
+        assert fits[0] == fits[1]
+        assert fits[0][0] == 0
 
     def test_repeated_header_name_exits_2(self, capsys, tmp_path):
         profiles = tmp_path / "profiles.tsv"
@@ -393,9 +409,9 @@ class TestSubprocessDeterminism:
 
 @pytest.mark.parametrize("argv", [["true-lr", "--partition", "p.json"], ["experiment"]])
 def test_chain_option_defaults_are_the_config_defaults(argv):
-    args = _build_parser().parse_args(argv)
+    cfg = _mh_config(_build_parser().parse_args(argv))
     defaults = MhConfig()
-    assert (args.iterations, args.burn_in, args.thinning) == (
+    assert (cfg.iterations, cfg.burn_in, cfg.thinning) == (
         defaults.iterations,
         defaults.burn_in,
         defaults.thinning,
@@ -414,6 +430,22 @@ def test_lr_loads_neither_the_fit_nor_the_workbench():
     code, loaded = json.loads(out.stdout.splitlines()[-1])
     assert code == 0
     assert loaded == ["raretype.cli", "raretype.lr", "raretype.partitions", "raretype.pitman", "raretype.rng"]
+
+
+def test_fit_loads_no_lr(tmp_path):
+    # the chain options take their defaults from MhConfig only when a chain runs
+    part = tmp_path / "dutch.json"
+    part.write_text(json.dumps(dutch_fixture().to_dict()))
+    code = (
+        "import json, sys; from raretype.cli import cli_dispatch; "
+        "code = cli_dispatch(['fit', '--partition', sys.argv[1], '--quiet']); "
+        "print(json.dumps([code, sorted(m for m in sys.modules if m.startswith('raretype.'))]))"
+    )
+    out = subprocess.run([sys.executable, "-c", code, str(part)], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    code, loaded = json.loads(out.stdout.splitlines()[-1])
+    assert code == 0
+    assert loaded == ["raretype.cli", "raretype.mle", "raretype.partitions", "raretype.pitman", "raretype.rng"]
 
 
 def test_import_loads_no_optimizer_library():

@@ -29,7 +29,7 @@ from raretype.mle import (
     symmetry_diagnostic,
     theta_alpha_of,
 )
-from raretype.partitions import IntegerPartition, SetPartition, to_integer_partition
+from raretype.partitions import IntegerPartition, to_integer_partition
 from raretype.pitman import PdParams, _loglik_derivs, _loglik_terms, crp_sample, eppf_log
 from raretype.workbench import dutch_fixture
 
@@ -93,7 +93,7 @@ class TestFit:
         assert any("Gaussian" in w for w in dutch_fit.warnings) is False or dutch_fit.n < 500
 
     def test_single_pair_degenerate(self):
-        fit = fit_mle(SetPartition.from_blocks([[1, 2]]))
+        fit = fit_mle(IntegerPartition((2,), (1,)))
         assert not fit.converged
         assert "single-block" in fit.diagnosis
 

@@ -6,14 +6,15 @@ import sys
 
 # what ``from raretype import *`` binds, as when the package imported every
 # submodule eagerly: the exported names plus the submodules themselves, less
-# ``bell_number`` and ``enumerate_partitions``, which moved to the tests'
-# ``enumeration`` helper
+# ``bell_number``, ``enumerate_partitions`` and ``augment``, which moved to
+# the tests' ``enumeration`` helper, and ``as_integer_partition``, deleted
+# since the numeric functions take integer partitions alone
 OLD_STAR_NAMES = sorted(
     """
     CaseOptions DUTCH_FIXTURE_METADATA ExperimentResult ExperimentSpec
     InfeasibleAssignmentError IntegerPartition LoglikSurface LrReport MhConfig MleFit PdParams
     PopulationVector ProfileDatabase SaddleLrEstimate SeatingPlan SetPartition SurfaceGrid
-    SymmetryReport TrueLrEstimate as_integer_partition augment crp_sample
+    SymmetryReport TrueLrEstimate crp_sample
     diff_metrics dutch_fixture eppf_log exact_true_lr fit_mle
     gem_stick_breaking load_profiles loglik_surface lr lr_empirical_bayes lr_frequentist
     lr_true_mh mle partitions phi_of pitman population_from_partition powerlaw_reference

@@ -7,14 +7,12 @@ from hypothesis import example, given, strategies as st
 from raretype.partitions import (
     IntegerPartition,
     SetPartition,
-    as_integer_partition,
-    augment,
     reduce_sample,
     to_integer_partition,
 )
 from raretype.pitman import PdParams, crp_sample
 
-from enumeration import bell_number, enumerate_partitions
+from enumeration import augment, bell_number, enumerate_partitions
 
 # worked example used throughout: ten draws with six distinct values
 EXAMPLE_SAMPLE = (2, 4, 2, 4, 3, 3, 10, 13, 5, 4)
@@ -87,12 +85,6 @@ def test_integer_partition_trivial_cases():
     assert to_integer_partition(SetPartition.from_blocks([[1], [2], [3]])) == IntegerPartition((1,), (3,))
     p = SetPartition.from_blocks([[1, 2], [3, 4], [5]])
     assert to_integer_partition(p) == IntegerPartition((1, 2), (1, 2))
-
-
-def test_as_integer_partition():
-    ip = IntegerPartition((1, 2), (1, 2))
-    assert as_integer_partition(ip) is ip
-    assert as_integer_partition(SetPartition.from_blocks([[1, 2], [3, 4], [5]])) == ip
 
 
 def test_integer_partition_validation():

@@ -31,6 +31,7 @@ from raretype.workbench import (
     population_from_partition,
     run_case,
     run_experiment,
+    summarize_rows,
 )
 
 
@@ -455,6 +456,16 @@ class TestKnownPopulationRoute:
         assert "Newton steps" in note and f"error bound {SADDLE_LOG10_BOUND}" in note
         assert report.to_dict()["log10_lr_true_route"] == "saddle"
 
+    def test_population_alone_gives_the_known_population_lr(self):
+        # the default chain schedule stands by; the saddle route never reads it
+        from raretype.lr import saddle_true_lr
+
+        db, pop = past_budget_case()
+        report = run_case(db, CaseOptions(population=pop))
+        assert report.log10_lr_true_route == "saddle"
+        assert report.log10_lr_true == saddle_true_lr(db.add_singleton(), pop).log10_lr
+        assert report.diff1 == report.log10_lr_eb - report.log10_lr_true
+
     def test_tilt_without_finite_solution_falls_back_to_the_chain(self):
         # 300 blocks over 300 ranks: every rank is observed, so the tilt
         # that matches the counts lies at infinity; 101^3 states are past
@@ -526,7 +537,7 @@ class TestExperiment:
     def test_summary_recomputable_from_rows(self, monkeypatch):
         monkeypatch.setenv("RARETYPE_THREADS", "1")
         result = run_experiment(tiny_spec(replicates=3))
-        assert result.recompute_summary() == result.summary
+        assert summarize_rows(result.rows) == result.summary
 
     def test_deterministic_and_parallel_consistent(self, monkeypatch):
         monkeypatch.setenv("RARETYPE_THREADS", "1")
