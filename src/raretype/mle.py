@@ -204,16 +204,47 @@ def _best_start(terms) -> np.ndarray:
 _NEWTON_MAX_ITER = 200
 
 
+def _saddle_free_step(g, h) -> np.ndarray:
+    """H^-1 g for a symmetric 2x2 H with every eigenvalue replaced by its
+    absolute value, floored at the gradient's component along its
+    eigenvector; 0 along an eigenvector where both are 0.
+
+    One Jacobi rotation (Golub & Van Loan, Matrix Computations, 8.5.2)
+    diagonalises H: with tau = (h11 - h00) / (2 h01) and
+    t = sign(tau) / (|tau| + sqrt(1 + tau^2)), the rotation's columns
+    (c, -s) and (s, c), c = 1/sqrt(1 + t^2), s = t c, are eigenvectors
+    with eigenvalues h00 - t h01 and h11 + t h01.
+    """
+    h00, h01, h11 = float(h[0, 0]), float(h[0, 1]), float(h[1, 1])
+    g0, g1 = float(g[0]), float(g[1])
+    t = 0.0
+    if h01 != 0.0:
+        tau = (h11 - h00) / (2.0 * h01)
+        t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
+    c = 1.0 / math.sqrt(1.0 + t * t)
+    s = t * c
+    step0 = step1 = 0.0
+    for lam, v0, v1 in ((h00 - t * h01, c, -s), (h11 + t * h01, s, c)):
+        vg = v0 * g0 + v1 * g1
+        scale = max(abs(lam), abs(vg))
+        if scale > 0.0:
+            step0 += vg / scale * v0
+            step1 += vg / scale * v1
+    return np.array([step0, step1])
+
+
 def _newton(objective, z0):
-    """Minimize a smooth function by damped Newton steps on |H|.
+    """Minimize a smooth function of two variables by damped Newton steps
+    on |H|.
 
     ``objective(z)`` returns (f, gradient, Hessian) from one evaluation,
     and each point is evaluated once: the accepted point's Hessian sets
     the next step. Each step solves against H with every eigenvalue
     replaced by its absolute value ("saddle-free" Newton), floored at the
-    gradient's component along its eigenvector: the plain Newton step near
-    a minimum, a descent direction at any curvature, and a unit step along
-    each direction where the slope exceeds the curvature. The step is
+    gradient's component along its eigenvector (``_saddle_free_step``):
+    the plain Newton step near a minimum, a descent direction at any
+    curvature, and a unit step along each direction where the slope
+    exceeds the curvature. The step is
     halved until f strictly decreases or, where f sits at its rounding
     noise near a minimum, until f holds within that noise while the
     gradient norm falls. The search stops when the gradient norm falls
@@ -228,10 +259,7 @@ def _newton(objective, z0):
         gnorm = float(np.linalg.norm(g))
         if gnorm < 1e-10:
             return z, f, g, it, True
-        lam, vec = np.linalg.eigh(h)
-        vg = vec.T @ g
-        scale = np.maximum(np.abs(lam), np.abs(vg))
-        step = vec @ np.divide(vg, scale, out=np.zeros_like(vg), where=scale > 0)
+        step = _saddle_free_step(g, h)
         noise = 1e-12 * (1.0 + abs(f))
         t = 1.0
         while True:

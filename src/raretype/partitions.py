@@ -37,9 +37,8 @@ def _are_integers(values) -> bool:
     return all(issubclass(t, numbers.Integral) and t is not bool for t in set(map(type, values)))
 
 
-def _rgs_sizes(labels: Sequence[int]) -> np.ndarray:
+def _rgs_sizes(ys: np.ndarray) -> np.ndarray:
     """Block sizes of a restricted growth string, checked to be one."""
-    ys = np.fromiter(labels, np.int64, count=len(labels))
     grows = (ys[1:] <= np.maximum.accumulate(ys)[:-1] + 1).all()
     if not (ys.size and ys[0] == 1 and ys.min() >= 1 and grows):
         raise ValueError("labels must be created in order: 1 first, each <= 1 + all before it")
@@ -54,6 +53,8 @@ class SetPartition:
     element i+1, blocks numbered in order of their least element. The
     string is checked on construction; ``from_blocks`` builds it from
     blocks in any order. ``n``, ``k`` and ``blocks`` are derived from it.
+    The labels may come as a 1-d integer array, which is checked as it is
+    and stored as the tuple of its Python ints.
     """
 
     labels: tuple[int, ...]
@@ -61,7 +62,18 @@ class SetPartition:
     _sizes: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "_sizes", _rgs_sizes(self.labels))
+        labels = self.labels
+        if isinstance(labels, np.ndarray):
+            # bool is not an integer dtype here: its kind is "b"
+            if labels.ndim != 1 or labels.dtype.kind not in "iu":
+                raise ValueError("a label array must be 1-d with an integer dtype")
+            ys = labels.astype(np.int64, copy=False)
+            object.__setattr__(self, "labels", tuple(ys.tolist()))
+        else:
+            if not _are_integers(labels):
+                raise ValueError("labels must be integers")
+            ys = np.fromiter(labels, np.int64, count=len(labels))
+        object.__setattr__(self, "_sizes", _rgs_sizes(ys))
 
     @classmethod
     def from_blocks(cls, blocks: Sequence[Sequence[int]]) -> "SetPartition":
@@ -118,6 +130,9 @@ class IntegerPartition:
 
     a: tuple[int, ...]
     r: tuple[int, ...]
+    # the total numbers of elements and of blocks, summed once
+    n: int = field(init=False, repr=False, compare=False)
+    k: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.a) != len(self.r) or not self.a:
@@ -128,16 +143,8 @@ class IntegerPartition:
             raise ValueError("entries of a and r must be >= 1")
         if any(self.a[i] >= self.a[i + 1] for i in range(len(self.a) - 1)):
             raise ValueError("a must be strictly increasing")
-
-    @property
-    def n(self) -> int:
-        """Total number of elements."""
-        return sum(x * c for x, c in zip(self.a, self.r))
-
-    @property
-    def k(self) -> int:
-        """Total number of blocks."""
-        return sum(self.r)
+        object.__setattr__(self, "n", sum(x * c for x, c in zip(self.a, self.r)))
+        object.__setattr__(self, "k", sum(self.r))
 
     @property
     def s1(self) -> int:

@@ -13,23 +13,25 @@ in numpy alone: each long rising factorial is a log-gamma difference,
 taken from a Stirling expansion free of cancellation once its argument
 reaches 10 (the first factors below 10 are summed as logs), and the
 block-size term is sum_i c_i log(i - alpha), c_i counting the blocks
-larger than i, up to i = 64, with a Stirling log-gamma for each larger
-size. The counts c take O(max a) to build, once per partition; a grid
-point then costs O(64 + J) for the J distinct block sizes above 65,
-not O(n + k), and a grid is a dense array of logs that numpy vectorises.
-``eppf_log``, the start scan and the surface in ``mle`` evaluate it
-alone, the surface over a whole grid at once. The Newton search in
-``mle`` calls one kernel that returns the value with the gradient and
-Hessian in (alpha, theta) from one pass. Its sums over the n - 1
-customers are digamma and trigamma differences arranged so that nothing
-cancels; those over the k tables and the block sizes' max a - 1 stay
-direct sums. The same law arises
-from the sequential seating scheme: customer n+1 opens a new table with
-probability (theta + k*alpha)/(n + theta) and joins table i with
-probability (n_i - alpha)/(n + theta). ``crp_sample`` runs it without a
-loop over customers: each uniform fixes the least table count at which
-its customer would open a table, a loop over those integers alone
-counts the tables, and the seats follow in numpy, with customers who
+larger than i. Its first seven factors stay logs; from i = 8 on,
+log(i - alpha) = log i - sum_m (alpha/i)^m / m, so the rest is a
+polynomial in alpha whose 22 coefficients are built once per partition
+in O(22 max a). The terms it drops are below 8^-22 of the first one's
+for any alpha in (0, 1), and every term has one sign, so nothing
+cancels. A grid point then costs 7 logs and a Horner pass, not
+O(n + k). ``eppf_log``, the start scan and the surface in ``mle``
+evaluate the value alone, the surface over a whole grid at once. The
+Newton search in ``mle`` calls one kernel that returns the value with
+the gradient and Hessian in (alpha, theta) from one pass; the block
+term's alpha-derivatives come from the same coefficients. Its sums over
+the n - 1 customers are digamma and trigamma differences arranged so
+that nothing cancels; those over the k tables stay direct sums. The
+same law arises from the sequential seating scheme: customer n+1 opens
+a new table with probability (theta + k*alpha)/(n + theta) and joins
+table i with probability (n_i - alpha)/(n + theta). ``crp_sample`` runs
+it with a loop over only the customers who can open a table: a bound
+on the tables open before each customer, one vectorised pass, rules
+the others out. The seats then follow in numpy, with customers who
 copy an earlier joiner's table resolved by pointer doubling. Every
 float it compares is the one-customer-at-a-time scheme's, so the plans
 are that scheme's, bit for bit.
@@ -138,7 +140,8 @@ class PopulationVector:
 
 @dataclass(frozen=True)
 class SeatingPlan:
-    """Sequential seating outcome: assignments[i] is the (1-based) table of customer i+1."""
+    """Sequential seating outcome: assignments[i] is the (1-based) table of
+    customer i+1. They may come as a 1-d integer array, stored as a tuple."""
 
     assignments: tuple[int, ...]
     # the checked partition, built once; k and the table counts come from it
@@ -146,8 +149,11 @@ class SeatingPlan:
 
     def __post_init__(self) -> None:
         # each customer sits at an open table or opens the next one: the
-        # assignments are a restricted growth string
-        object.__setattr__(self, "_partition", SetPartition(self.assignments))
+        # assignments are a restricted growth string, and its labels the
+        # assignments' one tuple
+        partition = SetPartition(self.assignments)
+        object.__setattr__(self, "_partition", partition)
+        object.__setattr__(self, "assignments", partition.labels)
 
     @property
     def n(self) -> int:
@@ -166,27 +172,41 @@ class SeatingPlan:
         return self._partition
 
 
-# on a grid, block sizes up to this + 1 enter the block-size term as logs
-_DENSE_SIZES = 64
+# the block-size term keeps its first factors, i = 1 .. 7, as logs; from
+# i = 8 on each log(i - alpha) is log i less a power series in alpha/i,
+# cut after this many terms
+_LOG_FACTORS = 7
+_SERIES_TERMS = 22
 
 
 def _loglik_terms(part: IntegerPartition):
     """Precompute, once per partition, what the likelihood kernel needs:
-    (n, k, c, (a_large, r_large)).
+    (n, k, head, tail).
 
-    c[i-1] counts the blocks larger than i, for i = 1 .. max a - 1, so the
-    block-size term sum_j r_j log [1-alpha]_{a_j-1;1} is the dense sum
-    sum_i c_i log(i - alpha). A grid evaluation splits it at
-    D = min(64, max a - 1): the logs up to i = D, then, for the sizes
-    a_large > D + 1 (so D = 64), r_large blocks of
-    log Gamma(a - alpha) - log Gamma(D + 1 - alpha) each.
+    With c_i the number of blocks larger than i, the block-size term
+    sum_j r_j log [1-alpha]_{a_j-1;1} is B(alpha) = sum_i c_i log(i - alpha),
+    i = 1 .. max a - 1. ``head`` holds c_1 .. c_7 (0 past max a - 1). From
+    i = 8 on, log(i - alpha) = log i - sum_m (alpha/i)^m / m, so the rest of
+    B is C0 - sum_{m<=22} alpha^m S_m / m with C0 = sum_{i>=8} c_i log i and
+    S_m = sum_{i>=8} c_i i^-m; ``tail`` is (C0, S_1, .., S_22), each a
+    pairwise sum. Every term of the series has one sign, so nothing
+    cancels, and what the cut leaves out is below S_1 8^-22 (1.4e-20 S_1)
+    for any alpha in (0, 1).
     """
     a = np.asarray(part.a, dtype=np.int64)
-    r = np.asarray(part.r, dtype=float)
     # blocks by size - 1; c_i sums those at i and above
-    c = np.cumsum(np.bincount(a - 1, weights=r)[::-1])[::-1][1:]
-    large = a > _DENSE_SIZES + 1
-    return part.n, part.k, c, (a[large].astype(float), r[large])
+    c = np.cumsum(np.bincount(a - 1, weights=part.r)[::-1])[::-1][1:]
+    head = np.zeros(_LOG_FACTORS)
+    head[: c.size] = c[:_LOG_FACTORS]
+    rest = c[_LOG_FACTORS:]
+    i = np.arange(_LOG_FACTORS + 1.0, c.size + 1)
+    inv = 1.0 / i
+    tail = np.empty(_SERIES_TERMS + 1)
+    tail[0] = (rest * np.log(i)).sum()
+    for m in range(1, _SERIES_TERMS + 1):
+        rest = rest * inv
+        tail[m] = rest.sum()
+    return part.n, part.k, head, tail
 
 
 def _stirling_tail(y):
@@ -213,17 +233,6 @@ def _stirling_rising(x, k):
     y = x + k
     out = (x - 0.5) * np.log1p(k / x) + k * (np.log(y) - 1.0)
     return out + (_stirling_tail(y) - _stirling_tail(x))
-
-
-def _log_gamma_large(y):
-    """log Gamma(y) - log(2 pi) / 2 for y >= 64, elementwise.
-
-    Stirling's series to its 1/(1260 y^5) term; the first omitted one,
-    1/(1680 y^7), is below 5e-16 there.
-    """
-    w = 1.0 / y
-    z = w * w
-    return (y - 0.5) * np.log(y) - y + w * (1 / 12 - z * (1 / 360 - z / 1260))
 
 
 # the first factors of a rising factorial from below 10, summed as logs
@@ -258,32 +267,25 @@ def _rising_terms(n, k, alpha, theta):
     return val - _log_rising(theta + 1.0, n - 1)
 
 
-def _block_value(c, large, alpha):
-    """The block-size term at a 1-d array of alpha, split as in
-    ``_loglik_terms``: sum_{i<=D} c_i log(i - alpha), plus a difference of
-    two ``_log_gamma_large`` values for each size above D + 1. Its
-    rounding error, a few ulp of log Gamma(a - alpha), is small against
-    that block's whole term, which includes the first D logs."""
-    dense = c[:_DENSE_SIZES]
-    logs = np.log(np.arange(1.0, dense.size + 1)[:, None] - alpha)
-    logs[:1] = np.log1p(-alpha)  # rounding 1 - alpha would cost a small alpha its digits
-    val = dense @ logs
-    big, r_big = large
-    if big.size:
-        val += r_big @ _log_gamma_large(big[:, None] - alpha)
-        val -= r_big.sum() * _log_gamma_large(_DENSE_SIZES + 1.0 - alpha)
-    return val
+def _block_value(head, tail, alpha):
+    """The block-size term at a 1-d array of alpha (see ``_loglik_terms``):
+    the seven head logs, then the tail's series by Horner's rule."""
+    logs = np.log(np.arange(1.0, _LOG_FACTORS + 1)[:, None] - alpha)
+    logs[0] = np.log1p(-alpha)  # rounding 1 - alpha would cost a small alpha its digits
+    series = np.zeros_like(alpha)
+    for m in range(_SERIES_TERMS, 0, -1):
+        series += tail[m] / m
+        series *= alpha
+    return head @ logs + (tail[0] - series)
 
 
 # grid points per pass of ``_loglik_value``: its temporaries hold about
-# 64 + J_large + 10 doubles a point (J_large distinct block sizes above 65,
-# and the first factors ``_log_rising`` sums), 300 KB a chunk when
-# J_large = 0. On a 41x41 surface 512-point chunks measured 0.6x the time
-# of 2048-point ones
-_GRID_CHUNK = 512
+# 7 + 10 doubles a point (the head logs and the first factors
+# ``_log_rising`` sums), 280 KB a chunk, so a 41x41 surface is one pass
+_GRID_CHUNK = 2048
 
 
-def _loglik_value(n, k, c, large, alpha, theta):
+def _loglik_value(n, k, head, tail, alpha, theta):
     """Partition log-likelihood at arrays of (alpha, theta) in the open domain.
 
     ``_rising_terms`` plus ``_block_value``, over chunks of ``_GRID_CHUNK``
@@ -294,19 +296,29 @@ def _loglik_value(n, k, c, large, alpha, theta):
     out = np.empty(alpha.size)
     for s in range(0, alpha.size, _GRID_CHUNK):
         a, t = flat_alpha[s : s + _GRID_CHUNK], flat_theta[s : s + _GRID_CHUNK]
-        out[s : s + _GRID_CHUNK] = _rising_terms(n, k, a, t) + _block_value(c, large, a)
+        out[s : s + _GRID_CHUNK] = _rising_terms(n, k, a, t) + _block_value(head, tail, a)
     return out.reshape(alpha.shape)
 
 
-def _block_dense(c, alpha):
-    """The block-size term at one alpha as its dense sum over all max a - 1
-    factors, with its first two alpha-derivatives, -sum c_i / (i - alpha)^q.
-    All are pairwise sums, so their rounding stays near a few ulp."""
-    steps = np.arange(1.0, c.size + 1) - alpha
-    logs = np.log(steps)
-    logs[:1] = math.log1p(-alpha)
-    weighted = c / steps
-    return float((c * logs).sum()), -float(weighted.sum()), -float((weighted / steps).sum())
+def _block_derivs(head, tail, alpha: float) -> tuple[float, float, float]:
+    """The block-size term at one alpha with its first two alpha-derivatives,
+    -sum_i c_i / (i - alpha)^q, from the same head counts and series: the
+    series' derivatives are -sum_m alpha^(m-1) S_m and
+    -sum_m (m-1) alpha^(m-2) S_m, taken by Horner's rule with the value.
+    Within each part every term has one sign."""
+    value = grad = hess = 0.0
+    for i, c_i in enumerate(head.tolist(), start=1):
+        step = i - alpha
+        value += c_i * (math.log1p(-alpha) if i == 1 else math.log(step))
+        grad -= c_i / step
+        hess -= c_i / (step * step)
+    tail = tail.tolist()
+    series = d1 = d2 = 0.0
+    for m in range(_SERIES_TERMS, 0, -1):
+        d2 = d2 * alpha + d1
+        d1 = d1 * alpha + tail[m]
+        series = (series + tail[m] / m) * alpha
+    return value + (tail[0] - series), grad - d1, hess - d2
 
 
 # ``_rising_sums`` adds its first terms one by one until x + i reaches this
@@ -354,21 +366,20 @@ def _rising_sums(x: float, k: int) -> tuple[float, float]:
     return head1 + sum1, head2 + sum2
 
 
-def _loglik_derivs(n, k, c, large, alpha, theta):
+def _loglik_derivs(n, k, head, tail, alpha, theta):
     """Partition log-likelihood with its gradient and Hessian in (alpha, theta).
 
-    At one point the block-size term is cheapest as ``_block_dense`` (the
-    large-size split, ``large``, serves grids only); the rising factorials
-    are ``_rising_terms``. The theta-derivatives of
+    The block-size term and its alpha-derivatives are ``_block_derivs``;
+    the rising factorials are ``_rising_terms``. The theta-derivatives of
     log [theta+1]_{n-1;1} are ``_rising_sums``. The k - 1 terms
-    i^p / (theta + alpha i)^q and the block sizes' c_i / (i - alpha)^q are
-    summed directly, each array built once: the digamma forms of the
-    i-weighted sums cancel catastrophically once theta dwarfs the counts.
+    i^p / (theta + alpha i)^q are summed directly, each array built once:
+    the digamma forms of these i-weighted sums cancel catastrophically
+    once theta dwarfs the counts.
     Returns (-inf, zeros, zeros) outside the open domain.
     """
     if not (0.0 < alpha < 1.0 and theta > -alpha) or not math.isfinite(theta):
         return -math.inf, np.zeros(2), np.zeros((2, 2))
-    block, g_alpha, h_aa = _block_dense(c, alpha)
+    block, g_alpha, h_aa = _block_derivs(head, tail, alpha)
     val = float(_rising_terms(n, k, alpha, theta)) + block
     g_theta = h_at = h_tt = 0.0
     if k > 1:
@@ -395,29 +406,6 @@ def eppf_log(part: IntegerPartition, params: PdParams) -> float:
     return float(_loglik_value(*_loglik_terms(part), params.alpha, params.theta))
 
 
-def _opening_thresholds(
-    u: np.ndarray, levels: np.ndarray, theta: float, alpha: float
-) -> np.ndarray:
-    """searchsorted(levels, u, side="right"): the least k with u < levels[k].
-
-    ``levels[k]`` is theta + k*alpha, so the quotient (u - theta)/alpha
-    guesses it; rounding in ``levels`` can put the guess off by several
-    places (up to 10 at alpha = 1e-13, theta = 1e4), so every guess is
-    checked against its bracket levels[e-1] <= u < levels[e] and only the
-    ones that fail are searched. The quotient is clipped before the cast,
-    so alpha near 0 cannot overflow it.
-    """
-    n = levels.size
-    with np.errstate(over="ignore"):
-        quotient = np.clip((u - theta) / alpha, -1.0, n - 1.0)
-    e = np.floor(quotient).astype(np.int64) + 1
-    padded = np.concatenate(([-np.inf], levels, [np.inf]))
-    off = (u < padded[e]) | (u >= padded[e + 1])
-    if off.any():
-        e[off] = np.searchsorted(levels, u[off], side="right")
-    return e
-
-
 def crp_sample(n: int, params: PdParams, seed: SeedLike = None) -> SeatingPlan:
     """Run the seating scheme for ``n`` customers. Deterministic given seed.
 
@@ -428,48 +416,59 @@ def crp_sample(n: int, params: PdParams, seed: SeedLike = None) -> SeatingPlan:
     table of earlier joiner number int(v), and else it picks table
     int((v - (t - k))/(1 - alpha)) + 1.
 
-    Only the table count is sequential. Since theta + k*alpha never falls
-    as k grows, customer t+1 opens a table exactly when k >= e_t, the
-    least k whose level exceeds u_t, and the integers e_t come from one
-    vectorised threshold pass. A loop over them counts the tables; every
-    seat then follows in numpy from the same floating-point expressions
-    as the customer-by-customer scheme, and copiers resolve by pointer
-    doubling (a copier points at an earlier customer). So the plan is the
-    scheme's, bit for bit, and the uniforms are drawn up front: a shared
-    Generator advances exactly as by ``rng.random(n - 1)``.
+    Only the table count is sequential, and theta + k*alpha never falls
+    as k grows. Customer t+1 finds at most t tables open, so it can open
+    one only if u_t < theta + t*alpha; at most one more table than the
+    earlier customers who pass that test is open, and only the customers
+    whose u_t lies below that bound's level can open one. A loop over
+    those candidates alone makes the scheme's own comparison and counts
+    the tables. Every seat then follows in numpy from the same
+    floating-point expressions as the customer-by-customer scheme, and
+    copiers resolve among the joiners by pointer doubling (a copier
+    points at an earlier joiner). So the plan is the scheme's, bit for
+    bit, and the uniforms are drawn up front: a shared Generator advances
+    exactly as by ``rng.random(n - 1)``.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     rng = np.random.default_rng(seed)
     alpha, theta = params.alpha, params.theta
     u = rng.random(n - 1) * (np.arange(1, n) + theta)  # u[t - 1] is customer t+1's
-    levels = theta + np.arange(n) * alpha
-    openers = [0]
-    k = 1
-    for i, e_i in enumerate(_opening_thresholds(u, levels, theta, alpha).tolist(), start=1):
-        if k >= e_i:
+    levels = theta + np.arange(n + 1) * alpha  # levels[k] = theta + k*alpha, k = 0..n
+    # customer t+1 finds at most t tables open, so it can open one only if u_t < levels[t]
+    maybe = u < levels[1:n]
+    # tables open before customer t+1: at most 1 + the earlier maybes
+    bound = np.cumsum(maybe) - maybe + 1
+    candidates = np.flatnonzero(u < levels[bound]) + 1
+    # the levels the loop can reach, as the floats it compares
+    reach = levels[: candidates.size + 2].tolist()
+    opens = bytearray(n)
+    opens[0] = 1
+    k, level = 1, reach[1]
+    for t, u_t in zip(candidates.tolist(), u[candidates - 1].tolist()):
+        if u_t < level:
+            opens[t] = 1
             k += 1
-            openers.append(i)
-    opens = np.zeros(n, dtype=bool)
-    opens[openers] = True
+            level = reach[k]
+    opens = np.frombuffer(opens, dtype=bool)
     # ys[t] counts the tables open once customer t+1 sits: an opener's table
     ys = np.cumsum(opens)
     t = np.flatnonzero(~opens)  # the joiners, in joining order
     k_t = ys[t - 1]
     v = u[t - 1] - levels[k_t]
-    before = t - k_t  # joiners seated before customer t+1
+    before = np.arange(t.size)  # joiners seated before each: t - k_t
+    # the scheme's min(int(w), k - 1) + 1, with the min taken first so no
+    # huge w is cast; a copier's w is negative, clipped to 0 and never read
+    tables = np.clip((v - before) / (1.0 - alpha), 0, k_t - 1).astype(np.int64) + 1
+    # a copier points at the joiner it copies; follow the pointers to one who picked
     copies = v < before
-    picks = ~copies
-    # the scheme's min(int(w), k - 1) + 1, with the min taken first so no huge w is cast
-    picked = np.minimum((v[picks] - before[picks]) / (1.0 - alpha), k_t[picks] - 1)
-    ys[t[picks]] = picked.astype(np.int64) + 1
-    # a copier points at the joiner it copies; follow the pointers to a seated one
-    ptr = np.arange(n)
-    ptr[t[copies]] = t[v[copies].astype(np.int64)]
+    ptr = before
+    ptr[copies] = v[copies].astype(np.int64)
     hops = ptr[ptr]
     while not np.array_equal(hops, ptr):
         ptr, hops = hops, hops[hops]
-    return SeatingPlan(tuple(ys[ptr].tolist()))
+    ys[t] = tables[ptr]
+    return SeatingPlan(ys)
 
 
 def gem_stick_breaking(params: PdParams, m: int, seed: SeedLike = None) -> PopulationVector:

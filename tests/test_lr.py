@@ -39,7 +39,6 @@ from raretype.lr import (
     _support_caps,
     _tilt,
 )
-from raretype.mle import _newton
 from raretype.partitions import IntegerPartition
 from raretype.pitman import PdParams, PopulationVector, crp_sample
 from raretype.rng import spawn_seeds
@@ -744,7 +743,8 @@ class TestCountDual:
         def dual(eta):
             return _count_dual(eta, log_w, part.r, np.ones(log_w.shape[0]))[:3]
 
-        saddle = _newton(dual, np.zeros(len(part.r)))[0]
+        groups, eta0 = _rank_groups(part, pop, False)
+        saddle = _tilt(groups, part.r, eta0).eta
         rng = np.random.default_rng(3)
         for eta in (saddle, saddle + rng.normal(0.0, 0.5, saddle.size)):
             _, g, h = dual(eta)

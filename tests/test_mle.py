@@ -22,6 +22,7 @@ from raretype.mle import (
     _make_objective,
     _newton,
     _phi_theta_hessian,
+    _saddle_free_step,
     _to_z,
     fit_mle,
     loglik_surface,
@@ -309,6 +310,43 @@ class TestNewton:
             assert stopped and iterations <= most
             assert np.abs(z - z_min).max() < 1e-12
 
+    def test_closed_form_step_matches_eigh(self):
+        # each component of the step is g's along an eigenvector over
+        # max(|lambda|, |that component|): rounding in g's components
+        # reaches it as eps |g| / that scale, so the error is measured
+        # against the largest such ratio
+        rng = np.random.default_rng(17)
+        cases = []
+        while len(cases) < 2000:
+            # random eigenvalues of either sign within two decades, apart
+            # by a tenth of the larger, in a random basis, at any scale
+            lam = rng.choice([-1.0, 1.0], 2) * 10.0 ** rng.uniform(-1, 1, 2)
+            if abs(lam[0] - lam[1]) < 0.1 * np.abs(lam).max():
+                continue
+            scale = 10.0 ** rng.uniform(-6, 6)
+            angle = rng.uniform(0, np.pi)
+            basis = np.array([[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]])
+            h = basis @ np.diag(lam * scale) @ basis.T
+            cases.append((rng.normal(size=2) * scale * 10.0 ** rng.uniform(-1, 1), (h + h.T) / 2))
+        # indefinite, with either eigenvalue the larger in magnitude
+        cases += [(rng.normal(size=2), np.array([[1.0, 3.0], [3.0, -2.0]]) * s) for s in (1e-3, 1.0, -7.0)]
+        # no off-diagonal: equal, distinct and zero diagonals
+        for diag in ((2.0, 2.0), (-3.0, 0.5), (1e-9, 4e4), (0.0, 0.0), (0.0, 5.0)):
+            cases.append((np.array([0.3, -1.2]), np.diag(diag)))
+        # a gradient component of 0, in each coordinate and along an eigenvector
+        h = np.array([[4.0, 1.0], [1.0, -3.0]])
+        cases += [(np.array([0.0, 2.0]), h), (np.array([-1.5, 0.0]), h)]
+        cases += [(np.linalg.eigh(h)[1][:, 0] * 2.5, h), (np.zeros(2), h)]
+        # and 0 with its eigenvalue: no step along that eigenvector
+        cases.append((np.array([0.0, 1.0]), np.diag([0.0, 2.0])))
+        for g, h in cases:
+            lam, vec = np.linalg.eigh(h)
+            vg = vec.T @ g
+            scale = np.maximum(np.abs(lam), np.abs(vg))
+            want = vec @ np.divide(vg, scale, out=np.zeros_like(vg), where=scale > 0)
+            bound = np.abs(g).max() / scale[scale > 0].min()
+            assert np.abs(_saddle_free_step(g, h) - want).max() <= 1e-14 * bound, (g, h)
+
     def test_leaves_a_saddle(self):
         # f = x^4/4 - x^2/2 + y^2/2 has a saddle at 0 and minima at x = +-1; a
         # plain Newton step from (0.1, 1) heads for the saddle
@@ -340,12 +378,12 @@ class TestGradientKernel:
         # kernel's value (eppf_log); alpha >= 0.1 and theta >= 0.5 keep the
         # x - h points inside the parameter space
         pi = IntegerPartition((1, 2, 3, 7), (6, 3, 2, 1))
-        n, k, a_big, r_big = _loglik_terms(pi)
+        terms = _loglik_terms(pi)
 
         def direct(al, th):
             return eppf_log(pi, PdParams(al, th))
 
-        _, (ga, gt), _ = _loglik_derivs(n, k, a_big, r_big, alpha, theta)
+        _, (ga, gt), _ = _loglik_derivs(*terms, alpha, theta)
         h = 1e-6
         fd_a = (direct(alpha + h, theta) - direct(alpha - h, theta)) / (2 * h)
         fd_t = (direct(alpha, theta + h) - direct(alpha, theta - h)) / (2 * h)
@@ -354,12 +392,12 @@ class TestGradientKernel:
 
     def test_tight_central_difference_agreement(self):
         pi = IntegerPartition((1, 2, 5), (9, 4, 2))
-        n, k, a_big, r_big = _loglik_terms(pi)
+        terms = _loglik_terms(pi)
         rng = np.random.default_rng(5)
         for _ in range(10):
             alpha = rng.uniform(0.15, 0.85)
             theta = rng.uniform(0.5, 40.0)
-            _, (ga, gt), _ = _loglik_derivs(n, k, a_big, r_big, alpha, theta)
+            _, (ga, gt), _ = _loglik_derivs(*terms, alpha, theta)
             h = 1e-5
             fd_a = (
                 eppf_log(pi, PdParams(alpha + h, theta)) - eppf_log(pi, PdParams(alpha - h, theta))

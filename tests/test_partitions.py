@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -194,8 +196,51 @@ def test_set_partition_canonical_construction_enforced():
     ],
 )
 def test_label_string_check_rejects(labels):
-    with pytest.raises(ValueError, match="created in order"):
+    # as a tuple and as an integer array alike
+    for form in (labels, np.array(labels, dtype=np.int64)):
+        with pytest.raises(ValueError, match="created in order"):
+            SetPartition(form)
+
+
+@given(st.lists(st.integers(1, 6), min_size=1, max_size=40))
+def test_label_array_is_stored_as_its_tuple(ys):
+    labels = reduce_sample(ys).labels
+    for dtype in (np.int64, np.int32, np.uint16):
+        p = SetPartition(np.array(labels, dtype=dtype))
+        assert p == SetPartition(tuple(labels))
+        assert type(p.labels) is tuple and {type(y) for y in p.labels} == {int}
+        assert p.block_sizes() == SetPartition(tuple(labels)).block_sizes()
+
+
+@pytest.mark.parametrize(
+    "labels",
+    [
+        (1.5, 2),
+        ("1", 2),
+        (1, 2.0),
+        (True, 2),  # bool subclasses int but is no label
+        np.array([1.0, 2.0]),
+        np.array([True, False]),
+        np.array([[1, 2]]),
+    ],
+)
+def test_non_integer_labels_rejected(labels):
+    # each of these constructed with k = 2, and then .blocks raised TypeError
+    with pytest.raises(ValueError):
         SetPartition(labels)
+
+
+def test_integer_partition_totals_are_computed_once():
+    ip = IntegerPartition(a=(1, 3, 7), r=(4, 2, 1))
+    assert (ip.n, ip.k) == (17, 7)
+    assert repr(ip) == "IntegerPartition(a=(1, 3, 7), r=(4, 2, 1))"
+    assert ip.to_dict() == {"a": [1, 3, 7], "r": [4, 2, 1]}
+    other = dataclasses.replace(ip, r=(4, 2, 2))
+    assert (other.n, other.k) == (24, 8)
+    again = pickle.loads(pickle.dumps(ip))
+    assert again == ip and hash(again) == hash(ip) and (again.n, again.k) == (17, 7)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        ip.n = 3
 
 
 def test_label_string_accepts_every_opening():

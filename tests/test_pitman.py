@@ -15,12 +15,10 @@ from raretype.pitman import (
     PdParams,
     PopulationVector,
     SeatingPlan,
-    _DENSE_SIZES,
-    _block_dense,
+    _block_derivs,
     _block_value,
     _log_rising,
     _loglik_terms,
-    _opening_thresholds,
     _rising_sums,
     crp_sample,
     eppf_log,
@@ -179,42 +177,49 @@ class TestRisingSums:
         assert _rising_sums(0.3, 0) == _rising_sums(1e8, 0) == (0.0, 0.0)
 
 
+# the reference sums the logs of blocks up to this size exactly
+_EXACT_SIZES = 65
+
+
 @st.composite
 def block_partitions(draw):
     """Up to six distinct block sizes in 2..10^6, on both sides of the
-    dense split at D + 1 = 65, with 1-5 blocks each, and an alpha."""
+    series' start at i = 8 (sizes 2-9 and just past them) and far past
+    it, with 1-5 blocks each, and an alpha."""
     sizes = draw(
         st.sets(
-            st.one_of(st.integers(2, _DENSE_SIZES + 1), st.integers(_DENSE_SIZES + 2, 10**6)),
+            st.one_of(st.integers(2, 9), st.integers(9, 16), st.integers(17, 10**6)),
             min_size=1,
             max_size=6,
         )
     )
     counts = draw(st.lists(st.integers(1, 5), min_size=len(sizes), max_size=len(sizes)))
-    alpha = draw(st.floats(1e-6, 1.0 - 1e-6))
+    alpha = draw(st.floats(1e-12, 1.0 - 1e-12))
     return IntegerPartition(a=tuple(sorted(sizes)), r=tuple(counts)), alpha
 
 
 class TestBlockTerm:
     """sum_j r_j log [1-alpha]_{a_j-1;1} and its alpha-derivatives, each
-    within 1e-13 of the sum of its terms' magnitudes. The derivatives are
-    checked against scipy's digamma and zeta(2, .), the value against
-    gammaln for sizes above 65 and, below, against the exact sum of
-    log(i) + log1p(-alpha / i): scipy's own rounding of
-    gammaln(2 - alpha) - gammaln(1 - alpha) is 1.5e-16 at alpha = 1e-6,
-    over 1e-13 of that block's whole term."""
+    within 1e-13 of the sum of its terms' magnitudes, on a grid and at a
+    point. The derivatives are checked against scipy's digamma and
+    zeta(2, .), the value against gammaln for sizes above 65 and, below,
+    against the exact sum of log(i) + log1p(-alpha / i): scipy's own
+    rounding of gammaln(2 - alpha) - gammaln(1 - alpha) is 1.5e-16 at
+    alpha = 1e-6, over 1e-13 of that block's whole term."""
 
     @settings(deadline=None)
     @given(block_partitions())
     @example((IntegerPartition(a=(2, 65, 66, 10**6), r=(1, 2, 3, 1)), 1.0 - 1e-6))
     @example((IntegerPartition(a=(2,), r=(3,)), 1e-6))
     @example((IntegerPartition(a=(5,), r=(1,)), 0.9))
+    @example((IntegerPartition(a=(8, 9, 10), r=(1, 2, 1)), 1e-12))
+    @example((IntegerPartition(a=(8, 9, 10, 10**6), r=(1, 2, 1, 5)), 1.0 - 1e-12))
     def test_matches_reference(self, case):
         part, alpha = case
         a, r = np.asarray(part.a, dtype=float), np.asarray(part.r, dtype=float)
         per_block = [
             math.fsum(math.log(i) + math.log1p(-alpha / i) for i in range(1, size))
-            if size <= _DENSE_SIZES + 1
+            if size <= _EXACT_SIZES
             else float(gammaln(size - alpha) - gammaln(1.0 - alpha))
             for size in part.a
         ]
@@ -223,13 +228,13 @@ class TestBlockTerm:
         scale = value - 2.0 * r.sum() * math.log1p(-alpha)
         grad = float(r @ (digamma(1.0 - alpha) - digamma(a - alpha)))
         hess = float(r @ (zeta(2.0, a - alpha) - zeta(2.0, 1.0 - alpha)))
-        _, _, c, large = _loglik_terms(part)
-        assert abs(float(_block_value(c, large, np.array([alpha]))[0]) - value) <= 1e-13 * scale
-        dense, dense_grad, dense_hess = _block_dense(c, alpha)
-        assert abs(dense - value) <= 1e-13 * scale
+        _, _, head, tail = _loglik_terms(part)
+        assert abs(float(_block_value(head, tail, np.array([alpha]))[0]) - value) <= 1e-13 * scale
+        point, point_grad, point_hess = _block_derivs(head, tail, alpha)
+        assert abs(point - value) <= 1e-13 * scale
         # every term of either derivative has the same sign
-        assert abs(dense_grad - grad) <= 1e-13 * abs(grad)
-        assert abs(dense_hess - hess) <= 1e-13 * abs(hess)
+        assert abs(point_grad - grad) <= 1e-13 * abs(grad)
+        assert abs(point_hess - hess) <= 1e-13 * abs(hess)
 
 
 def _loop_crp_sample(n, params, seed=None):
@@ -274,6 +279,11 @@ class TestCrpSample:
     @example(PdParams(1e-12, 1e4), 3000, 1)
     @example(PdParams(1.0 - 1e-12, 1e6), 3000, 2)
     @example(PdParams(0.5, -0.4999999), 3000, 3)
+    # u a few ulps above theta: rounding in theta + k*alpha moves the least
+    # opening level by up to ten places from (u - theta)/alpha
+    @example(PdParams(1e-13, 1e4), 1, 4)
+    @example(PdParams(1e-13, 1e4), 2, 5)
+    @example(PdParams(1e-13, 1e4), 3000, 6)
     def test_matches_customer_by_customer_loop(self, params, n, seed):
         assert crp_sample(n, params, seed=seed) == _loop_crp_sample(n, params, seed=seed)
 
@@ -282,16 +292,14 @@ class TestCrpSample:
         params = PdParams(0.51, 216.0)
         assert crp_sample(18_925, params, seed=seed) == _loop_crp_sample(18_925, params, seed=seed)
 
-    def test_thresholds_exact_where_the_quotient_misleads(self):
-        # u a few ulps above theta: rounding in theta + k*alpha moves the
-        # least opening level by up to ten places from (u - theta)/alpha
-        alpha, theta = 1e-13, 1e4
-        u = theta + np.arange(200) * np.spacing(theta)
-        levels = theta + np.arange(5000) * alpha
-        expected = [next(k for k in range(5000) if x < theta + k * alpha) for x in u.tolist()]
-        quotient = (np.floor((u - theta) / alpha) + 1).astype(int)
-        assert (quotient != expected).any()
-        assert _opening_thresholds(u, levels, theta, alpha).tolist() == expected
+    def test_plan_is_its_label_string(self):
+        plan = crp_sample(3000, PdParams(0.51, 216.0), seed=11)
+        again = SeatingPlan(plan.assignments)
+        assert plan == again
+        assert (plan.k, plan.table_counts) == (again.k, again.table_counts)
+        assert type(plan.assignments) is tuple
+        assert {type(y) for y in plan.assignments} == {int}
+        assert plan.to_set_partition().labels is plan.assignments
 
     def test_first_customer_alone(self):
         plan = crp_sample(1, PdParams(0.5, 1.0), seed=0)
