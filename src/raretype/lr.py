@@ -332,13 +332,14 @@ def lr_true_mh(
     """
     _check_true_lr_inputs(part, p)
     caps = _support_caps(p, strict_support)
-    trace, acceptance = _run_swap_chain(_greedy_labels(part, caps), part, p.as_array(), caps, cfg)
-    if len(trace) < 2:
+    labels = _greedy_labels(part, caps)
+    if cfg.n_retained < 2:
         # one sample has no spread to put an error bar on
         raise ValueError(
             "fewer than 2 retained samples: lower burn_in/thinning or raise iterations "
             f"(schedule keeps {cfg.n_retained})"
         )
+    trace, acceptance = _run_swap_chain(labels, part, p.as_array(), caps, cfg)
     masses = np.array([s for _, s in trace])
     if (masses == masses[0]).all():
         # a chain that never left its state: its mass, with no spread, where

@@ -54,7 +54,8 @@ class SetPartition:
     string is checked on construction; ``from_blocks`` builds it from
     blocks in any order. ``n``, ``k`` and ``blocks`` are derived from it.
     The labels may come as a 1-d integer array, which is checked as it is
-    and stored as the tuple of its Python ints.
+    and stored as the tuple of its Python ints; any other sequence is
+    stored as a tuple, so equal labels give equal, hashable partitions.
     """
 
     labels: tuple[int, ...]
@@ -68,11 +69,13 @@ class SetPartition:
             if labels.ndim != 1 or labels.dtype.kind not in "iu":
                 raise ValueError("a label array must be 1-d with an integer dtype")
             ys = labels.astype(np.int64, copy=False)
-            object.__setattr__(self, "labels", tuple(ys.tolist()))
+            labels = tuple(ys.tolist())
         else:
+            labels = tuple(labels)
             if not _are_integers(labels):
                 raise ValueError("labels must be integers")
             ys = np.fromiter(labels, np.int64, count=len(labels))
+        object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "_sizes", _rgs_sizes(ys))
 
     @classmethod

@@ -36,6 +36,7 @@ from .lr import (
 from .mle import fit_mle
 from .partitions import (
     IntegerPartition,
+    _are_integers,
     # not called here since run_case counts records directly; perfbench's
     # traced casework run still wraps both names in this namespace
     reduce_sample,
@@ -68,12 +69,12 @@ __all__ = [
 
 THREADS_ENV_VAR = "RARETYPE_THREADS"
 
-# joins multi-column profiles; the unit separator cannot collide with
-# printable allele tokens
+# joins multi-column profiles; a text holding it is rejected, so no field
+# can merge with its neighbour
 _FIELD_JOIN = "\x1f"
 # a text free of these is read without csv: each line is one row and each
 # delimiter, once replaced by _FIELD_JOIN, one field boundary
-_NOT_PLAIN = ('"', "\r", "\0", _FIELD_JOIN)
+_NOT_PLAIN = ('"', "\r", "\0")
 
 
 class ProfileParseError(ValueError):
@@ -127,21 +128,26 @@ def load_profiles(path: str, format: str = "tsv", columns="all") -> ProfileDatab
     identity; values are never interpreted numerically. A header that
     repeats a name is rejected, whichever columns are selected.
 
-    The file is read as one string. A text holding no quote, CR, NUL or
-    unit separator has no csv syntax beyond the delimiter and LF, so its
-    lines are split and checked in whole-text passes, each distinct line
-    once; such a text has no field size limit. Any other text goes through
-    ``csv.reader``, the only reader of quoted fields and CR line ends,
-    whose parse errors (a quoted field over ``csv.field_size_limit()``, a
-    NUL on Python 3.10) raise ``ProfileParseError`` naming the line. Both
-    readers give the same records and the same errors, and a ragged row is
-    reported at the first offending line in file order.
+    The file is read as one string. A text holding the unit separator
+    U+001F, which joins a record's fields, raises ``ProfileParseError``
+    naming its first line. A text holding no quote, CR or NUL has no csv
+    syntax beyond the delimiter and LF, so its lines are split and checked
+    in whole-text passes, each distinct line once; such a text has no field
+    size limit. Any other text goes through ``csv.reader``, the only reader
+    of quoted fields and CR line ends, whose parse errors (a quoted field
+    over ``csv.field_size_limit()``, a NUL on Python 3.10) raise
+    ``ProfileParseError`` naming the line. Both readers give the same
+    records and the same errors, and a ragged row is reported at the first
+    offending line in file order.
     """
     if format not in ("tsv", "csv"):
         raise ValueError(f"format must be 'tsv' or 'csv', got {format!r}")
     delimiter = "\t" if format == "tsv" else ","
     with open(path, newline="") as fh:
         text = fh.read()
+    if _FIELD_JOIN in text:
+        lineno = len(io.StringIO(text[: text.index(_FIELD_JOIN) + 1], newline="").readlines())
+        raise ProfileParseError(f"{path}:{lineno}: unit separator U+001F in a field")
     rows = header = None
     if any(c in text for c in _NOT_PLAIN):
         rows = _csv_rows(path, text, delimiter)
@@ -257,9 +263,7 @@ def dutch_fixture() -> IntegerPartition:
 
 def population_from_partition(pi: IntegerPartition) -> PopulationVector:
     """One type per block; p_i = block size / n, N = n."""
-    sizes = pi.sizes_desc()
-    n = pi.n
-    return PopulationVector(probs=tuple(s / n for s in sizes), pop_size=n)
+    return PopulationVector(probs=tuple(s / pi.n for s in pi.sizes_desc()), pop_size=pi.n)
 
 
 @dataclass(frozen=True)
@@ -365,7 +369,7 @@ class ExperimentSpec:
     master seed, so results do not depend on scheduling.
     """
 
-    population: Union[IntegerPartition, PopulationVector]
+    population: IntegerPartition
     sample_size: int = 101
     replicates: int = 96
     seed: SeedLike = None
@@ -373,19 +377,16 @@ class ExperimentSpec:
     strict_support: bool = False
 
     def __post_init__(self) -> None:
+        if not isinstance(self.population, IntegerPartition):
+            raise ValueError(f"population must be an IntegerPartition, not {type(self.population)}")
+        if not _are_integers((self.sample_size, self.replicates)):
+            raise ValueError("sample_size and replicates must be integers")
         if self.sample_size < 2:
             raise ValueError("sample_size must be >= 2 (database plus suspect)")
         if self.replicates < 1:
             raise ValueError("replicates must be >= 1")
-        n = (
-            self.population.n
-            if isinstance(self.population, IntegerPartition)
-            else self.population.pop_size
-        )
-        if n is None:
-            raise ValueError("explicit population vectors need pop_size")
-        if self.sample_size > n:
-            raise ValueError(f"sample_size {self.sample_size} exceeds population size {n}")
+        if self.sample_size > self.population.n:
+            raise ValueError(f"sample_size {self.sample_size} > population size {self.population.n}")
 
 
 @dataclass(frozen=True)
@@ -480,24 +481,6 @@ class ExperimentResult:
         }
 
 
-def _experiment_population(spec: ExperimentSpec) -> tuple[PopulationVector, np.ndarray]:
-    if isinstance(spec.population, IntegerPartition):
-        pop = population_from_partition(spec.population)
-        counts = np.asarray(pop.as_array() * pop.pop_size)
-    else:
-        pop = spec.population
-        counts = pop.as_array() * pop.pop_size
-        if np.abs(counts - np.rint(counts)).max() > 1e-6:
-            raise ValueError(
-                "population frequencies do not describe integer carrier counts; "
-                "supply the population as an integer partition instead"
-            )
-    counts = np.rint(counts).astype(np.int64)
-    if counts.sum() != pop.pop_size or (counts < 1).any():
-        raise ValueError("carrier counts inconsistent with pop_size")
-    return pop, counts
-
-
 # draws per replicate before a population counts as too concentrated for
 # the suspect's type to go unseen
 _CONDITIONING_ATTEMPTS = 10_000
@@ -506,13 +489,12 @@ _CONDITIONING_ATTEMPTS = 10_000
 def _run_replicate(
     spec: ExperimentSpec,
     pop: PopulationVector,
-    counts: np.ndarray,
+    individuals: np.ndarray,
     index: int,
     seed: np.random.SeedSequence,
 ) -> ExperimentRow:
     sample_seed, mh_seed = seed.spawn(2)
     rng = np.random.default_rng(sample_seed)
-    individuals = np.repeat(np.arange(1, pop.m + 1), counts)
     for _ in range(_CONDITIONING_ATTEMPTS):
         drawn = rng.choice(individuals, size=spec.sample_size, replace=False)
         suspect = int(drawn[-1])
@@ -547,10 +529,6 @@ def _run_replicate(
     )
 
 
-def _worker(payload) -> ExperimentRow:
-    return _run_replicate(*payload)
-
-
 def _worker_count(replicates: int) -> int:
     env = os.environ.get(THREADS_ENV_VAR)
     if env is not None:
@@ -569,17 +547,19 @@ def _worker_count(replicates: int) -> int:
 def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     """Run the replicated comparison; rows come back in replicate order
     regardless of scheduling."""
-    pop, counts = _experiment_population(spec)
+    pop = population_from_partition(spec.population)
+    # each individual carries its type's rank, 1..m by carrier count
+    individuals = np.repeat(np.arange(1, pop.m + 1), spec.population.sizes_desc())
     seeds = spawn_seeds(spec.seed, spec.replicates)
-    payloads = [(spec, pop, counts, i, seeds[i]) for i in range(spec.replicates)]
+    args = (repeat(spec), repeat(pop), repeat(individuals), range(spec.replicates), seeds)
     workers = _worker_count(spec.replicates)
     if workers == 1:
-        rows = [_worker(payload) for payload in payloads]
+        rows = list(map(_run_replicate, *args))
     else:
         # imported here: loading concurrent.futures pulls in multiprocessing,
         # which the serial branch and run_case never use
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_worker, payloads))
+            rows = list(pool.map(_run_replicate, *args))
     return ExperimentResult(rows=tuple(rows), summary=summarize_rows(rows))

@@ -166,6 +166,13 @@ class TestDispatch:
         assert cli_dispatch(["reduce", "--input", str(profiles), "--quiet"]) == 2
         assert "repeated in header" in capsys.readouterr().err
 
+    def test_unit_separator_exits_2(self, capsys, tmp_path):
+        # these two distinct rows once reduced to one type of size 2
+        profiles = tmp_path / "profiles.tsv"
+        profiles.write_text("L1\tL2\na\x1fb\tc\na\tb\x1fc\n")
+        assert cli_dispatch(["reduce", "--input", str(profiles), "--integer", "--quiet"]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {profiles}:2: unit separator U+001F")
+
     def test_empty_column_selection_exits_2(self, capsys, tmp_path):
         profiles = tmp_path / "profiles.tsv"
         profiles.write_text("L1\tL2\nx\ty\nx\tz\nw\ty\n")

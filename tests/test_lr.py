@@ -44,9 +44,9 @@ from raretype.pitman import PdParams, PopulationVector, crp_sample
 from raretype.rng import spawn_seeds
 from raretype.workbench import (
     ExperimentSpec,
-    _experiment_population,
     _run_replicate,
     dutch_fixture,
+    population_from_partition,
 )
 
 
@@ -282,6 +282,18 @@ class TestTrueLr:
         with pytest.raises(ValueError, match="fewer than 2"):
             lr_true_mh(pi, pop, MhConfig(1000, 0, 1000, seed=0))
 
+    def test_short_schedule_is_rejected_before_the_chain(self, monkeypatch):
+        def chain(*args):
+            raise AssertionError("the chain ran on a schedule that keeps one sample")
+
+        monkeypatch.setattr("raretype.lr._run_swap_chain", chain)
+        short = MhConfig(1000, 0, 1000, seed=0)
+        with pytest.raises(ValueError, match="fewer than 2"):
+            lr_true_mh(IntegerPartition((1,), (1,)), uniform_population(3), short)
+        # an infeasible census is still reported first
+        with pytest.raises(InfeasibleAssignmentError):
+            lr_true_mh(IntegerPartition((1,), (5,)), uniform_population(4, pop_size=40), short)
+
     def test_deterministic_given_seed(self):
         pi = IntegerPartition((1, 2), (2, 1))
         pop = PopulationVector(probs=(0.4, 0.3, 0.2, 0.05, 0.05), pop_size=300)
@@ -433,8 +445,8 @@ class TestProposalLaw:
 def dutch_replicates(spec):
     """Population and suspect-augmented database of each of spec's
     replicates, drawn as _run_replicate draws them."""
-    pop, counts = _experiment_population(spec)
-    individuals = np.repeat(np.arange(1, pop.m + 1), counts)
+    pop = population_from_partition(spec.population)
+    individuals = np.repeat(np.arange(1, pop.m + 1), spec.population.sizes_desc())
     for seed in spawn_seeds(spec.seed, spec.replicates):
         rng = np.random.default_rng(seed.spawn(2)[0])
         while True:
@@ -450,11 +462,12 @@ def test_chain_agrees_with_exact_pass_over_dutch_replicates():
     # 24 validation replicates of a database of 100 from the Dutch population;
     # each fits the exact pass's state budget
     spec = ExperimentSpec(population=dutch_fixture(), replicates=24, seed=2024)
-    pop, counts = _experiment_population(spec)
+    pop = population_from_partition(spec.population)
+    individuals = np.repeat(np.arange(1, pop.m + 1), spec.population.sizes_desc())
     errors = []
     replicates = zip(spawn_seeds(spec.seed, 24), dutch_replicates(spec))
     for i, (seed, (_, db_plus)) in enumerate(replicates):
-        chain = _run_replicate(spec, pop, counts, i, seed).log10_lr_true
+        chain = _run_replicate(spec, pop, individuals, i, seed).log10_lr_true
         errors.append(chain - math.log10(exact_true_lr(db_plus, pop)))
     assert math.sqrt(np.mean(np.square(errors))) <= 0.03
 

@@ -212,6 +212,13 @@ def test_label_array_is_stored_as_its_tuple(ys):
         assert p.block_sizes() == SetPartition(tuple(labels)).block_sizes()
 
 
+def test_label_list_is_stored_as_its_tuple():
+    p = SetPartition([1, 2, 1])
+    assert type(p.labels) is tuple
+    assert p == SetPartition((1, 2, 1))
+    assert hash(p) == hash(SetPartition((1, 2, 1)))
+
+
 @pytest.mark.parametrize(
     "labels",
     [

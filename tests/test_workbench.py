@@ -152,6 +152,18 @@ class TestLoadProfiles:
         unquoted = write(tmp_path / "plain.tsv", "L1\nx\n" + "y" * 140_000 + "\n")
         assert load_profiles(unquoted).records == ("x", "y" * 140_000)
 
+    def test_unit_separator_is_rejected(self, tmp_path):
+        # joined with U+001F, these two distinct rows loaded as one record
+        for ending in ("\n", "\r\n"):
+            text = "L1\tL2\na\x1fb\tc\na\tb\x1fc\n".replace("\n", ending)
+            path = write(tmp_path / "db.tsv", text)
+            with pytest.raises(ProfileParseError, match=rf"^{path}:2: unit separator U\+001F"):
+                load_profiles(path)
+        # the first one names its line, whichever line ends precede it
+        path = write(tmp_path / "db.csv", 'L1\rx\r\n"y\nz"\r\x1f\n')
+        with pytest.raises(ProfileParseError, match=rf"^{path}:5: "):
+            load_profiles(path, format="csv")
+
     def test_unknown_format(self, tmp_path):
         with pytest.raises(ValueError):
             load_profiles(write(tmp_path / "db.tsv", "L1\nx\n"), format="xlsx")
@@ -159,9 +171,15 @@ class TestLoadProfiles:
 
 def reference_load(path, format="tsv", columns="all"):
     """The csv-reader loop ``load_profiles`` ran before it read plain
-    texts in whole-text passes: (records, columns), or what it raised."""
+    texts in whole-text passes, after a scan that rejects the unit
+    separator: (records, columns), or what it raised."""
     delimiter = "\t" if format == "tsv" else ","
     with open(path, newline="") as fh:
+        # a field holding the join character would merge with its neighbour
+        for lineno, line in enumerate(fh, start=1):
+            if "\x1f" in line:
+                raise ProfileParseError(f"{path}:{lineno}: unit separator U+001F in a field")
+        fh.seek(0)
         reader = csv.reader(fh, delimiter=delimiter)
         try:
             header = next(reader)
@@ -260,6 +278,7 @@ columns_choices = st.one_of(
 @example(text="L1\n\n", format="tsv", columns="all")
 @example(text="L1\tL2\nx\ty", format="tsv", columns=["L2", "L1"])
 @example(text='L1,L2\r\n"a,b",c\r\n', format="csv", columns="all")
+# the join character is rejected, not read as a field boundary
 @example(text="L1\tL2\na\x1fb\tc\n", format="tsv", columns="all")
 # csv rejects a NUL on Python 3.10 and reads it as a character from 3.11
 @example(text="L1\nx\0y\n", format="tsv", columns="all")
@@ -523,6 +542,14 @@ class TestExperiment:
             ExperimentSpec(population=IntegerPartition((1,), (5,)), sample_size=10)
         with pytest.raises(ValueError):
             ExperimentSpec(population=PopulationVector(probs=(0.5, 0.5)), sample_size=2)
+        # the census is an integer partition; its vector form, pop_size and all, is not taken
+        with pytest.raises(ValueError, match="IntegerPartition"):
+            ExperimentSpec(population=population_from_partition(dutch_fixture()), sample_size=31)
+        # a float sample_size failed deep inside rng.choice, and True ran one replicate
+        for bad in ({"sample_size": 31.0}, {"replicates": True}, {"replicates": 2.0}):
+            with pytest.raises(ValueError, match="must be integers"):
+                ExperimentSpec(population=dutch_fixture(), **bad)
+        assert ExperimentSpec(population=dutch_fixture(), sample_size=np.int64(31)).sample_size == 31
 
     def test_single_replicate_summary_equals_row(self, monkeypatch):
         monkeypatch.setenv("RARETYPE_THREADS", "1")
