@@ -2,10 +2,11 @@
 
 A sample of categorical observations is reduced to the partition of its
 index set induced by "same value"; that partition is the only structure
-the rest of the package ever consults. A set partition is stored as its
-restricted growth string (Knuth, TAOCP 4A, 7.2.1.5), the canonical form
-a seating plan's assignments already take; its blocks are derived on
-demand and its block sizes come from one ``bincount``. Set partitions
+the rest of the package ever consults. A set partition is stored once,
+as its restricted growth string (Knuth, TAOCP 4A, 7.2.1.5) in a read-only
+int64 array; a seating plan, whose assignments take that form, is one.
+Its tuple of labels is built on first read, its blocks on demand, and
+its block sizes come from one ``bincount``. Set partitions
 live at the label boundary only: the likelihood, the fit and every LR
 depend on the block sizes alone and take an integer partition, which
 keeps the multiset of block sizes in the compact (a, r) form: distinct
@@ -16,8 +17,9 @@ concurrent tasks.
 """
 from __future__ import annotations
 
+import functools
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
 from typing import Hashable, Sequence
 
 import numpy as np
@@ -45,38 +47,59 @@ def _rgs_sizes(ys: np.ndarray) -> np.ndarray:
     return np.bincount(ys)[1:]
 
 
-@dataclass(frozen=True)
 class SetPartition:
     """Partition of {1..n} into disjoint nonempty blocks.
 
     Stored as its restricted growth string: ``labels[i]`` is the block of
     element i+1, blocks numbered in order of their least element. The
     string is checked on construction; ``from_blocks`` builds it from
-    blocks in any order. ``n``, ``k`` and ``blocks`` are derived from it.
-    The labels may come as a 1-d integer array, which is checked as it is
-    and stored as the tuple of its Python ints; any other sequence is
-    stored as a tuple, so equal labels give equal, hashable partitions.
+    blocks in any order. It may come as a 1-d integer array or as any
+    integer sequence, and is kept once, as a read-only int64 array (a
+    copy of the caller's). ``labels``, the tuple of its Python ints, is
+    built on its first read; ``n``, ``k`` and ``blocks`` are derived.
+    Values are frozen, and equal labels give equal, hashable partitions.
     """
 
-    labels: tuple[int, ...]
-    # the check yields the block sizes; kept so k and the sizes cost O(k)
-    _sizes: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        labels = self.labels
+    def __init__(self, labels: Sequence[int] | np.ndarray) -> None:
         if isinstance(labels, np.ndarray):
             # bool is not an integer dtype here: its kind is "b"
             if labels.ndim != 1 or labels.dtype.kind not in "iu":
                 raise ValueError("a label array must be 1-d with an integer dtype")
-            ys = labels.astype(np.int64, copy=False)
-            labels = tuple(ys.tolist())
+            ys = labels.astype(np.int64)
         else:
             labels = tuple(labels)
             if not _are_integers(labels):
                 raise ValueError("labels must be integers")
             ys = np.fromiter(labels, np.int64, count=len(labels))
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "_sizes", _rgs_sizes(ys))
+            self.__dict__["labels"] = labels
+        # the check yields the block sizes; kept so k and the sizes cost O(k)
+        self.__dict__["_sizes"] = _rgs_sizes(ys)
+        ys.flags.writeable = False
+        self.__dict__["_ys"] = ys
+
+    @functools.cached_property
+    def labels(self) -> tuple[int, ...]:
+        return tuple(self._ys.tolist())
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return np.array_equal(self._ys, other._ys)
+
+    def __hash__(self) -> int:
+        return hash(self.labels)
+
+    def __repr__(self) -> str:
+        return f"SetPartition(labels={self.labels!r})"
+
+    def __reduce__(self):
+        return self.__class__, (self._ys,)
 
     @classmethod
     def from_blocks(cls, blocks: Sequence[Sequence[int]]) -> "SetPartition":
@@ -98,7 +121,7 @@ class SetPartition:
     @property
     def n(self) -> int:
         """Number of elements."""
-        return len(self.labels)
+        return self._ys.size
 
     @property
     def k(self) -> int:

@@ -41,6 +41,7 @@ only at interfaces (n near 2*10^4 underflows direct products).
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
@@ -138,38 +139,29 @@ class PopulationVector:
         return cls(probs=tuple(float(p) for p in d["probs"]), pop_size=d.get("pop_size"))
 
 
-@dataclass(frozen=True)
-class SeatingPlan:
+class SeatingPlan(SetPartition):
     """Sequential seating outcome: assignments[i] is the (1-based) table of
-    customer i+1. They may come as a 1-d integer array, stored as a tuple."""
+    customer i+1. Each customer sits at an open table or opens the next
+    one, so the assignments are a restricted growth string and the plan
+    is the set partition of its customers by table."""
 
-    assignments: tuple[int, ...]
-    # the checked partition, built once; k and the table counts come from it
-    _partition: SetPartition = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        # each customer sits at an open table or opens the next one: the
-        # assignments are a restricted growth string, and its labels the
-        # assignments' one tuple
-        partition = SetPartition(self.assignments)
-        object.__setattr__(self, "_partition", partition)
-        object.__setattr__(self, "assignments", partition.labels)
+    def __init__(self, assignments: Sequence[int] | np.ndarray) -> None:
+        super().__init__(assignments)
 
     @property
-    def n(self) -> int:
-        return len(self.assignments)
-
-    @property
-    def k(self) -> int:
-        return self._partition.k
+    def assignments(self) -> tuple[int, ...]:
+        return self.labels
 
     @property
     def table_counts(self) -> tuple[int, ...]:
-        return self._partition.block_sizes()
+        return self.block_sizes()
 
     def to_set_partition(self) -> SetPartition:
-        """The plan's partition; the assignments are its label string, uncopied."""
-        return self._partition
+        """The plan's partition: the plan itself."""
+        return self
+
+    def __repr__(self) -> str:
+        return f"SeatingPlan(assignments={self.labels!r})"
 
 
 # the block-size term keeps its first factors, i = 1 .. 7, as logs; from
@@ -179,9 +171,12 @@ _LOG_FACTORS = 7
 _SERIES_TERMS = 22
 
 
+@functools.lru_cache(maxsize=1)
 def _loglik_terms(part: IntegerPartition):
     """Precompute, once per partition, what the likelihood kernel needs:
-    (n, k, head, tail).
+    (n, k, head, tail). The last partition's terms are kept, so a fit and
+    the surface around it build them once; ``head`` and ``tail`` are
+    read-only.
 
     With c_i the number of blocks larger than i, the block-size term
     sum_j r_j log [1-alpha]_{a_j-1;1} is B(alpha) = sum_i c_i log(i - alpha),
@@ -206,6 +201,7 @@ def _loglik_terms(part: IntegerPartition):
     for m in range(1, _SERIES_TERMS + 1):
         rest = rest * inv
         tail[m] = rest.sum()
+    head.flags.writeable = tail.flags.writeable = False
     return part.n, part.k, head, tail
 
 
@@ -429,8 +425,8 @@ def crp_sample(n: int, params: PdParams, seed: SeedLike = None) -> SeatingPlan:
     bit, and the uniforms are drawn up front: a shared Generator advances
     exactly as by ``rng.random(n - 1)``.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    if not _are_integers((n,)) or n < 1:
+        raise ValueError(f"n must be an integer count >= 1, got {n!r}")
     rng = np.random.default_rng(seed)
     alpha, theta = params.alpha, params.theta
     u = rng.random(n - 1) * (np.arange(1, n) + theta)  # u[t - 1] is customer t+1's
@@ -455,15 +451,14 @@ def crp_sample(n: int, params: PdParams, seed: SeedLike = None) -> SeatingPlan:
     ys = np.cumsum(opens)
     t = np.flatnonzero(~opens)  # the joiners, in joining order
     k_t = ys[t - 1]
-    v = u[t - 1] - levels[k_t]
+    v = u[t - 1] - (theta + k_t * alpha)  # levels[k_t], the same floats
     before = np.arange(t.size)  # joiners seated before each: t - k_t
     # the scheme's min(int(w), k - 1) + 1, with the min taken first so no
     # huge w is cast; a copier's w is negative, clipped to 0 and never read
     tables = np.clip((v - before) / (1.0 - alpha), 0, k_t - 1).astype(np.int64) + 1
-    # a copier points at the joiner it copies; follow the pointers to one who picked
-    copies = v < before
-    ptr = before
-    ptr[copies] = v[copies].astype(np.int64)
+    # a copier (v < before) points at joiner int(v), a picker at itself;
+    # follow the pointers to one who picked
+    ptr = np.minimum(v, before).astype(np.int64)
     hops = ptr[ptr]
     while not np.array_equal(hops, ptr):
         ptr, hops = hops, hops[hops]
@@ -479,8 +474,8 @@ def gem_stick_breaking(params: PdParams, m: int, seed: SeedLike = None) -> Popul
     mass to one. The pre-normalization tail mass 1 - sum(W) is kept on the
     result as a truncation diagnostic.
     """
-    if m < 1:
-        raise ValueError("truncation length must be >= 1")
+    if not _are_integers((m,)) or m < 1:
+        raise ValueError(f"truncation length must be an integer >= 1, got {m!r}")
     rng = np.random.default_rng(seed)
     i = np.arange(1, m + 1, dtype=float)
     v = rng.beta(1.0 - params.alpha, params.theta + i * params.alpha)

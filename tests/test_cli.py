@@ -129,6 +129,15 @@ class TestDispatch:
         payload = json.loads(capsys.readouterr().out)
         assert payload["converged"] is False
 
+    def test_unallocatable_block_exits_2(self, capsys, tmp_path):
+        # the terms of a 10^15 block exceed the address space, so the
+        # allocation fails without touching memory
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"a": [1, 10**15], "r": [1, 1]}))
+        assert cli_dispatch(["fit", "--partition", str(path), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
     def test_reduce_and_fit_pipeline(self, capsys, tmp_path):
         profiles = tmp_path / "profiles.tsv"
         rows = ["x"] * 6 + ["y"] * 3 + ["z", "w", "v", "u", "t", "s", "r", "q"]

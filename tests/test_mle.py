@@ -521,6 +521,26 @@ class TestSurface:
             expected = ref[valid] - ref[valid].max()
             assert np.abs(surf.rel_loglik[valid] - expected).max() <= 1e-9
 
+    def test_terms_are_kept_for_the_last_partition_only(self):
+        params = PdParams(0.5, 20.0)
+        first, second = (
+            IntegerPartition.from_block_sizes(crp_sample(2000, params, seed=s).table_counts) for s in (1, 2)
+        )
+        assert first != second
+        fit = fit_mle(first)
+        misses = _loglik_terms.cache_info().misses
+        loglik_surface(first, fit)
+        assert _loglik_terms.cache_info().misses == misses  # the fit's terms
+        # the same n, so the fit serves the second partition's surface too
+        surf = loglik_surface(second, fit)
+        _loglik_terms.cache_clear()
+        fresh = loglik_surface(second, fit)
+        assert np.array_equal(surf.rel_loglik, fresh.rel_loglik, equal_nan=True)
+        _, _, head, tail = _loglik_terms(second)
+        for array in (head, tail):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1.0
+
     def test_fine_grid_memory_is_bounded(self, crp_18925):
         # the block-size term is accumulated, never broadcast to points x
         # distinct sizes (90601 x ~90 doubles, ~65 MB, here)

@@ -12,7 +12,7 @@ from raretype.partitions import (
     reduce_sample,
     to_integer_partition,
 )
-from raretype.pitman import PdParams, crp_sample
+from raretype.pitman import PdParams, SeatingPlan, crp_sample
 
 from enumeration import augment, bell_number, enumerate_partitions
 
@@ -235,6 +235,32 @@ def test_non_integer_labels_rejected(labels):
     # each of these constructed with k = 2, and then .blocks raised TypeError
     with pytest.raises(ValueError):
         SetPartition(labels)
+
+
+@pytest.mark.parametrize("cls", [SetPartition, SeatingPlan])
+@pytest.mark.parametrize("form", [tuple, lambda ys: np.array(ys, dtype=np.int32)])
+def test_set_partitions_pickle(cls, form):
+    ys = (1, 2, 1, 3, 3, 2, 4)
+    p = cls(form(ys))
+    again = pickle.loads(pickle.dumps(p))
+    assert type(again) is cls and again == p and hash(again) == hash(p)
+    assert type(again.labels) is tuple and again.labels == ys
+    assert {type(y) for y in again.labels} == {int}
+    assert again.block_sizes() == (2, 2, 2, 1)
+    if cls is SeatingPlan:
+        assert again.table_counts == (2, 2, 2, 1) and again.assignments == ys
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        p.labels = (1,)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        again.labels = (1,)
+
+
+def test_label_array_is_copied():
+    ys = np.array([1, 2, 1])
+    p = SetPartition(ys)
+    ys[1] = 1  # the caller keeps a writeable array of their own
+    assert p.labels == (1, 2, 1) and p.block_sizes() == (2, 1)
+    assert repr(p) == "SetPartition(labels=(1, 2, 1))"
 
 
 def test_integer_partition_totals_are_computed_once():

@@ -301,6 +301,19 @@ class TestCrpSample:
         assert {type(y) for y in plan.assignments} == {int}
         assert plan.to_set_partition().labels is plan.assignments
 
+    @pytest.mark.parametrize("n", [10.0, 2.5, True, np.float64(3.0), "3", 0])
+    def test_rejects_non_integer_sizes(self, n):
+        # checked before any draw, so a shared Generator does not advance
+        g = np.random.default_rng(5)
+        state = g.bit_generator.state
+        with pytest.raises(ValueError, match="n must be an integer"):
+            crp_sample(n, PdParams(0.5, 1.0), seed=g)
+        assert g.bit_generator.state == state
+
+    def test_takes_numpy_integer_sizes(self):
+        params = PdParams(0.51, 216.0)
+        assert crp_sample(np.int32(500), params, seed=4) == crp_sample(500, params, seed=4)
+
     def test_first_customer_alone(self):
         plan = crp_sample(1, PdParams(0.5, 1.0), seed=0)
         assert plan.k == 1 and plan.assignments == (1,)
@@ -377,7 +390,26 @@ class TestSeatingPlan:
         assert plan.to_set_partition() is plan.to_set_partition()
 
 
+    def test_plan_is_its_set_partition(self):
+        plan = SeatingPlan(np.array([1, 2, 1, 3]))
+        assert plan.to_set_partition() is plan and isinstance(plan, SetPartition)
+        assert plan.labels is plan.assignments == (1, 2, 1, 3)
+        assert plan.table_counts == plan.block_sizes() == (2, 1, 1)
+        assert repr(plan) == "SeatingPlan(assignments=(1, 2, 1, 3))"
+        assert SeatingPlan(assignments=(1, 2, 1, 3)) == plan
+        # a plan equals only a plan
+        assert plan != SetPartition((1, 2, 1, 3)) and SetPartition((1, 2, 1, 3)) != plan
+
+
 class TestGem:
+    @pytest.mark.parametrize("m", [5.0, 2.5, True, np.float64(3.0), "3", 0])
+    def test_rejects_non_integer_sizes(self, m):
+        g = np.random.default_rng(5)
+        state = g.bit_generator.state
+        with pytest.raises(ValueError, match="truncation length must be an integer"):
+            gem_stick_breaking(PdParams(0.5, 1.0), m, seed=g)
+        assert g.bit_generator.state == state
+
     def test_single_stick(self):
         pop = gem_stick_breaking(PdParams(0.5, 1.0), m=1, seed=3)
         assert pop.probs == (1.0,)
