@@ -20,7 +20,6 @@ _EXPORTS = {
     "MhConfig": "lr",
     "SaddleLrEstimate": "lr",
     "TrueLrEstimate": "lr",
-    "diff_metrics": "lr",
     "exact_true_lr": "lr",
     "lr_empirical_bayes": "lr",
     "lr_frequentist": "lr",

@@ -57,7 +57,7 @@ and the census caps.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields
 from itertools import islice
 from typing import NamedTuple, Optional
 
@@ -79,7 +79,6 @@ __all__ = [
     "SaddleLrEstimate",
     "saddle_true_lr",
     "SADDLE_LOG10_BOUND",
-    "diff_metrics",
 ]
 
 _LOG10 = math.log(10.0)
@@ -91,15 +90,15 @@ class InfeasibleAssignmentError(RuntimeError):
 
 def lr_empirical_bayes(n: int, params: PdParams) -> float:
     """Plug-in likelihood ratio (n + 1 + theta)/(1 - alpha), database size n."""
-    if n < 1:
-        raise ValueError("database size must be >= 1")
+    if not _are_integers((n,)) or n < 1:
+        raise ValueError(f"database size must be an integer >= 1, got {n}")
     return (n + 1.0 + params.theta) / (1.0 - params.alpha)
 
 
 def lr_frequentist(p: PopulationVector, matched_rank: int) -> float:
     """Benchmark 1/p_x for the matching type at 1-based population rank."""
-    if not 1 <= matched_rank <= p.m:
-        raise ValueError(f"matched_rank must lie in 1..{p.m}, got {matched_rank}")
+    if not _are_integers((matched_rank,)) or not 1 <= matched_rank <= p.m:
+        raise ValueError(f"matched_rank must be an integer in 1..{p.m}, got {matched_rank}")
     return 1.0 / p.probs[matched_rank - 1]
 
 
@@ -631,6 +630,25 @@ class SaddleLrEstimate:
     converged: bool
     calibrated: bool
 
+    @property
+    def note(self) -> str:
+        """The route's note in a case report: the solver's work and the
+        error bound where calibrated, else why the chain stands in."""
+        if self.calibrated:
+            return (
+                f"known-population LR by the saddle point: {self.newton_steps} Newton steps, "
+                f"{self.sweeps} sweeps, max|g/r| {self.max_rel_grad:.2g}; "
+                f"error bound {SADDLE_LOG10_BOUND} log10"
+            )
+        if self.converged:
+            why = (
+                f"outside its calibrated regime (s1 < {_SADDLE_MIN_S1} "
+                f"or correction > {_SADDLE_MAX_CORRECTION} log10)"
+            )
+        else:
+            why = f"without a converged tilt (max|g/r| {self.max_rel_grad:.2g})"
+        return f"saddle point {why}; known-population LR from the chain"
+
 
 def saddle_true_lr(
     part: IntegerPartition,
@@ -778,32 +796,5 @@ class LrReport:
     notes: tuple[str, ...] = ()
 
     def to_dict(self) -> dict:
-        return {
-            "alpha_hat": self.alpha_hat,
-            "theta_hat": self.theta_hat,
-            "log10_lr_eb": self.log10_lr_eb,
-            "log10_lr_true": self.log10_lr_true,
-            "log10_lr_true_se": self.log10_lr_true_se,
-            "log10_lr_true_route": self.log10_lr_true_route,
-            "log10_lr_freq": self.log10_lr_freq,
-            "diff1": self.diff1,
-            "diff2": self.diff2,
-            "notes": list(self.notes),
-        }
-
-
-def diff_metrics(report: LrReport) -> LrReport:
-    """Fill diff1 = eb - true and diff2 = eb - freq where operands exist;
-    missing operands leave the field empty and add a note."""
-    notes = report.notes
-    diff1 = report.diff1
-    diff2 = report.diff2
-    if report.log10_lr_eb is not None and report.log10_lr_true is not None:
-        diff1 = report.log10_lr_eb - report.log10_lr_true
-    else:
-        notes += ("diff1 unavailable: needs both plug-in and known-population LRs",)
-    if report.log10_lr_eb is not None and report.log10_lr_freq is not None:
-        diff2 = report.log10_lr_eb - report.log10_lr_freq
-    else:
-        notes += ("diff2 unavailable: needs both plug-in and frequentist LRs",)
-    return replace(report, diff1=diff1, diff2=diff2, notes=notes)
+        # the fields in declaration order, the notes as a JSON list
+        return {**{f.name: getattr(self, f.name) for f in fields(self)}, "notes": list(self.notes)}

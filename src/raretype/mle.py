@@ -25,7 +25,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .partitions import IntegerPartition
+from .partitions import IntegerPartition, _are_integers
 from .pitman import PdParams, _loglik_derivs, _loglik_terms, _loglik_value
 
 __all__ = [
@@ -382,8 +382,9 @@ class SurfaceGrid:
     half_width_sd: float = 3.0
 
     def __post_init__(self) -> None:
-        if self.n_phi < 3 or self.n_theta < 3 or self.n_phi % 2 == 0 or self.n_theta % 2 == 0:
-            raise ValueError("grid sizes must be odd and >= 3")
+        sizes = (self.n_phi, self.n_theta)
+        if not _are_integers(sizes) or any(s < 3 or s % 2 == 0 for s in sizes):
+            raise ValueError(f"grid sizes must be odd integers >= 3, got {sizes}")
         if self.half_width_sd <= 0:
             raise ValueError("half width must be positive")
 

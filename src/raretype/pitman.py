@@ -497,8 +497,8 @@ def powerlaw_reference(alpha: float, ranks: Iterable[int]) -> list[tuple[int, fl
         raise ValueError("alpha must lie in (0, 1)")
     out = []
     for i in ranks:
-        if i < 1:
-            raise ValueError("ranks must be >= 1")
+        if not _are_integers((i,)) or i < 1:
+            raise ValueError(f"ranks must be integers >= 1, got {i}")
         out.append((int(i), float(i) ** (-1.0 / alpha)))
     return out
 

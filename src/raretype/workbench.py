@@ -15,7 +15,7 @@ import io
 import math
 import os
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from itertools import repeat
 from typing import Optional, Union
 
@@ -23,11 +23,9 @@ import numpy as np
 
 from .lr import (
     _EXACT_STATE_BUDGET,
-    SADDLE_LOG10_BOUND,
     LrReport,
     MhConfig,
     _exact_states,
-    diff_metrics,
     lr_empirical_bayes,
     lr_frequentist,
     lr_true_mh,
@@ -296,36 +294,56 @@ def run_case(db: DatabaseLike, options: CaseOptions = CaseOptions()) -> LrReport
     population is supplied, the known-population LR (see
     ``_known_population_lr`` for its route) and the frequentist benchmark
     (with the matching type's rank) join the report; neither needs the
-    fit, so both are reported when it fails.
+    fit, so both are reported when it fails. diff1 = eb - true and
+    diff2 = eb - freq where both operands exist, else a note says which
+    is missing.
     """
+    pop, rank = options.population, options.matched_rank
+    # taken first, so that a bad rank fails before the fit or the route runs
+    freq = None if pop is None or rank is None else math.log10(lr_frequentist(pop, rank))
     base = _as_db_partition(db)
     db_plus = base.add_singleton()
     fit = fit_mle(db_plus, small_n_threshold=options.small_n_threshold)
+    notes = fit.warnings
+    alpha = theta = eb = None
     if fit.converged:
-        report = LrReport(
-            alpha_hat=fit.alpha_hat,
-            theta_hat=fit.theta_hat,
-            log10_lr_eb=math.log10(lr_empirical_bayes(base.n, fit.params())),
-            notes=fit.warnings,
-        )
+        alpha, theta = fit.alpha_hat, fit.theta_hat
+        eb = math.log10(lr_empirical_bayes(base.n, fit.params()))
     else:
-        report = LrReport(notes=fit.warnings + (f"fit did not converge: {fit.diagnosis}",))
-    if options.population is not None:
-        report = _known_population_lr(report, db_plus, options)
-    if options.population is not None and options.matched_rank is not None:
-        report = replace(
-            report,
-            log10_lr_freq=math.log10(lr_frequentist(options.population, options.matched_rank)),
-        )
-    return diff_metrics(report)
+        notes += (f"fit did not converge: {fit.diagnosis}",)
+    true = se = route = None
+    if pop is not None:
+        true, se, route, route_notes = _known_population_lr(db_plus, options)
+        notes += route_notes
+    diff1 = diff2 = None
+    if eb is not None and true is not None:
+        diff1 = eb - true
+    else:
+        notes += ("diff1 unavailable: needs both plug-in and known-population LRs",)
+    if eb is not None and freq is not None:
+        diff2 = eb - freq
+    else:
+        notes += ("diff2 unavailable: needs both plug-in and frequentist LRs",)
+    return LrReport(
+        alpha_hat=alpha,
+        theta_hat=theta,
+        log10_lr_eb=eb,
+        log10_lr_true=true,
+        log10_lr_true_se=se,
+        log10_lr_true_route=route,
+        log10_lr_freq=freq,
+        diff1=diff1,
+        diff2=diff2,
+        notes=notes,
+    )
 
 
-def _known_population_lr(report: LrReport, db_plus: IntegerPartition, options: CaseOptions):
-    """``report`` with the known-population LR and its route.
+def _known_population_lr(db_plus: IntegerPartition, options: CaseOptions):
+    """The known-population LR's log10 value, SE, route and notes.
 
     Within the exact pass's state budget the swap chain runs, so that its
     rows keep their standard errors; past the budget the saddle-point
-    route runs, whose error bar is SADDLE_LOG10_BOUND rather than an SE.
+    route runs, whose error bar is a calibrated bound rather than an SE.
     The chain stands in, with a note, where the saddle point has no
     converged tilt or lies outside the regime that bound was calibrated in.
     """
@@ -334,30 +352,10 @@ def _known_population_lr(report: LrReport, db_plus: IntegerPartition, options: C
     if _exact_states(db_plus) > _EXACT_STATE_BUDGET:
         est = saddle_true_lr(db_plus, pop, strict_support=strict)
         if est.calibrated:
-            note = (
-                f"known-population LR by the saddle point: {est.newton_steps} Newton steps, "
-                f"{est.sweeps} sweeps, max|g/r| {est.max_rel_grad:.2g}; "
-                f"error bound {SADDLE_LOG10_BOUND} log10"
-            )
-            return replace(
-                report,
-                log10_lr_true=est.log10_lr,
-                log10_lr_true_route="saddle",
-                notes=report.notes + (note,),
-            )
-        if est.converged:
-            why = "outside its calibrated regime (s1 < 10 or correction > 0.008 log10)"
-        else:
-            why = f"without a converged tilt (max|g/r| {est.max_rel_grad:.2g})"
-        notes = (f"saddle point {why}; known-population LR from the chain",)
+            return est.log10_lr, None, "saddle", (est.note,)
+        notes = (est.note,)
     est = lr_true_mh(db_plus, pop, options.mh, strict_support=strict)
-    return replace(
-        report,
-        log10_lr_true=est.log10_lr,
-        log10_lr_true_se=est.log10_stderr,
-        log10_lr_true_route="mcmc",
-        notes=report.notes + notes,
-    )
+    return est.log10_lr, est.log10_stderr, "mcmc", notes
 
 
 @dataclass(frozen=True)
@@ -414,6 +412,11 @@ ROW_COLUMNS = (
 )
 # the columns of each row in the JSON and CSV output, in order
 _OUTPUT_COLUMNS = ("replicate",) + ROW_COLUMNS + ("log10_lr_true_se",)
+# each row field after the replicate and the report field it is taken
+# from, of the same name but for the plug-in LR
+_ROW_FROM_REPORT = tuple(
+    (f.name, "log10_lr_eb" if f.name == "log10_lr" else f.name) for f in fields(ExperimentRow)[1:]
+)
 
 
 @dataclass(frozen=True)
@@ -515,18 +518,7 @@ def _run_replicate(
         small_n_threshold=0,
     )
     report = run_case(IntegerPartition.from_block_sizes(type_counts[type_counts > 0]), options)
-    return ExperimentRow(
-        replicate=index,
-        alpha_hat=report.alpha_hat,
-        theta_hat=report.theta_hat,
-        log10_lr=report.log10_lr_eb,
-        log10_lr_true=report.log10_lr_true,
-        log10_lr_true_se=report.log10_lr_true_se,
-        log10_lr_freq=report.log10_lr_freq,
-        diff1=report.diff1,
-        diff2=report.diff2,
-        notes=report.notes,
-    )
+    return ExperimentRow(index, **{col: getattr(report, name) for col, name in _ROW_FROM_REPORT})
 
 
 def _worker_count(replicates: int) -> int:

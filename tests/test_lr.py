@@ -10,9 +10,7 @@ from hypothesis import assume, given, settings, strategies as st
 from raretype.cli import cli_dispatch
 from raretype.lr import (
     InfeasibleAssignmentError,
-    LrReport,
     MhConfig,
-    diff_metrics,
     exact_true_lr,
     lr_empirical_bayes,
     lr_frequentist,
@@ -81,6 +79,15 @@ class TestEmpiricalBayes:
         with pytest.raises(ValueError):
             lr_empirical_bayes(0, PdParams(0.5, 1.0))
 
+    @pytest.mark.parametrize("n", [2.5, 100.0, True, np.float64(100.0)])
+    def test_non_integer_n_is_rejected(self, n):
+        with pytest.raises(ValueError, match="database size must be an integer"):
+            lr_empirical_bayes(n, PdParams(0.5, 1.0))
+
+    def test_numpy_integer_n(self):
+        params = PdParams(0.5, 1.0)
+        assert lr_empirical_bayes(np.int64(50), params) == lr_empirical_bayes(50, params)
+
 
 class TestFrequentist:
     def test_uniform(self):
@@ -101,6 +108,15 @@ class TestFrequentist:
             lr_frequentist(pop, 0)
         with pytest.raises(ValueError):
             lr_frequentist(pop, 6)
+
+    @pytest.mark.parametrize("rank", [2.0, 2.5, True, np.float64(2.0)])
+    def test_non_integer_rank_is_rejected(self, rank):
+        with pytest.raises(ValueError, match="matched_rank must be an integer"):
+            lr_frequentist(uniform_population(5), rank)
+
+    def test_numpy_integer_rank(self):
+        pop = PopulationVector(probs=(0.5, 0.3, 0.2), pop_size=10)
+        assert lr_frequentist(pop, np.int64(3)) == lr_frequentist(pop, 3)
 
 
 def greedy_start(pi, pop, strict_support=False):
@@ -873,28 +889,3 @@ class TestSaddlePoint:
             chain = lr_true_mh(db_plus, pop, MhConfig(5_000_000, 1_000_000, 1_000, seed=seed))
             assert abs(est.log10_lr - chain.log10_lr) <= 0.002
 
-
-class TestDiffMetrics:
-    def test_identities(self):
-        report = diff_metrics(
-            LrReport(log10_lr_eb=2.59, log10_lr_true=2.53, log10_lr_freq=2.803)
-        )
-        assert report.diff1 == pytest.approx(0.06)
-        assert report.diff2 == pytest.approx(-0.213)
-
-    def test_equal_values_give_zero(self):
-        report = diff_metrics(LrReport(log10_lr_eb=3.0, log10_lr_true=3.0, log10_lr_freq=1.0))
-        assert report.diff1 == 0.0
-
-    def test_missing_operand_flagged(self):
-        report = diff_metrics(LrReport(log10_lr_eb=2.0))
-        assert report.diff1 is None
-        assert report.diff2 is None
-        assert any("diff1" in note for note in report.notes)
-        assert any("diff2" in note for note in report.notes)
-
-    @given(st.floats(-5, 5), st.floats(-5, 5), st.floats(-5, 5))
-    def test_recompute_and_compare(self, eb, true, freq):
-        report = diff_metrics(LrReport(log10_lr_eb=eb, log10_lr_true=true, log10_lr_freq=freq))
-        assert report.diff1 == eb - true
-        assert report.diff2 == eb - freq

@@ -569,6 +569,15 @@ class TestSurface:
         with pytest.raises(ValueError):
             SurfaceGrid(half_width_sd=0)
 
+    @pytest.mark.parametrize("sizes", [(41.0, 41), (41, 41.0), (True, 41), (41, np.float64(41.0))])
+    def test_non_integer_grid_size_is_rejected(self, sizes):
+        with pytest.raises(ValueError, match="grid sizes must be odd integers"):
+            SurfaceGrid(*sizes)
+
+    def test_numpy_integer_grid_size(self, dutch_fit):
+        surf = loglik_surface(dutch_fixture(), dutch_fit, SurfaceGrid(np.int64(5), 5))
+        assert surf.rel_loglik.size == 25
+
 
 def _quadratic_surface(c=0.0):
     phis = np.linspace(-1, 1, 9)

@@ -458,6 +458,14 @@ class TestPowerlaw:
         with pytest.raises(ValueError):
             powerlaw_reference(0.5, [0])
 
+    @pytest.mark.parametrize("ranks", [[2.5], [2.0], [True], [1, np.float64(2.0)]])
+    def test_non_integer_rank_is_rejected(self, ranks):
+        with pytest.raises(ValueError, match="ranks must be integers"):
+            powerlaw_reference(0.5, ranks)
+
+    def test_numpy_integer_ranks(self):
+        assert powerlaw_reference(0.5, np.arange(1, 4)) == powerlaw_reference(0.5, range(1, 4))
+
 
 class TestRankedFrequencies:
     def test_worked_example(self):

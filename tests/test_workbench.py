@@ -436,6 +436,16 @@ def past_budget_case(seed=3):
     return IntegerPartition.from_block_sizes(sizes[sizes > 0]), pop
 
 
+def regime_census():
+    """A census of 20,000 at PD(0.5, 50) with its chain schedule; against it
+    a database (1^8 2^30 3^30 4^30) lies past the exact budget with too few
+    singletons for the saddle point's calibrated regime, and (1^30 2^30
+    3^30 4^30) within that regime."""
+    census = to_integer_partition(crp_sample(20_000, PdParams(0.5, 50.0), seed=3).to_set_partition())
+    pop = population_from_partition(census)
+    return pop, CaseOptions(population=pop, matched_rank=pop.m, mh=MhConfig(4000, 500, 50, seed=1))
+
+
 class TestKnownPopulationRoute:
     def test_in_budget_experiment_keeps_the_chain(self, monkeypatch):
         # every Dutch-101 replicate fits the exact pass's budget, so each
@@ -471,9 +481,48 @@ class TestKnownPopulationRoute:
         assert report.log10_lr_true_se is None
         assert report.log10_lr_true == saddle_true_lr(db.add_singleton(), pop).log10_lr
         assert report.diff1 == report.log10_lr_eb - report.log10_lr_true
+        assert report.diff2 == report.log10_lr_eb - report.log10_lr_freq
         (note,) = [n for n in report.notes if "saddle point" in n]
         assert "Newton steps" in note and f"error bound {SADDLE_LOG10_BOUND}" in note
         assert report.to_dict()["log10_lr_true_route"] == "saddle"
+
+    def test_notes_in_order(self):
+        # every note a case carries, in order: the fit's warning and
+        # failure, the saddle route's, and both missing diffs
+        from raretype.lr import saddle_true_lr
+
+        pop, options = regime_census()
+        for s1, n, route, saddle in (
+            (8, 279, "mcmc", "saddle point outside its calibrated regime (s1 < 10 or correction > "
+             "0.008 log10); known-population LR from the chain"),
+            (30, 301, "saddle", "known-population LR by the saddle point: 4 Newton steps, 3 sweeps, "
+             "max|g/r| {:.2g}; error bound 0.005 log10"),
+        ):
+            db = IntegerPartition((1, 2, 3, 4), (s1, 30, 30, 30))
+            report = run_case(db, options).to_dict()
+            fit = fit_mle(db.add_singleton())
+            assert "of the boundary" in fit.diagnosis
+            assert report["log10_lr_true_route"] == route
+            assert report["notes"] == [
+                f"n={n} is below 500; the Gaussian plug-in approximation is not validated at this scale",
+                f"fit did not converge: {fit.diagnosis}",
+                saddle.format(saddle_true_lr(db.add_singleton(), pop).max_rel_grad),
+                "diff1 unavailable: needs both plug-in and known-population LRs",
+                "diff2 unavailable: needs both plug-in and frequentist LRs",
+            ]
+
+    @pytest.mark.parametrize("rank", [0, 558, 400.0, 2.5, True, np.float64(400.0)])
+    def test_bad_rank_fails_before_the_route(self, monkeypatch, rank):
+        from raretype import workbench
+
+        def no_route(*args, **kwargs):
+            raise AssertionError("the known-population route ran")
+
+        monkeypatch.setattr(workbench, "lr_true_mh", no_route)
+        monkeypatch.setattr(workbench, "saddle_true_lr", no_route)
+        options = CaseOptions(population=population_from_partition(dutch_fixture()), matched_rank=rank)
+        with pytest.raises(ValueError, match="matched_rank must be an integer in 1..557"):
+            run_case(IntegerPartition((1, 2, 4, 8), (20, 6, 2, 1)), options)
 
     def test_population_alone_gives_the_known_population_lr(self):
         # the default chain schedule stands by; the saddle route never reads it
