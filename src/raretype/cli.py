@@ -272,7 +272,7 @@ def cmd_experiment(args) -> int:
     for col in ("log10_lr", "log10_lr_true", "log10_lr_freq", "diff1", "diff2"):
         if col in result.summary:
             s = result.summary[col]
-            _say(args, f"{col}: mean {_fmt(s.mean)} sd {_fmt(s.sd)} over {s.count} replicates")
+            _say(args, f"{col}: mean {_fmt(s['mean'])} sd {_fmt(s['sd'])} over {s['count']} replicates")
     return EXIT_OK
 
 

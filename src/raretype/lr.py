@@ -200,15 +200,8 @@ class TrueLrEstimate:
     trace: tuple[tuple[int, float], ...]
 
     def to_dict(self) -> dict:
-        return {
-            "lr": self.lr,
-            "stderr": self.stderr,
-            "log10_lr": self.log10_lr,
-            "log10_stderr": self.log10_stderr,
-            "mean_singleton_mass": self.mean_singleton_mass,
-            "acceptance_rate": self.acceptance_rate,
-            "n_retained": self.n_retained,
-        }
+        # the fields in declaration order; the trace goes to its own file
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "trace"}
 
 
 # draws come from numpy in blocks of this many proposals; the loop over a

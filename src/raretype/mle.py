@@ -48,15 +48,15 @@ _PENALTY = 1e12
 
 def phi_of(params: PdParams, n: int) -> float:
     """phi = n (1 - alpha) / (n + 1 + theta) for a database of size n."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    if not _are_integers((n,)) or n < 1:
+        raise ValueError(f"n must be an integer >= 1, got {n!r}")
     return n * (1.0 - params.alpha) / (n + 1.0 + params.theta)
 
 
 def theta_alpha_of(phi: float, theta: float, n: int) -> PdParams:
     """Invert the reparametrization at fixed n; errors if alpha leaves (0, 1)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    if not _are_integers((n,)) or n < 1:
+        raise ValueError(f"n must be an integer >= 1, got {n!r}")
     alpha = 1.0 - phi * (n + 1.0 + theta) / n
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"(phi={phi}, theta={theta}) maps to alpha={alpha} outside (0, 1)")
@@ -385,8 +385,8 @@ class SurfaceGrid:
         sizes = (self.n_phi, self.n_theta)
         if not _are_integers(sizes) or any(s < 3 or s % 2 == 0 for s in sizes):
             raise ValueError(f"grid sizes must be odd integers >= 3, got {sizes}")
-        if self.half_width_sd <= 0:
-            raise ValueError("half width must be positive")
+        if not (math.isfinite(self.half_width_sd) and self.half_width_sd > 0):
+            raise ValueError(f"half_width_sd must be finite and positive, got {self.half_width_sd}")
 
 
 @dataclass(frozen=True, eq=False)

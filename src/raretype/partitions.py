@@ -39,6 +39,15 @@ def _are_integers(values) -> bool:
     return all(issubclass(t, numbers.Integral) and t is not bool for t in set(map(type, values)))
 
 
+def _integer_sizes(sizes: Sequence[int]) -> np.ndarray:
+    """Block sizes as an array, rejecting bool and non-integer sizes: an
+    array by its dtype, any other sequence by its entries' types."""
+    ok = sizes.dtype.kind in "iu" if isinstance(sizes, np.ndarray) else _are_integers(sizes)
+    if not ok:
+        raise ValueError("block sizes must be integers, not bool or fractional")
+    return np.asarray(sizes)
+
+
 def _rgs_sizes(ys: np.ndarray) -> np.ndarray:
     """Block sizes of a restricted growth string, checked to be one."""
     grows = (ys[1:] <= np.maximum.accumulate(ys)[:-1] + 1).all()
@@ -184,7 +193,7 @@ class IntegerPartition:
     @classmethod
     def from_block_sizes(cls, sizes: Sequence[int]) -> "IntegerPartition":
         """The multiset of these sizes, from any int sequence or array."""
-        a, r = np.unique(np.asarray(sizes), return_counts=True)
+        a, r = np.unique(_integer_sizes(sizes), return_counts=True)
         return cls(a=tuple(a.tolist()), r=tuple(r.tolist()))
 
     def sizes_desc(self) -> tuple[int, ...]:

@@ -48,7 +48,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .partitions import IntegerPartition, SetPartition, _are_integers
+from .partitions import IntegerPartition, SetPartition, _are_integers, _integer_sizes
 from .rng import SeedLike
 
 __all__ = [
@@ -505,5 +505,5 @@ def powerlaw_reference(alpha: float, ranks: Iterable[int]) -> list[tuple[int, fl
 
 def ranked_frequencies(sizes: Sequence[int]) -> np.ndarray:
     """Relative frequencies of these block sizes, largest first; sums to 1."""
-    sizes = np.asarray(sizes, dtype=float)
+    sizes = _integer_sizes(sizes).astype(float)
     return np.sort(sizes)[::-1] / sizes.sum()

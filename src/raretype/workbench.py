@@ -59,7 +59,6 @@ __all__ = [
     "run_case",
     "ExperimentSpec",
     "ExperimentRow",
-    "SummaryStats",
     "ExperimentResult",
     "run_experiment",
     "THREADS_ENV_VAR",
@@ -281,7 +280,8 @@ DatabaseLike = Union[ProfileDatabase, IntegerPartition]
 def _as_db_partition(db: DatabaseLike) -> IntegerPartition:
     if isinstance(db, ProfileDatabase):
         # the block sizes are the records' counts; no set partition is built
-        return IntegerPartition.from_block_sizes(list(Counter(db.records).values()))
+        counts = Counter(db.records).values()
+        return IntegerPartition.from_block_sizes(np.fromiter(counts, np.int64, len(counts)))
     return db
 
 
@@ -387,101 +387,58 @@ class ExperimentSpec:
             raise ValueError(f"sample_size {self.sample_size} > population size {self.population.n}")
 
 
-@dataclass(frozen=True)
-class ExperimentRow:
-    replicate: int
-    alpha_hat: Optional[float]
-    theta_hat: Optional[float]
-    log10_lr: Optional[float]
-    log10_lr_true: Optional[float]
-    log10_lr_true_se: Optional[float]
-    log10_lr_freq: Optional[float]
-    diff1: Optional[float]
-    diff2: Optional[float]
-    notes: tuple[str, ...] = ()
-
-
-ROW_COLUMNS = (
-    "alpha_hat",
-    "theta_hat",
-    "log10_lr",
-    "log10_lr_true",
-    "log10_lr_freq",
-    "diff1",
-    "diff2",
+# the row columns the summary describes, in its order
+_SUMMARY_COLUMNS = (
+    "alpha_hat", "theta_hat", "log10_lr", "log10_lr_true", "log10_lr_freq", "diff1", "diff2"
 )
 # the columns of each row in the JSON and CSV output, in order
-_OUTPUT_COLUMNS = ("replicate",) + ROW_COLUMNS + ("log10_lr_true_se",)
-# each row field after the replicate and the report field it is taken
-# from, of the same name but for the plug-in LR
-_ROW_FROM_REPORT = tuple(
-    (f.name, "log10_lr_eb" if f.name == "log10_lr" else f.name) for f in fields(ExperimentRow)[1:]
-)
+_OUTPUT_COLUMNS = ("replicate", *_SUMMARY_COLUMNS, "log10_lr_true_se")
 
 
 @dataclass(frozen=True)
-class SummaryStats:
-    """R-style summary: Min, 1st Qu., Median, Mean, 3rd Qu., Max plus sd."""
+class ExperimentRow(LrReport):
+    """One replicate's case report, indexed by its replicate."""
 
-    minimum: float
-    q1: float
-    median: float
-    mean: float
-    q3: float
-    maximum: float
-    sd: float
-    count: int
+    replicate: int = 0
 
-    @classmethod
-    def of(cls, values: np.ndarray) -> "SummaryStats":
-        q1, med, q3 = np.percentile(values, [25, 50, 75])
-        sd = float(values.std(ddof=1)) if values.size > 1 else 0.0
-        return cls(
-            minimum=float(values.min()),
-            q1=float(q1),
-            median=float(med),
-            mean=float(values.mean()),
-            q3=float(q3),
-            maximum=float(values.max()),
-            sd=sd,
-            count=int(values.size),
-        )
+    @property
+    def log10_lr(self) -> Optional[float]:
+        """The plug-in LR, under the experiment's column name."""
+        return self.log10_lr_eb
 
     def to_dict(self) -> dict:
-        return {
-            "min": self.minimum,
-            "q1": self.q1,
-            "median": self.median,
-            "mean": self.mean,
-            "q3": self.q3,
-            "max": self.maximum,
-            "sd": self.sd,
-            "count": self.count,
-        }
+        # the output columns in order, the notes as a JSON list
+        return {**{col: getattr(self, col) for col in _OUTPUT_COLUMNS}, "notes": list(self.notes)}
 
 
-def summarize_rows(rows) -> dict[str, SummaryStats]:
+def summarize_rows(rows) -> dict[str, dict]:
+    """R-style summary of each summarised column over the rows that have
+    a value: min, q1, median, mean, q3 and max, plus sd and count."""
     out = {}
-    for col in ROW_COLUMNS:
+    for col in _SUMMARY_COLUMNS:
         values = np.array([getattr(r, col) for r in rows if getattr(r, col) is not None])
         if values.size:
-            out[col] = SummaryStats.of(values)
+            q1, median, q3 = np.percentile(values, [25, 50, 75]).tolist()
+            out[col] = {
+                "min": float(values.min()),
+                "q1": q1,
+                "median": median,
+                "mean": float(values.mean()),
+                "q3": q3,
+                "max": float(values.max()),
+                "sd": float(values.std(ddof=1)) if values.size > 1 else 0.0,
+                "count": values.size,
+            }
     return out
 
 
 @dataclass(frozen=True)
 class ExperimentResult:
     rows: tuple[ExperimentRow, ...]
-    summary: dict[str, SummaryStats]
+    summary: dict[str, dict]  # summarize_rows(rows)
 
     def to_dict(self) -> dict:
-        return {
-            "rows": [
-                {**{col: getattr(r, col) for col in _OUTPUT_COLUMNS}, "notes": list(r.notes)}
-                for r in self.rows
-            ],
-            "summary": {col: s.to_dict() for col, s in self.summary.items()},
-        }
+        return {"rows": [r.to_dict() for r in self.rows], "summary": self.summary}
 
 
 # draws per replicate before a population counts as too concentrated for
@@ -518,7 +475,8 @@ def _run_replicate(
         small_n_threshold=0,
     )
     report = run_case(IntegerPartition.from_block_sizes(type_counts[type_counts > 0]), options)
-    return ExperimentRow(index, **{col: getattr(report, name) for col, name in _ROW_FROM_REPORT})
+    by_field = {f.name: getattr(report, f.name) for f in fields(report)}
+    return ExperimentRow(**by_field, replicate=index)
 
 
 def _worker_count(replicates: int) -> int:

@@ -190,8 +190,8 @@ def test_criterion_8_experiment_replication():
         mh=MhConfig(iterations=100_000, burn_in=20_000, thinning=1_000),
     )
     result = run_experiment(spec)
-    diff1 = result.summary["diff1"].mean
-    diff2 = result.summary["diff2"].mean
+    diff1 = result.summary["diff1"]["mean"]
+    diff2 = result.summary["diff2"]["mean"]
     elapsed = time.time() - t0
     ok = -0.10 <= diff1 <= 0.25 and -0.70 <= diff2 <= 0.30 and elapsed < 1800.0
     _report(

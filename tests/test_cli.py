@@ -65,6 +65,16 @@ class TestDispatch:
         assert cli_dispatch(["lr", "--n", "10", "--alpha", "1.5", "--theta", "1"]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("width", ["nan", "inf"])
+    def test_non_finite_half_width_exits_2(self, capsys, tmp_path, width):
+        # the grid took it, and the surface then found no point in the domain
+        path = tmp_path / "dutch.json"
+        path.write_text(json.dumps(dutch_fixture().to_dict()))
+        argv = ["surface", "--partition", str(path), "--half-width-sd", width, "--quiet"]
+        assert cli_dispatch(argv) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: half_width_sd must be finite and positive, got {float(width)}\n"
+
     @pytest.mark.parametrize(
         "command, flag, payload",
         [

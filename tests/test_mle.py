@@ -61,6 +61,19 @@ class TestPhi:
         assert back.alpha == pytest.approx(alpha, abs=1e-12)
         assert phi_of(back, n) == pytest.approx(phi, abs=1e-12)
 
+    @pytest.mark.parametrize("n", [True, 2.5, 3.0, np.float64(3.0)], ids=repr)
+    def test_non_integer_n_is_rejected(self, n):
+        # True counted as a database of one, and 2.5 gave a phi of 0.278
+        with pytest.raises(ValueError, match="n must be an integer"):
+            phi_of(PdParams(0.5, 1.0), n)
+        with pytest.raises(ValueError, match="n must be an integer"):
+            theta_alpha_of(0.2, 1.0, n)
+
+    def test_numpy_integer_n(self):
+        params = PdParams(0.5, 1.0)
+        assert phi_of(params, np.int64(10)) == phi_of(params, 10)
+        assert theta_alpha_of(0.2, 1.0, np.int32(10)) == theta_alpha_of(0.2, 1.0, 10)
+
     def test_inverse_domain_error(self):
         with pytest.raises(ValueError):
             theta_alpha_of(2.0, 0.0, 10)  # alpha would go negative
@@ -568,6 +581,13 @@ class TestSurface:
             SurfaceGrid(n_phi=10)
         with pytest.raises(ValueError):
             SurfaceGrid(half_width_sd=0)
+
+    @pytest.mark.parametrize("width", [math.nan, math.inf, -math.inf])
+    def test_non_finite_half_width_is_rejected(self, width):
+        # nan <= 0 is False, so loglik_surface failed later with a message
+        # about the parameter domain
+        with pytest.raises(ValueError, match="half_width_sd must be finite and positive"):
+            SurfaceGrid(half_width_sd=width)
 
     @pytest.mark.parametrize("sizes", [(41.0, 41), (41, 41.0), (True, 41), (41, np.float64(41.0))])
     def test_non_integer_grid_size_is_rejected(self, sizes):

@@ -312,6 +312,15 @@ def test_non_integer_entries_rejected():
     assert IntegerPartition.from_block_sizes(np.array([2, 1], dtype=np.uint8)).r == (1, 1)
 
 
+@pytest.mark.parametrize(
+    "sizes", [[True, 2], [2.5, 1], np.array([True, False]), np.array([2.0])], ids=repr
+)
+def test_bool_or_fractional_block_sizes_rejected(sizes):
+    # a bool became a block of size 1, and an array is judged by its dtype
+    with pytest.raises(ValueError, match="block sizes must be integers"):
+        IntegerPartition.from_block_sizes(sizes)
+
+
 def _dict_blocks(sample):
     """Blocks by a dict of per-label index lists, the grouping reduce_sample
     used before it wrote label strings: the reference for the blocks."""

@@ -475,6 +475,18 @@ class TestRankedFrequencies:
     def test_single_block(self):
         assert ranked_frequencies((3,)).tolist() == [1.0]
 
+    @pytest.mark.parametrize(
+        "sizes", [[True, 2], [2.5, 1], np.array([True, False]), np.array([2.0])], ids=repr
+    )
+    def test_bool_or_fractional_sizes_rejected(self, sizes):
+        # [True, 2] gave [0.667, 0.333] and [2.5, 1] gave [0.714, 0.286]
+        with pytest.raises(ValueError, match="block sizes must be integers"):
+            ranked_frequencies(sizes)
+
+    def test_numpy_integer_sizes(self):
+        sizes = np.array([1, 3, 1], dtype=np.int32)
+        assert ranked_frequencies(sizes).tolist() == ranked_frequencies((3, 1, 1)).tolist()
+
     @given(st.lists(st.integers(1, 30), min_size=1, max_size=30))
     def test_sums_to_one_and_sorted(self, sizes):
         freqs = ranked_frequencies(sizes)

@@ -2,7 +2,8 @@ import csv
 import json
 import math
 import os
-from dataclasses import replace
+import pickle
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +25,7 @@ from raretype.workbench import (
     MissingColumnError,
     ProfileParseError,
     RaggedRowError,
+    _OUTPUT_COLUMNS,
     _as_db_partition,
     _worker_count,
     dutch_fixture,
@@ -607,8 +609,8 @@ class TestExperiment:
         for col in ("log10_lr", "log10_lr_true", "log10_lr_freq", "diff1", "diff2"):
             stats = result.summary[col]
             value = getattr(row, col)
-            assert stats.minimum == stats.maximum == stats.mean == value
-            assert stats.sd == 0.0
+            assert stats["min"] == stats["max"] == stats["mean"] == value
+            assert stats["sd"] == 0.0
 
     def test_summary_recomputable_from_rows(self, monkeypatch):
         monkeypatch.setenv("RARETYPE_THREADS", "1")
@@ -667,17 +669,26 @@ class TestExperiment:
                 small_n_threshold=0,
             )
             report = run_case(IntegerPartition.from_block_sizes(sizes[sizes > 0]), options)
+            # every report field, the known-population route included
             assert row == ExperimentRow(
-                replicate=i,
-                alpha_hat=report.alpha_hat,
-                theta_hat=report.theta_hat,
-                log10_lr=report.log10_lr_eb,
-                log10_lr_true=report.log10_lr_true,
-                log10_lr_true_se=report.log10_lr_true_se,
-                log10_lr_freq=report.log10_lr_freq,
-                diff1=report.diff1,
-                diff2=report.diff2,
-                notes=report.notes,
+                replicate=i, **{f.name: getattr(report, f.name) for f in fields(report)}
             )
+            assert row.log10_lr == row.log10_lr_eb
+            assert row.log10_lr_true_route == "mcmc"
         # replicate 1's fit fails, so both paths through run_case are compared
         assert [row.log10_lr is None for row in rows] == [False, True, False]
+
+    def test_payload_keys_and_pickled_row(self, monkeypatch):
+        monkeypatch.setenv("RARETYPE_THREADS", "1")
+        result = run_experiment(tiny_spec(replicates=3))
+        payload = result.to_dict()
+        assert [list(row) for row in payload["rows"]] == [[*_OUTPUT_COLUMNS, "notes"]] * 3
+        assert list(payload["summary"]) == ["alpha_hat", "theta_hat", "log10_lr", "log10_lr_true",
+                                            "log10_lr_freq", "diff1", "diff2"]
+        for stats in payload["summary"].values():
+            assert list(stats) == ["min", "q1", "median", "mean", "q3", "max", "sd", "count"]
+            assert {type(v) for k, v in stats.items() if k != "count"} == {float}
+            assert type(stats["count"]) is int
+        # the pool sends rows back pickled
+        for row in result.rows:
+            assert pickle.loads(pickle.dumps(row)) == row
