@@ -59,7 +59,7 @@ def _emit(args, payload, table=None) -> None:
         records = table if table is not None else payload
         if isinstance(records, dict):
             records = [records]
-        if any(isinstance(v, (list, dict)) for rec in records for v in rec.values()):
+        if any(isinstance(v, (list, tuple, dict)) for rec in records for v in rec.values()):
             raise ValueError(f"{args.command} output is JSON only")
         lines = [",".join(records[0])] + [",".join(map(_cell, rec.values())) for rec in records]
         text = "\n".join(lines) + "\n"
@@ -148,7 +148,7 @@ def cmd_fit(args) -> int:
     _say(
         args,
         f"alpha_hat={_fmt(fit.alpha_hat)} theta_hat={_fmt(fit.theta_hat)} "
-        f"loglik={_fmt(fit.loglik_at_max)}",
+        f"loglik={_fmt(fit.loglik)}",
     )
     return EXIT_OK
 

@@ -20,7 +20,7 @@ judge whether the plug-in is defensible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Optional
 
 import numpy as np
@@ -108,11 +108,8 @@ def _make_objective(terms) -> Callable:
     def objective(z):
         alpha, theta = _from_z(z)
         alpha = min(max(alpha, 1e-12), 1.0 - 1e-12)
-        if theta <= -alpha:
-            # steer back toward the valid wedge theta > -alpha
-            return _PENALTY * (1.0 + abs(z[1])), np.array([0.0, -_PENALTY]), np.zeros((2, 2))
         val, (ga, gt), ((h_aa, h_at), (_, h_tt)) = _loglik_derivs(*terms, alpha, theta)
-        if not math.isfinite(val):
+        if not math.isfinite(val):  # outside the domain, theta <= -alpha or theta = inf
             return _PENALTY, np.zeros(2), np.zeros((2, 2))
         # chain rule to (logit alpha, log(theta+1))
         grad = np.array([ga * alpha * (1.0 - alpha), gt * (theta + 1.0)])
@@ -136,21 +133,22 @@ class MleFit:
     covariance inv(-hessian) (observed information standing in for the
     Fisher information). ``n`` is the size of the fitted partition.
     ``grad_norm`` is the gradient norm at the optimum in the search
-    coordinates and ``iterations`` the steps of the one Newton search (0
-    for a degenerate partition, which is not searched).
+    coordinates and ``iterations`` the steps of the one Newton search.
+    A degenerate partition is not searched: its fit keeps every default
+    but its diagnosis and warnings.
     """
 
     n: int
-    alpha_hat: Optional[float]
-    theta_hat: Optional[float]
-    loglik_at_max: Optional[float]
-    phi_hat: Optional[float]
-    hessian: Optional[tuple[tuple[float, float], tuple[float, float]]]
-    converged: bool
-    iterations: int
+    alpha_hat: Optional[float] = None
+    theta_hat: Optional[float] = None
+    phi_hat: Optional[float] = None
+    loglik: Optional[float] = None
+    hessian: Optional[tuple[tuple[float, float], tuple[float, float]]] = None
+    converged: bool = False
+    iterations: int = 0
+    grad_norm: Optional[float] = None
     diagnosis: Optional[str] = None
     warnings: tuple[str, ...] = ()
-    grad_norm: Optional[float] = None
 
     def params(self) -> PdParams:
         if self.alpha_hat is None or self.theta_hat is None:
@@ -158,34 +156,8 @@ class MleFit:
         return PdParams(alpha=self.alpha_hat, theta=self.theta_hat)
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "alpha_hat": self.alpha_hat,
-            "theta_hat": self.theta_hat,
-            "phi_hat": self.phi_hat,
-            "loglik": self.loglik_at_max,
-            "hessian": [list(row) for row in self.hessian] if self.hessian else None,
-            "converged": self.converged,
-            "iterations": self.iterations,
-            "grad_norm": self.grad_norm,
-            "diagnosis": self.diagnosis,
-            "warnings": list(self.warnings),
-        }
-
-
-def _degenerate_fit(part: IntegerPartition, diagnosis: str, warnings: tuple[str, ...]) -> MleFit:
-    return MleFit(
-        n=part.n,
-        alpha_hat=None,
-        theta_hat=None,
-        loglik_at_max=None,
-        phi_hat=None,
-        hessian=None,
-        converged=False,
-        iterations=0,
-        diagnosis=diagnosis,
-        warnings=warnings,
-    )
+        # the fields in declaration order; json writes the tuples as lists
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 _START_ALPHAS = (0.1, 0.3, 0.5, 0.7, 0.9)
@@ -278,11 +250,11 @@ def _newton(objective, z0):
     return z, f, g, _NEWTON_MAX_ITER, False
 
 
-def _fit_from(terms, objective, z0, warnings) -> MleFit:
+def _fit_from(terms, z0, warnings) -> MleFit:
     """Newton search from the start z0; its end point is diagnosed.
     ``terms`` is the partition's ``_loglik_terms``, whose first entry is n."""
     n = terms[0]
-    z, fz, grad, iterations, stable = _newton(objective, z0)
+    z, fz, grad, iterations, stable = _newton(_make_objective(terms), z0)
 
     alpha_hat, theta_hat = _from_z(z)
     loglik = -float(fz)
@@ -318,14 +290,14 @@ def _fit_from(terms, objective, z0, warnings) -> MleFit:
         n=n,
         alpha_hat=alpha_hat,
         theta_hat=theta_hat,
-        loglik_at_max=loglik,
         phi_hat=phi_hat,
+        loglik=loglik,
         hessian=hessian_pt,
         converged=converged,
         iterations=iterations,
+        grad_norm=grad_norm,
         diagnosis=diagnosis,
         warnings=warnings,
-        grad_norm=grad_norm,
     )
 
 
@@ -354,23 +326,23 @@ def fit_mle(
             "approximation is not validated at this scale",
         )
     if part.n < 2:
-        return _degenerate_fit(part, "fewer than two observations", warnings)
+        return MleFit(n=part.n, diagnosis="fewer than two observations", warnings=warnings)
     if part.k == 1:
-        return _degenerate_fit(
-            part,
-            "single-block sample: likelihood increases toward the alpha -> 0 boundary",
-            warnings,
+        return MleFit(
+            n=part.n,
+            diagnosis="single-block sample: likelihood increases toward the alpha -> 0 boundary",
+            warnings=warnings,
         )
     if part.k == part.n:
-        return _degenerate_fit(
-            part,
-            "no coincidences observed: likelihood diverges toward theta -> inf "
+        return MleFit(
+            n=part.n,
+            diagnosis="no coincidences observed: likelihood diverges toward theta -> inf "
             "(equivalently alpha -> 1)",
-            warnings,
+            warnings=warnings,
         )
 
     terms = _loglik_terms(part)
-    return _fit_from(terms, _make_objective(terms), _best_start(terms), warnings)
+    return _fit_from(terms, _best_start(terms), warnings)
 
 
 @dataclass(frozen=True)
@@ -414,7 +386,8 @@ def loglik_surface(
     fit: MleFit,
     grid: SurfaceGrid = SurfaceGrid(),
 ) -> LoglikSurface:
-    """Evaluate the relative log-likelihood around a converged fit."""
+    """Evaluate the relative log-likelihood around a converged fit of
+    this partition; a fit of another partition raises ValueError."""
     if not fit.converged or fit.hessian is None:
         raise ValueError("surface requires a converged fit with an information matrix")
     if part.n != fit.n:
@@ -439,6 +412,14 @@ def loglik_surface(
     valid = np.isfinite(values)
     if not valid.any():
         raise ValueError("no grid point lies inside the parameter domain")
+    # the grid's centre is the fit's estimate: a fit on another partition of
+    # the same size has another log-likelihood there
+    centre = values[grid.n_phi // 2, grid.n_theta // 2]
+    if not abs(centre - fit.loglik) <= 1e-9 * (1.0 + abs(fit.loglik)):
+        raise ValueError(
+            f"fit was not made on this partition: its log-likelihood {fit.loglik!r}, "
+            f"the partition's at its estimates {float(centre)!r}"
+        )
     values -= np.nanmax(values)
     d_phi = (phis - phi0)[:, None]
     d_theta = (thetas - theta0)[None, :]

@@ -40,12 +40,16 @@ def _are_integers(values) -> bool:
 
 
 def _integer_sizes(sizes: Sequence[int]) -> np.ndarray:
-    """Block sizes as an array, rejecting bool and non-integer sizes: an
-    array by its dtype, any other sequence by its entries' types."""
+    """Block sizes as a 1-d array, rejecting bool and non-integer sizes (an
+    array by its dtype, any other sequence by its entries' types), an empty
+    or nested sequence, and sizes below 1."""
     ok = sizes.dtype.kind in "iu" if isinstance(sizes, np.ndarray) else _are_integers(sizes)
     if not ok:
         raise ValueError("block sizes must be integers, not bool or fractional")
-    return np.asarray(sizes)
+    sizes = np.asarray(sizes)
+    if sizes.ndim != 1 or not sizes.size or sizes.min() < 1:
+        raise ValueError("block sizes must be a nonempty 1-d sequence of sizes >= 1")
+    return sizes
 
 
 def _rgs_sizes(ys: np.ndarray) -> np.ndarray:

@@ -19,8 +19,8 @@ polynomial in alpha whose 22 coefficients are built once per partition
 in O(22 max a). The terms it drops are below 8^-22 of the first one's
 for any alpha in (0, 1), and every term has one sign, so nothing
 cancels. A grid point then costs 7 logs and a Horner pass, not
-O(n + k). ``eppf_log``, the start scan and the surface in ``mle``
-evaluate the value alone, the surface over a whole grid at once. The
+O(n + k). The start scan and the surface in ``mle`` evaluate the value
+alone over a whole grid at once, ``eppf_log`` at one point. The
 Newton search in ``mle`` calls one kernel that returns the value with
 the gradient and Hessian in (alpha, theta) from one pass; the block
 term's alpha-derivatives come from the same coefficients. Its sums over
@@ -397,9 +397,12 @@ def _loglik_derivs(n, k, head, tail, alpha, theta):
 def eppf_log(part: IntegerPartition, params: PdParams) -> float:
     """Log probability of a partition with these block sizes under the
     sampling formula: the closed-form log-likelihood at ``params``, whose
-    domain ``PdParams`` enforces.
+    domain ``PdParams`` enforces. One point takes the scalar path of the
+    Newton kernel, not the grid's.
     """
-    return float(_loglik_value(*_loglik_terms(part), params.alpha, params.theta))
+    n, k, head, tail = _loglik_terms(part)
+    alpha, theta = params.alpha, params.theta
+    return float(_rising_terms(n, k, alpha, theta)) + _block_derivs(head, tail, alpha)[0]
 
 
 def crp_sample(n: int, params: PdParams, seed: SeedLike = None) -> SeatingPlan:

@@ -131,14 +131,14 @@ class TestFit:
         for _ in range(100):
             alpha = rng.uniform(0.01, 0.99)
             theta = rng.uniform(-alpha + 0.01, 500.0)
-            assert eppf_log(pi, PdParams(alpha, theta)) <= dutch_fit.loglik_at_max + 1e-9
+            assert eppf_log(pi, PdParams(alpha, theta)) <= dutch_fit.loglik + 1e-9
 
     def test_doubled_database_smoke(self):
         pi = dutch_fixture()
         doubled = IntegerPartition(pi.a, tuple(2 * x for x in pi.r))
         fit = fit_mle(doubled)
         assert fit.converged
-        assert math.isfinite(fit.loglik_at_max)
+        assert math.isfinite(fit.loglik)
 
     def test_recovery_quick(self):
         # seed-averaged recovery of the generating discount at modest n
@@ -171,14 +171,13 @@ class TestFit:
         assume(1 < part.k < part.n)
         fit = fit_mle(part)
         # the reference: the best of one search from each of the 25 grid points
-        objective = _make_objective(_loglik_terms(part))
         wide = max(
             (
-                _fit_from(_loglik_terms(part), objective, _to_z(a0, t0), fit.warnings)
+                _fit_from(_loglik_terms(part), _to_z(a0, t0), fit.warnings)
                 for a0 in _START_ALPHAS
                 for t0 in _START_THETAS
             ),
-            key=lambda grid_fit: grid_fit.loglik_at_max,
+            key=lambda grid_fit: grid_fit.loglik,
         )
         assert fit.converged == wide.converged
         assert _diagnosis_kind(fit.diagnosis) == _diagnosis_kind(wide.diagnosis)
@@ -241,6 +240,19 @@ class TestFit:
         assert back["alpha_hat"] == dutch_fit.alpha_hat
         assert "starts" not in back
         assert 0.0 <= back["grad_norm"] < 1e-6
+        # the payload's keys in order; a degenerate fit's values are the defaults
+        keys = "n alpha_hat theta_hat phi_hat loglik hessian converged iterations grad_norm diagnosis warnings"
+        degenerate = json.loads(json.dumps(fit_mle(IntegerPartition((1,), (3,))).to_dict()))
+        assert list(back) == list(degenerate) == keys.split()
+        assert degenerate == {
+            **dict.fromkeys(keys.split()),
+            "n": 3,
+            "converged": False,
+            "iterations": 0,
+            "diagnosis": degenerate["diagnosis"],
+            "warnings": [degenerate["warnings"][0]],
+        }
+        assert degenerate["diagnosis"].startswith("no coincidences")
 
 
 @pytest.fixture(scope="module")
@@ -257,10 +269,9 @@ class TestNewton:
         # draw; each start alone must reach the one interior optimum
         pi = dutch_fixture() if which == "dutch" else crp_18925
         fit = fit_mle(pi)
-        objective = _make_objective(_loglik_terms(pi))
         for a0 in _START_ALPHAS:
             for t0 in _START_THETAS:
-                alone = _fit_from(_loglik_terms(pi), objective, _to_z(a0, t0), fit.warnings)
+                alone = _fit_from(_loglik_terms(pi), _to_z(a0, t0), fit.warnings)
                 assert alone.converged, (a0, t0, alone.diagnosis)
                 assert alone.alpha_hat == pytest.approx(fit.alpha_hat, rel=0, abs=1e-9)
 
@@ -306,11 +317,13 @@ class TestNewton:
             assert fit.converged and len(passes) == len(points) + 1
 
     def test_overflowing_theta_returns_the_penalty(self):
-        # log(theta + 1) = 800 overflows expm1: theta = inf is outside the domain
+        # log(theta + 1) = 800 overflows expm1: theta = inf is outside the
+        # domain; so is theta = -0.7 <= -alpha, inside the search box
         objective = _make_objective(_loglik_terms(dutch_fixture()))
-        f, g, h = objective(np.array([0.0, 800.0]))
-        assert f == _PENALTY
-        assert not g.any() and not h.any()
+        for z in (np.array([0.0, 800.0]), _to_z(0.5, -0.7)):
+            f, g, h = objective(z)
+            assert f == _PENALTY
+            assert not g.any() and not h.any()
 
     def test_newton_step_near_a_minimum(self):
         # where the gradient is small against the curvature, one plain
@@ -544,7 +557,9 @@ class TestSurface:
         misses = _loglik_terms.cache_info().misses
         loglik_surface(first, fit)
         assert _loglik_terms.cache_info().misses == misses  # the fit's terms
-        # the same n, so the fit serves the second partition's surface too
+        # the second partition's fit replaces the first's terms
+        fit = fit_mle(second)
+        assert _loglik_terms.cache_info().misses == misses + 1
         surf = loglik_surface(second, fit)
         _loglik_terms.cache_clear()
         fresh = loglik_surface(second, fit)
@@ -570,6 +585,19 @@ class TestSurface:
         surf = loglik_surface(dutch_fixture(), dutch_fit, SurfaceGrid(21, 21, 6.0))
         assert not surf.valid.all()
         assert np.isnan(surf.rel_loglik[~surf.valid]).all()
+
+    def test_fit_of_another_partition_is_rejected(self):
+        # the same n, another partition: the grid would centre on a point
+        # that is not its maximum (rel_loglik -15.76 at the mode)
+        fitted, other = (
+            IntegerPartition.from_block_sizes(crp_sample(3000, params, seed=seed).table_counts)
+            for params, seed in ((PdParams(0.5, 50.0), 1), (PdParams(0.3, 200.0), 2))
+        )
+        fit = fit_mle(fitted)
+        assert fit.converged and other.n == fit.n
+        with pytest.raises(ValueError, match="fit was not made on this partition"):
+            loglik_surface(other, fit)
+        assert loglik_surface(fitted, fit).rel_loglik[20, 20] == 0.0
 
     def test_requires_converged_fit(self):
         degenerate = fit_mle(IntegerPartition((1,), (5,)))

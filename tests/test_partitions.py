@@ -321,6 +321,17 @@ def test_bool_or_fractional_block_sizes_rejected(sizes):
         IntegerPartition.from_block_sizes(sizes)
 
 
+@pytest.mark.parametrize(
+    "sizes",
+    [[0, 0], [-1, 2], [], np.array([], dtype=np.int64), np.array([0, 3]), np.array([[1, 2], [3, 4]])],
+    ids=["zeros", "negative", "empty", "empty-array", "zero-in-array", "2-d-array"],
+)
+def test_empty_nested_or_nonpositive_block_sizes_rejected(sizes):
+    # a 2-d array was flattened into four blocks; a size below 1 is no block
+    with pytest.raises(ValueError, match="nonempty 1-d sequence of sizes >= 1"):
+        IntegerPartition.from_block_sizes(sizes)
+
+
 def _dict_blocks(sample):
     """Blocks by a dict of per-label index lists, the grouping reduce_sample
     used before it wrote label strings: the reference for the blocks."""

@@ -19,7 +19,9 @@ from raretype.pitman import (
     _block_value,
     _log_rising,
     _loglik_terms,
+    _loglik_value,
     _rising_sums,
+    _rising_terms,
     crp_sample,
     eppf_log,
     gem_stick_breaking,
@@ -235,6 +237,21 @@ class TestBlockTerm:
         # every term of either derivative has the same sign
         assert abs(point_grad - grad) <= 1e-13 * abs(grad)
         assert abs(point_hess - hess) <= 1e-13 * abs(hess)
+
+    @settings(deadline=None)
+    @given(block_partitions(), st.integers(0, 50), st.floats(-6.0, 4.0))
+    def test_eppf_log_point_matches_grid_kernel(self, case, singletons, log_lift):
+        # one point takes the scalar path; the grid kernel is the reference,
+        # within 1e-13 of the magnitudes of the rising and block terms
+        part, alpha = case
+        if singletons:
+            part = IntegerPartition((1, *part.a), (singletons, *part.r))
+        params = PdParams(alpha, -alpha + 10.0**log_lift)
+        n, k, head, tail = _loglik_terms(part)
+        rising = float(_rising_terms(n, k, params.alpha, params.theta))
+        block = float(_block_value(head, tail, np.array([params.alpha]))[0])
+        grid = float(_loglik_value(n, k, head, tail, params.alpha, params.theta))
+        assert abs(eppf_log(part, params) - grid) <= 1e-13 * (abs(rising) + abs(block))
 
 
 def _loop_crp_sample(n, params, seed=None):
@@ -481,6 +498,16 @@ class TestRankedFrequencies:
     def test_bool_or_fractional_sizes_rejected(self, sizes):
         # [True, 2] gave [0.667, 0.333] and [2.5, 1] gave [0.714, 0.286]
         with pytest.raises(ValueError, match="block sizes must be integers"):
+            ranked_frequencies(sizes)
+
+    @pytest.mark.parametrize(
+        "sizes",
+        [[0, 0], [-1, 2], [], np.array([], dtype=np.int64), np.array([0, 3]), np.array([[1, 2], [3, 4]])],
+        ids=["zeros", "negative", "empty", "empty-array", "zero-in-array", "2-d-array"],
+    )
+    def test_empty_nested_or_nonpositive_sizes_rejected(self, sizes):
+        # [0, 0] gave [nan, nan] with a RuntimeWarning, [-1, 2] gave [2.0, -1.0]
+        with pytest.raises(ValueError, match="nonempty 1-d sequence of sizes >= 1"):
             ranked_frequencies(sizes)
 
     def test_numpy_integer_sizes(self):
