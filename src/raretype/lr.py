@@ -282,14 +282,18 @@ def _run_swap_chain(
     return trace, accepted / cfg.iterations
 
 
-def _batch_means_stderr(values: np.ndarray, n_batches: int = 20) -> float:
-    """Standard error of the mean by batch means (20 batches by default).
+# the chain's SE is taken over this many batches of its retained samples
+_BATCHES = 20
 
-    Needs at least 2 values; batches of max(1, n // n_batches) values then
+
+def _batch_means_stderr(values: np.ndarray) -> float:
+    """Standard error of the mean by batch means over ``_BATCHES`` batches.
+
+    Needs at least 2 values; batches of max(1, n // _BATCHES) values then
     number at least 2.
     """
     n = values.size
-    b = max(1, n // n_batches)
+    b = max(1, n // _BATCHES)
     usable = (n // b) * b
     batches = values[:usable].reshape(-1, b).mean(axis=1)
     return float(batches.std(ddof=1) / math.sqrt(batches.size))

@@ -482,9 +482,12 @@ def _run_replicate(
 def _worker_count(replicates: int) -> int:
     env = os.environ.get(THREADS_ENV_VAR)
     if env is not None:
-        cap = int(env)
+        try:
+            cap = int(env)
+        except ValueError:
+            cap = 0
         if cap < 1:
-            raise ValueError(f"{THREADS_ENV_VAR} must be >= 1, got {env!r}")
+            raise ValueError(f"{THREADS_ENV_VAR} must be an integer >= 1, got {env!r}")
     elif hasattr(os, "sched_getaffinity"):
         # the CPUs this process may run on, fewer than os.cpu_count() under
         # taskset or a cpuset

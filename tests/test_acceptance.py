@@ -26,7 +26,7 @@ from raretype.partitions import IntegerPartition, reduce_sample, to_integer_part
 from raretype.pitman import PdParams, PopulationVector, crp_sample, eppf_log
 from raretype.workbench import ExperimentSpec, dutch_fixture, run_experiment
 
-from enumeration import augment, enumerate_partitions
+from reference import augment, enumerate_partitions
 
 
 def _report(k: int, name: str, ok: bool, detail: str = "") -> None:

@@ -66,11 +66,9 @@ class TestDispatch:
         capsys.readouterr()
 
     @pytest.mark.parametrize("width", ["nan", "inf"])
-    def test_non_finite_half_width_exits_2(self, capsys, tmp_path, width):
+    def test_non_finite_half_width_exits_2(self, capsys, inputs, width):
         # the grid took it, and the surface then found no point in the domain
-        path = tmp_path / "dutch.json"
-        path.write_text(json.dumps(dutch_fixture().to_dict()))
-        argv = ["surface", "--partition", str(path), "--half-width-sd", width, "--quiet"]
+        argv = ["surface", "--partition", inputs["dutch"], "--half-width-sd", width, "--quiet"]
         assert cli_dispatch(argv) == 2
         err = capsys.readouterr().err
         assert err == f"error: half_width_sd must be finite and positive, got {float(width)}\n"
@@ -115,16 +113,11 @@ class TestDispatch:
         assert cli_dispatch([command, "--population", str(pop), "--quiet", *extra]) == 2
         assert "population frequencies must be finite" in capsys.readouterr().err
 
-    def test_one_retained_sample_exits_2(self, capsys, tmp_path):
+    def test_one_retained_sample_exits_2(self, capsys, inputs):
         # a single retained sample would report a NaN error bar
-        part = tmp_path / "part.json"
-        part.write_text(json.dumps({"a": [1, 2], "r": [3, 2]}))
-        pop = tmp_path / "pop.json"
-        pop.write_text(json.dumps({"probs": [0.3, 0.2, 0.15, 0.1, 0.1, 0.05, 0.05, 0.05],
-                                   "pop_size": 200}))
         code = cli_dispatch(
             [
-                "true-lr", "--partition", str(part), "--population", str(pop),
+                "true-lr", "--partition", inputs["db"], "--population", inputs["pop"],
                 "--iterations", "1000", "--burn-in", "0", "--thinning", "1000",
                 "--seed", "1", "--quiet",
             ]
@@ -274,12 +267,10 @@ class TestDispatch:
         assert payload["stderr"] == 0.0 and payload["log10_stderr"] == 0.0
         assert payload["lr"] == 356 / payload["mean_singleton_mass"]
 
-    def test_surface_csv(self, capsys, tmp_path):
-        part = tmp_path / "part.json"
-        part.write_text(json.dumps({"a": [1, 2, 4, 8], "r": [20, 6, 2, 1]}))
+    def test_surface_csv(self, capsys, inputs):
         code = cli_dispatch(
             [
-                "surface", "--partition", str(part), "--format", "csv",
+                "surface", "--partition", inputs["part"], "--format", "csv",
                 "--n-phi", "5", "--n-theta", "5", "--quiet",
             ]
         )
@@ -418,13 +409,8 @@ class TestSubprocessDeterminism:
         assert a.returncode == 0
         assert a.stdout == b.stdout
 
-    def test_true_lr_byte_identical(self, tmp_path):
-        part = tmp_path / "part.json"
-        part.write_text(json.dumps({"a": [1, 2], "r": [3, 2]}))
-        pop = tmp_path / "pop.json"
-        pop.write_text(json.dumps({"probs": [0.3, 0.2, 0.15, 0.1, 0.1, 0.05, 0.05, 0.05],
-                                   "pop_size": 200}))
-        argv = ["true-lr", "--partition", str(part), "--population", str(pop),
+    def test_true_lr_byte_identical(self, inputs):
+        argv = ["true-lr", "--partition", inputs["db"], "--population", inputs["pop"],
                 "--iterations", "5000", "--burn-in", "500", "--thinning", "50",
                 "--seed", "11", "--quiet"]
         a = run_cli(argv)
@@ -442,6 +428,30 @@ def test_chain_option_defaults_are_the_config_defaults(argv):
         defaults.burn_in,
         defaults.thinning,
     )
+
+
+class TestStrictSupport:
+    """--strict-support reaches the census caps of both commands that take it."""
+
+    def test_true_lr_on_the_dutch_census_against_itself(self, inputs, capsys):
+        argv = ["true-lr", "--partition", inputs["dutch"], "--population-from-partition", inputs["dutch"],
+                "--quiet"]
+        assert cli_dispatch(argv) == 0
+        capsys.readouterr()
+        # the strict rule forbids a type seen as often as it occurs: the
+        # block of 174 has no rank to go on
+        assert cli_dispatch([*argv, "--strict-support"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: class of block size 174 needs 1 ranks") and "only 0 available" in err
+
+    def test_experiment_output_changes(self, capsys, monkeypatch):
+        monkeypatch.setenv("RARETYPE_THREADS", "1")
+        argv = ["experiment", "--replicates", "2", "--sample-size", "31", "--seed", "1", "--quiet"]
+        outputs = []
+        for extra in ([], ["--strict-support"]):
+            assert cli_dispatch([*argv, *extra]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] != outputs[1]
 
 
 def test_lr_loads_neither_the_fit_nor_the_workbench():
@@ -494,16 +504,9 @@ def test_import_loads_no_optimizer_library():
         ["simulate", "--mode", "crp", "--n", "200", "--alpha", "0.5", "--theta", "10"],
     ],
 )
-def test_commands_run_where_scipy_cannot_import(argv, tmp_path):
+def test_commands_run_where_scipy_cannot_import(argv, inputs):
     # sys.modules["scipy"] = None makes every scipy import raise ImportError
-    part = tmp_path / "part.json"
-    part.write_text(json.dumps({"a": [1, 2, 4, 8], "r": [20, 6, 2, 1]}))
-    db = tmp_path / "db.json"
-    db.write_text(json.dumps({"a": [1, 2], "r": [3, 2]}))
-    pop = tmp_path / "pop.json"
-    pop.write_text(json.dumps({"probs": [0.3, 0.2, 0.15, 0.1, 0.1, 0.05, 0.05, 0.05],
-                               "pop_size": 200}))
-    argv = [arg.format(part=part, db=db, pop=pop) for arg in argv] + ["--seed", "3", "--quiet"]
+    argv = [arg.format(**inputs) for arg in argv] + ["--seed", "3", "--quiet"]
     code = (
         "import runpy, sys; sys.modules['scipy'] = None; "
         "runpy.run_module('raretype', run_name='__main__')"

@@ -1,25 +1,21 @@
+import json
 import math
 import re
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
-from scipy.special import expit, gammaln, logit
+from scipy.special import expit, logit
 
-from raretype import mle
 from raretype.mle import (
     _NEWTON_MAX_ITER,
     _PENALTY,
-    _START_ALPHAS,
-    _START_THETAS,
     LoglikSurface,
     SurfaceGrid,
-    _best_start,
     _expit,
-    _fit_from,
     _logit,
-    _make_objective,
     _newton,
     _phi_theta_hessian,
     _saddle_free_step,
@@ -31,8 +27,22 @@ from raretype.mle import (
     theta_alpha_of,
 )
 from raretype.partitions import IntegerPartition, to_integer_partition
-from raretype.pitman import PdParams, _loglik_derivs, _loglik_terms, crp_sample, eppf_log
+from raretype.pitman import PdParams, crp_sample, eppf_log
 from raretype.workbench import dutch_fixture
+
+from reference import (
+    START_POINTS,
+    best_start,
+    count_kernel_passes,
+    direct_loglik,
+    drop_terms,
+    fits_from_each_start,
+    loglik_derivs,
+    search_objective,
+    symmetry_reference,
+    term_arrays,
+    terms_built,
+)
 
 
 @pytest.fixture(scope="module")
@@ -171,14 +181,7 @@ class TestFit:
         assume(1 < part.k < part.n)
         fit = fit_mle(part)
         # the reference: the best of one search from each of the 25 grid points
-        wide = max(
-            (
-                _fit_from(_loglik_terms(part), _to_z(a0, t0), fit.warnings)
-                for a0 in _START_ALPHAS
-                for t0 in _START_THETAS
-            ),
-            key=lambda grid_fit: grid_fit.loglik,
-        )
+        wide = max(fits_from_each_start(part, fit.warnings).values(), key=lambda grid_fit: grid_fit.loglik)
         assert fit.converged == wide.converged
         assert _diagnosis_kind(fit.diagnosis) == _diagnosis_kind(wide.diagnosis)
         # a fit that did not converge has no unique optimum to compare
@@ -221,10 +224,9 @@ class TestFit:
         plan = crp_sample(n, PdParams(alpha, theta), seed=seed)
         part = IntegerPartition.from_block_sizes(plan.table_counts)
         assume(1 < part.k < part.n)
-        objective = _make_objective(_loglik_terms(part))
-        grid = [_to_z(a0, t0) for a0 in _START_ALPHAS for t0 in _START_THETAS]
-        start = min(grid, key=lambda z: objective(z)[0])
-        assert np.array_equal(_best_start(_loglik_terms(part)), start)
+        objective = search_objective(part)
+        start = min(START_POINTS.values(), key=lambda z: objective(z)[0])
+        assert np.array_equal(best_start(part), start)
 
     def test_params_accessor_raises_on_degenerate(self):
         fit = fit_mle(IntegerPartition((1,), (3,)))
@@ -232,8 +234,6 @@ class TestFit:
             fit.params()
 
     def test_to_dict_round_trips_json(self, dutch_fit):
-        import json
-
         payload = json.dumps(dutch_fit.to_dict())
         back = json.loads(payload)
         assert back["converged"] is True
@@ -269,21 +269,18 @@ class TestNewton:
         # draw; each start alone must reach the one interior optimum
         pi = dutch_fixture() if which == "dutch" else crp_18925
         fit = fit_mle(pi)
-        for a0 in _START_ALPHAS:
-            for t0 in _START_THETAS:
-                alone = _fit_from(_loglik_terms(pi), _to_z(a0, t0), fit.warnings)
-                assert alone.converged, (a0, t0, alone.diagnosis)
-                assert alone.alpha_hat == pytest.approx(fit.alpha_hat, rel=0, abs=1e-9)
+        for (a0, t0), alone in fits_from_each_start(pi, fit.warnings).items():
+            assert alone.converged, (a0, t0, alone.diagnosis)
+            assert alone.alpha_hat == pytest.approx(fit.alpha_hat, rel=0, abs=1e-9)
 
     def test_boundary_searches_stop_before_the_cap(self):
         # the likelihood peaks at alpha -> 0, where f flattens to its float
         # floor; every search must still stop on its own
         part = IntegerPartition(a=(1, 2), r=(120, 10))
-        objective = _make_objective(_loglik_terms(part))
-        for a0 in _START_ALPHAS:
-            for t0 in _START_THETAS:
-                *_, iterations, stopped = _newton(objective, _to_z(a0, t0))
-                assert stopped and iterations < _NEWTON_MAX_ITER, (a0, t0)
+        objective = search_objective(part)
+        for (a0, t0), z0 in START_POINTS.items():
+            *_, iterations, stopped = _newton(objective, z0)
+            assert stopped and iterations < _NEWTON_MAX_ITER, (a0, t0)
 
     @pytest.mark.parametrize("which", ["dutch", "crp_18925", "boundary"])
     def test_each_point_takes_one_kernel_pass(self, which, crp_18925, monkeypatch):
@@ -294,23 +291,7 @@ class TestNewton:
             "crp_18925": crp_18925,
             "boundary": IntegerPartition(a=(1, 2), r=(120, 10)),
         }[which]
-        kernel, newton = mle._loglik_derivs, mle._newton
-        passes, points = [], []
-
-        def counted_kernel(*args):
-            passes.append(args[-2:])
-            return kernel(*args)
-
-        def counted_newton(objective, z0):
-            def counted(z):
-                points.append(tuple(np.asarray(z).tolist()))
-                return objective(z)
-
-            return newton(counted, z0)
-
-        monkeypatch.setattr(mle, "_loglik_derivs", counted_kernel)
-        monkeypatch.setattr(mle, "_newton", counted_newton)
-        fit = fit_mle(pi)
+        fit, points, passes = count_kernel_passes(pi, monkeypatch)
         assert fit.iterations > 0
         assert len(set(points)) == len(points)
         if which != "boundary":
@@ -319,7 +300,7 @@ class TestNewton:
     def test_overflowing_theta_returns_the_penalty(self):
         # log(theta + 1) = 800 overflows expm1: theta = inf is outside the
         # domain; so is theta = -0.7 <= -alpha, inside the search box
-        objective = _make_objective(_loglik_terms(dutch_fixture()))
+        objective = search_objective(dutch_fixture())
         for z in (np.array([0.0, 800.0]), _to_z(0.5, -0.7)):
             f, g, h = objective(z)
             assert f == _PENALTY
@@ -404,12 +385,11 @@ class TestGradientKernel:
         # kernel's value (eppf_log); alpha >= 0.1 and theta >= 0.5 keep the
         # x - h points inside the parameter space
         pi = IntegerPartition((1, 2, 3, 7), (6, 3, 2, 1))
-        terms = _loglik_terms(pi)
 
         def direct(al, th):
             return eppf_log(pi, PdParams(al, th))
 
-        _, (ga, gt), _ = _loglik_derivs(*terms, alpha, theta)
+        _, (ga, gt), _ = loglik_derivs(pi, alpha, theta)
         h = 1e-6
         fd_a = (direct(alpha + h, theta) - direct(alpha - h, theta)) / (2 * h)
         fd_t = (direct(alpha, theta + h) - direct(alpha, theta - h)) / (2 * h)
@@ -418,12 +398,11 @@ class TestGradientKernel:
 
     def test_tight_central_difference_agreement(self):
         pi = IntegerPartition((1, 2, 5), (9, 4, 2))
-        terms = _loglik_terms(pi)
         rng = np.random.default_rng(5)
         for _ in range(10):
             alpha = rng.uniform(0.15, 0.85)
             theta = rng.uniform(0.5, 40.0)
-            _, (ga, gt), _ = _loglik_derivs(*terms, alpha, theta)
+            _, (ga, gt), _ = loglik_derivs(pi, alpha, theta)
             h = 1e-5
             fd_a = (
                 eppf_log(pi, PdParams(alpha + h, theta)) - eppf_log(pi, PdParams(alpha - h, theta))
@@ -444,17 +423,16 @@ class TestHessianKernel:
     def test_analytic_hessian_matches_gradient_differences(self, pi, alpha, theta):
         # both coordinate systems: (phi, theta) for the reported information,
         # z = (logit alpha, log(theta + 1)) for the Newton search
-        terms = _loglik_terms(pi)
-        n = terms[0]
+        n = pi.n
         theta -= alpha  # theta > -alpha by at least 0.05
 
         def grad_phi_theta(x):
             phi, th = x
-            _, (ga, gt), _ = _loglik_derivs(*terms, 1.0 - phi * (n + 1.0 + th) / n, th)
+            _, (ga, gt), _ = loglik_derivs(pi, 1.0 - phi * (n + 1.0 + th) / n, th)
             return np.array([-ga * (n + 1.0 + th) / n, -ga * phi / n + gt])
 
-        objective = _make_objective(_loglik_terms(pi))
-        _, g, h = _loglik_derivs(*terms, alpha, theta)
+        objective = search_objective(pi)
+        _, g, h = loglik_derivs(pi, alpha, theta)
         phi = n * (1.0 - alpha) / (n + 1.0 + theta)
         for h, grad, x, scale in (
             (_phi_theta_hessian(n, alpha, theta, g, h), grad_phi_theta, (phi, theta), 1e-2),
@@ -486,18 +464,6 @@ def _strict_local_maxima(surface):
             if neigh and all(vals[i, j] > v for v in neigh):
                 out.append((i, j))
     return out
-
-
-def _direct_loglik(pi, alpha, theta):
-    """The partition log-likelihood with both long rising factorials summed
-    term by term and the block sizes' as gammaln differences (-inf outside
-    the open domain)."""
-    if not (0.0 < alpha < 1.0 and theta > -alpha):
-        return -math.inf
-    val = float(np.log(theta + alpha * np.arange(1.0, pi.k)).sum())
-    val -= float(np.log(theta + np.arange(1.0, pi.n)).sum())
-    a, r = np.asarray(pi.a, dtype=float), np.asarray(pi.r, dtype=float)
-    return val + float(r @ (gammaln(a - alpha) - gammaln(1.0 - alpha)))
 
 
 class TestSurface:
@@ -538,7 +504,7 @@ class TestSurface:
             n = pi.n
             ref = np.array(
                 [
-                    [_direct_loglik(pi, 1.0 - phi * (n + 1.0 + theta) / n, theta) for theta in surf.theta]
+                    [direct_loglik(pi, 1.0 - phi * (n + 1.0 + theta) / n, theta) for theta in surf.theta]
                     for phi in surf.phi
                 ]
             )
@@ -554,18 +520,17 @@ class TestSurface:
         )
         assert first != second
         fit = fit_mle(first)
-        misses = _loglik_terms.cache_info().misses
+        misses = terms_built()
         loglik_surface(first, fit)
-        assert _loglik_terms.cache_info().misses == misses  # the fit's terms
+        assert terms_built() == misses  # the fit's terms
         # the second partition's fit replaces the first's terms
         fit = fit_mle(second)
-        assert _loglik_terms.cache_info().misses == misses + 1
+        assert terms_built() == misses + 1
         surf = loglik_surface(second, fit)
-        _loglik_terms.cache_clear()
+        drop_terms()
         fresh = loglik_surface(second, fit)
         assert np.array_equal(surf.rel_loglik, fresh.rel_loglik, equal_nan=True)
-        _, _, head, tail = _loglik_terms(second)
-        for array in (head, tail):
+        for array in term_arrays(second):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 1.0
 
@@ -648,39 +613,14 @@ def _quadratic_surface(c=0.0):
     )
 
 
-def _symmetry_reference(surface):
-    """Pair-by-pair loop that ``symmetry_diagnostic`` vectorizes."""
-    ci, cj = len(surface.phi) // 2, len(surface.theta) // 2
-    l = surface.rel_loglik - surface.rel_loglik[ci, cj]
-    score, worst, pairs = 0.0, None, 0
-    for di in range(-ci, ci + 1):
-        for dj in range(-cj, cj + 1):
-            if (di, dj) == (0, 0):
-                continue
-            if not (surface.valid[ci + di, cj + dj] and surface.valid[ci - di, cj - dj]):
-                continue
-            ref = abs(l[ci + di, cj + dj])
-            if ref < 1e-12:
-                continue
-            pairs += 1
-            s = abs(l[ci + di, cj + dj] - l[ci - di, cj - dj]) / ref
-            if s > score:
-                score = s
-                worst = (
-                    float(surface.phi[ci + di] - surface.mode[0]),
-                    float(surface.theta[cj + dj] - surface.mode[1]),
-                )
-    return score, worst, pairs
-
-
 class TestSymmetry:
     def test_matches_loop_reference(self, dutch_fit):
         for grid in (SurfaceGrid(), SurfaceGrid(21, 21, 6.0), SurfaceGrid(5, 7, 0.5)):
             surf = loglik_surface(dutch_fixture(), dutch_fit, grid)
             rep = symmetry_diagnostic(surf)
-            assert (rep.score, rep.worst_offset, rep.pairs_checked) == _symmetry_reference(surf)
+            assert (rep.score, rep.worst_offset, rep.pairs_checked) == symmetry_reference(surf)
         quad = symmetry_diagnostic(_quadratic_surface())
-        assert (quad.score, quad.worst_offset, quad.pairs_checked) == _symmetry_reference(
+        assert (quad.score, quad.worst_offset, quad.pairs_checked) == symmetry_reference(
             _quadratic_surface()
         )
 
@@ -690,16 +630,7 @@ class TestSymmetry:
     def test_invariant_under_constant_shift(self, dutch_fit):
         surf = loglik_surface(dutch_fixture(), dutch_fit, SurfaceGrid(9, 9, 2.0))
         base = symmetry_diagnostic(surf).score
-        shifted = LoglikSurface(
-            phi=surf.phi,
-            theta=surf.theta,
-            rel_loglik=surf.rel_loglik + 17.5,
-            gauss_overlay=surf.gauss_overlay,
-            valid=surf.valid,
-            mode=surf.mode,
-            hessian=surf.hessian,
-            covariance=surf.covariance,
-        )
+        shifted = replace(surf, rel_loglik=surf.rel_loglik + 17.5)
         assert symmetry_diagnostic(shifted).score == pytest.approx(base, rel=1e-12)
 
     def test_dutch_score_reported(self, dutch_fit):

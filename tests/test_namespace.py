@@ -1,13 +1,21 @@
 """The package namespace imports each submodule on first use. Every check
-runs in a fresh interpreter, since this one has imported them all."""
+runs in a fresh interpreter, since this one has imported them all. The
+last check holds the tests to the package's public names but for the
+seams ``reference`` lists."""
+import ast
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
+
+import raretype
+import reference
 
 # what ``from raretype import *`` binds, as when the package imported every
 # submodule eagerly: the exported names plus the submodules themselves, less
 # ``bell_number``, ``enumerate_partitions`` and ``augment``, which moved to
-# the tests' ``enumeration`` helper, ``as_integer_partition``, deleted
+# the tests' ``reference`` file, ``as_integer_partition``, deleted
 # since the numeric functions take integer partitions alone, and
 # ``diff_metrics``, deleted since ``run_case`` computes the diffs where it
 # builds its report
@@ -77,10 +85,12 @@ def test_exports_are_the_submodules_objects():
     code = """
 import importlib, json
 import raretype
-same = all(
-    getattr(raretype, name) is getattr(importlib.import_module("raretype." + module), name)
-    for name, module in raretype._EXPORTS.items()
-)
+subs = ("lr", "mle", "partitions", "pitman", "rng", "workbench")
+home = {}
+for sub in map(importlib.import_module, ["raretype." + sub for sub in subs]):
+    home.update(dict.fromkeys(getattr(sub, "__all__", ()), sub))
+exports = [name for name in raretype.__all__ if name not in subs]
+same = all(getattr(raretype, name) is getattr(home[name], name) for name in exports)
 star = {}
 exec("from raretype import *", star)
 print(json.dumps({"same": same, "star": sorted(set(star) - {"__builtins__"}),
@@ -110,3 +120,65 @@ print(json.dumps({"rebound": rebound, "original": original.__module__, "unknown"
     out = fresh(code)
     assert out["rebound"] and out["original"] == "raretype.mle"
     assert out["unknown"] == "module 'raretype' has no attribute 'no_such_name'"
+
+
+# the private kernels that the planned rewrites of the exact pass and the
+# block-size terms change; only ``reference`` may name them
+KERNELS = {
+    "_exact_pass", "_exact_states", "_EXACT_STATE_BUDGET", "_rank_groups", "_tilt",
+    "_class_log_weights", "_class_probs", "_count_dual", "_loglik_terms", "_loglik_value",
+    "_loglik_derivs", "_block_value", "_block_derivs",
+}
+
+
+def private_src_names():
+    """Each single-underscore name defined at module level in the package,
+    with its module."""
+    names = {}
+    for path in Path(raretype.__file__).parent.glob("*.py"):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            for name in defined:
+                if re.fullmatch(r"_[^_]\w*", name):
+                    names.setdefault(name, set()).add(path.stem)
+    return names
+
+
+def private_uses(path, private):
+    """The private names a test file imports from the package, reads as an
+    attribute or names in a string (a patch target or code for a fresh
+    interpreter), and those it patches, by setattr or mock.patch."""
+    used, patched = set(), set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("raretype"):
+            used |= {a.name for a in node.names} & private
+        elif isinstance(node, ast.Attribute) and node.attr in private:
+            used.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            used |= set(re.findall(r"\.(_\w+)", node.value)) & private
+        elif isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] in ("setattr", "object", "patch"):
+            targets = {a.value for a in node.args[:2] if isinstance(a, ast.Constant)}
+            names = {t.rsplit(".", 1)[-1] for t in targets if isinstance(t, str)}
+            patched |= names & private
+            used |= names & private
+    return used, patched
+
+
+def test_private_names_go_through_the_listed_seams():
+    private = private_src_names()
+    tests = Path(__file__).parent
+    uses = {path.name: private_uses(path, set(private)) for path in tests.glob("*.py")}
+    outside = {name: pair for name, pair in uses.items() if name != "reference.py"}
+    assert {name: used & KERNELS for name, (used, _) in outside.items() if used & KERNELS} == {}
+    assert {name: patched for name, (_, patched) in outside.items() if patched} == {}
+    listed = re.findall(r"``(\w+)\.(_\w+)``", reference.__doc__)
+    assert [(module, name) for module, name in listed if module not in private.get(name, ())] == []
+    used = set().union(*(used for used, _ in uses.values()))
+    assert sorted(used) == sorted(name for _, name in listed)
+    print(f"{len(used)} private names used under tests/")

@@ -14,7 +14,7 @@ from raretype.partitions import (
 )
 from raretype.pitman import PdParams, SeatingPlan, crp_sample
 
-from enumeration import augment, bell_number, enumerate_partitions
+from reference import augment, bell_number, enumerate_partitions
 
 # worked example used throughout: ten draws with six distinct values
 EXAMPLE_SAMPLE = (2, 4, 2, 4, 3, 3, 10, 13, 5, 4)

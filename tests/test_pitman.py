@@ -15,13 +15,8 @@ from raretype.pitman import (
     PdParams,
     PopulationVector,
     SeatingPlan,
-    _block_derivs,
-    _block_value,
     _log_rising,
-    _loglik_terms,
-    _loglik_value,
     _rising_sums,
-    _rising_terms,
     crp_sample,
     eppf_log,
     gem_stick_breaking,
@@ -29,7 +24,9 @@ from raretype.pitman import (
     ranked_frequencies,
 )
 
-from enumeration import augment, enumerate_partitions
+from reference import (
+    augment, block_term, enumerate_partitions, grid_loglik, log_rising_reference, loop_crp_sample,
+)
 
 PARAM_GRID = [PdParams(a, t) for a in (0.2, 0.5, 0.8) for t in (-0.1, 1.0, 50.0)]
 
@@ -123,14 +120,6 @@ class TestEppf:
         assert delta == pytest.approx(expected, abs=1e-12)
 
 
-def _log_rising_reference(x, k):
-    """sum_{i<k} log(x + i) summed exactly, and the sum of |log(x + i)|: for
-    x >= 1 the two agree, below 1 mixed signs make the value itself a poor
-    scale for its rounding error."""
-    logs = [math.log(x + i) for i in range(k)]
-    return math.fsum(logs), math.fsum(abs(v) for v in logs)
-
-
 class TestLogRising:
     @given(
         st.one_of(
@@ -144,14 +133,14 @@ class TestLogRising:
     @example(10.0, 1)
     @example(1e12, 1)
     def test_matches_exact_sum(self, x, k):
-        value, scale = _log_rising_reference(x, k)
+        value, scale = log_rising_reference(x, k)
         assert abs(float(_log_rising(x, k)) - value) <= 1e-13 * scale
 
     def test_gammaln_difference_fails_where_it_holds(self):
         # x >> k: gammaln(x + k) - gammaln(x) keeps only the digits left
         # after subtracting two numbers of size x log x
         for x, k in ((1e9, 3750), (1e12, 1), (2.5e8, 18924)):
-            value, scale = _log_rising_reference(x, k)
+            value, scale = log_rising_reference(x, k)
             assert abs(gammaln(x + k) - gammaln(x) - value) > 1e-13 * scale
             assert abs(float(_log_rising(x, k)) - value) <= 1e-13 * scale
 
@@ -230,9 +219,8 @@ class TestBlockTerm:
         scale = value - 2.0 * r.sum() * math.log1p(-alpha)
         grad = float(r @ (digamma(1.0 - alpha) - digamma(a - alpha)))
         hess = float(r @ (zeta(2.0, a - alpha) - zeta(2.0, 1.0 - alpha)))
-        _, _, head, tail = _loglik_terms(part)
-        assert abs(float(_block_value(head, tail, np.array([alpha]))[0]) - value) <= 1e-13 * scale
-        point, point_grad, point_hess = _block_derivs(head, tail, alpha)
+        grid, (point, point_grad, point_hess) = block_term(part, alpha)
+        assert abs(grid - value) <= 1e-13 * scale
         assert abs(point - value) <= 1e-13 * scale
         # every term of either derivative has the same sign
         assert abs(point_grad - grad) <= 1e-13 * abs(grad)
@@ -247,40 +235,8 @@ class TestBlockTerm:
         if singletons:
             part = IntegerPartition((1, *part.a), (singletons, *part.r))
         params = PdParams(alpha, -alpha + 10.0**log_lift)
-        n, k, head, tail = _loglik_terms(part)
-        rising = float(_rising_terms(n, k, params.alpha, params.theta))
-        block = float(_block_value(head, tail, np.array([params.alpha]))[0])
-        grid = float(_loglik_value(n, k, head, tail, params.alpha, params.theta))
-        assert abs(eppf_log(part, params) - grid) <= 1e-13 * (abs(rising) + abs(block))
-
-
-def _loop_crp_sample(n, params, seed=None):
-    """Reference: the seating scheme one customer at a time."""
-    rng = np.random.default_rng(seed)
-    alpha, theta = params.alpha, params.theta
-    ys = [1]
-    counts = [1]
-    joined = []  # the table of every customer who joined one
-    k = 1
-    for t, u in enumerate(rng.random(n - 1).tolist(), start=1):
-        u *= t + theta
-        opening = theta + k * alpha
-        if u < opening:
-            k += 1
-            counts.append(1)
-            ys.append(k)
-            continue
-        v = u - opening
-        if v < t - k:
-            y = joined[int(v)]
-        else:
-            y = min(int((v - (t - k)) / (1.0 - alpha)), k - 1) + 1
-        joined.append(y)
-        counts[y - 1] += 1
-        ys.append(y)
-    plan = SeatingPlan(tuple(ys))
-    assert plan.table_counts == tuple(counts) and plan.k == k
-    return plan
+        grid, scale = grid_loglik(part, params)
+        assert abs(eppf_log(part, params) - grid) <= 1e-13 * scale
 
 
 @st.composite
@@ -302,12 +258,12 @@ class TestCrpSample:
     @example(PdParams(1e-13, 1e4), 2, 5)
     @example(PdParams(1e-13, 1e4), 3000, 6)
     def test_matches_customer_by_customer_loop(self, params, n, seed):
-        assert crp_sample(n, params, seed=seed) == _loop_crp_sample(n, params, seed=seed)
+        assert crp_sample(n, params, seed=seed) == loop_crp_sample(n, params, seed=seed)
 
     @pytest.mark.parametrize("seed", [901, 902, 903])
     def test_matches_loop_at_database_size(self, seed):
         params = PdParams(0.51, 216.0)
-        assert crp_sample(18_925, params, seed=seed) == _loop_crp_sample(18_925, params, seed=seed)
+        assert crp_sample(18_925, params, seed=seed) == loop_crp_sample(18_925, params, seed=seed)
 
     def test_plan_is_its_label_string(self):
         plan = crp_sample(3000, PdParams(0.51, 216.0), seed=11)

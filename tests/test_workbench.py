@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from raretype.lr import MhConfig
+from raretype import workbench
+from raretype.lr import SADDLE_LOG10_BOUND, MhConfig, lr_empirical_bayes, saddle_true_lr
 from raretype.mle import fit_mle
 from raretype.partitions import IntegerPartition, reduce_sample, to_integer_partition
 from raretype.pitman import PdParams, PopulationVector, crp_sample
@@ -35,6 +36,8 @@ from raretype.workbench import (
     run_experiment,
     summarize_rows,
 )
+
+from reference import crp_case, reference_load
 
 
 def write(path, text):
@@ -169,52 +172,6 @@ class TestLoadProfiles:
     def test_unknown_format(self, tmp_path):
         with pytest.raises(ValueError):
             load_profiles(write(tmp_path / "db.tsv", "L1\nx\n"), format="xlsx")
-
-
-def reference_load(path, format="tsv", columns="all"):
-    """The csv-reader loop ``load_profiles`` ran before it read plain
-    texts in whole-text passes, after a scan that rejects the unit
-    separator: (records, columns), or what it raised."""
-    delimiter = "\t" if format == "tsv" else ","
-    with open(path, newline="") as fh:
-        # a field holding the join character would merge with its neighbour
-        for lineno, line in enumerate(fh, start=1):
-            if "\x1f" in line:
-                raise ProfileParseError(f"{path}:{lineno}: unit separator U+001F in a field")
-        fh.seek(0)
-        reader = csv.reader(fh, delimiter=delimiter)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise EmptyFileError(f"{path}: no header row")
-        for i, name in enumerate(header):
-            if name in header[:i]:
-                raise DuplicateColumnError(f"{path}: column {name!r} repeated in header {header}")
-        if columns == "all":
-            wanted = list(header)
-        elif isinstance(columns, str):
-            wanted = [columns]
-        else:
-            wanted = list(columns)
-        if not wanted:
-            raise MissingColumnError(f"{path}: no columns selected")
-        indices = []
-        for name in wanted:
-            if name not in header:
-                raise MissingColumnError(f"{path}: column {name!r} not in header {header}")
-            indices.append(header.index(name))
-        whole = indices == list(range(len(header)))
-        join = "\x1f".join
-        records = []
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise RaggedRowError(
-                    f"{path}:{lineno}: expected {len(header)} fields, found {len(row)}"
-                )
-            records.append(join(row) if whole else join([row[i] for i in indices]))
-    if not records:
-        raise EmptyFileError(f"{path}: no data rows")
-    return tuple(records), tuple(wanted)
 
 
 def load_outcome(load, path, format, columns):
@@ -365,9 +322,6 @@ class TestRunCase:
         assert any("did not converge" in note for note in report.notes)
 
     def test_fixture_eb_path_matches_formula(self):
-        from raretype.lr import lr_empirical_bayes
-        from raretype.mle import fit_mle
-
         pi = dutch_fixture()
         report = run_case(pi)
         fit = fit_mle(pi.add_singleton())
@@ -431,11 +385,7 @@ def _close(got, want):
 def past_budget_case(seed=3):
     """A database of 3000 from a census of 20,000: its classes need ~1e20
     states, past the exact pass's budget."""
-    counts = np.sort(crp_sample(20_000, PdParams(0.51, 216.0), seed=seed).table_counts)[::-1]
-    pop = PopulationVector(probs=tuple((counts / counts.sum()).tolist()), pop_size=int(counts.sum()))
-    people = np.random.default_rng(seed).permutation(np.repeat(np.arange(counts.size), counts))
-    sizes = np.bincount(people[:3000])
-    return IntegerPartition.from_block_sizes(sizes[sizes > 0]), pop
+    return crp_case(20_000, PdParams(0.51, 216.0), seed, 3000)
 
 
 def regime_census():
@@ -470,9 +420,6 @@ class TestKnownPopulationRoute:
         assert report.to_dict()["log10_lr_true_route"] == "mcmc"
 
     def test_past_budget_takes_the_saddle_point(self, monkeypatch):
-        from raretype import workbench
-        from raretype.lr import SADDLE_LOG10_BOUND, saddle_true_lr
-
         def no_chain(*args, **kwargs):
             raise AssertionError("the chain ran past the exact budget")
 
@@ -491,8 +438,6 @@ class TestKnownPopulationRoute:
     def test_notes_in_order(self):
         # every note a case carries, in order: the fit's warning and
         # failure, the saddle route's, and both missing diffs
-        from raretype.lr import saddle_true_lr
-
         pop, options = regime_census()
         for s1, n, route, saddle in (
             (8, 279, "mcmc", "saddle point outside its calibrated regime (s1 < 10 or correction > "
@@ -515,8 +460,6 @@ class TestKnownPopulationRoute:
 
     @pytest.mark.parametrize("rank", [0, 558, 400.0, 2.5, True, np.float64(400.0)])
     def test_bad_rank_fails_before_the_route(self, monkeypatch, rank):
-        from raretype import workbench
-
         def no_route(*args, **kwargs):
             raise AssertionError("the known-population route ran")
 
@@ -528,8 +471,6 @@ class TestKnownPopulationRoute:
 
     def test_population_alone_gives_the_known_population_lr(self):
         # the default chain schedule stands by; the saddle route never reads it
-        from raretype.lr import saddle_true_lr
-
         db, pop = past_budget_case()
         report = run_case(db, CaseOptions(population=pop))
         assert report.log10_lr_true_route == "saddle"
@@ -568,9 +509,10 @@ class TestWorkerCount:
         monkeypatch.setenv("RARETYPE_THREADS", "3")
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         assert _worker_count(96) == 3
-        monkeypatch.setenv("RARETYPE_THREADS", "0")
-        with pytest.raises(ValueError, match="RARETYPE_THREADS"):
-            _worker_count(96)
+        for bad in ("0", "abc", "1.5", ""):
+            monkeypatch.setenv("RARETYPE_THREADS", bad)
+            with pytest.raises(ValueError, match=f"^RARETYPE_THREADS must be an integer >= 1, got {bad!r}$"):
+                _worker_count(96)
 
 
 def tiny_spec(replicates=2, seed=99):
