@@ -368,6 +368,11 @@ def _exact_states(part: IntegerPartition) -> int:
     return math.prod(r_j + 1 for r_j in part.r)
 
 
+def _exact_fits(part: IntegerPartition) -> bool:
+    """Whether the exact pass over ``part`` fits its state budget."""
+    return _exact_states(part) <= _EXACT_STATE_BUDGET
+
+
 def exact_true_lr(
     part: IntegerPartition,
     p: PopulationVector,
@@ -384,26 +389,20 @@ def exact_true_lr(
     (r_j + 1)) and the singleton-mass moment on it, and returns
     s1 P(counts = r) / E[mass; counts = r]: the multi-class
     conditional-Poisson recursion (Chen, Dempster & Liu 1994, Biometrika
-    81:457), at cost m * J * prod(r_j + 1). eta is the saddle point where
-    the expected counts equal r (``_tilt``), so every entry is a
-    probability and P(counts = r) is not small: nothing overflows, and
-    what underflows is negligible. Past the state budget it raises
-    ValueError, pointing to ``saddle_true_lr`` and ``lr_true_mh``, before
-    allocating anything.
+    81:457), run over the saddle route's rank groups a rank at a time, at
+    cost m * J * prod(r_j + 1). eta is the saddle point where the expected
+    counts equal r (``_tilt``), so every entry is a probability and
+    P(counts = r) is not small: nothing overflows, and what underflows is
+    negligible. Past the state budget it raises ValueError, pointing to
+    ``saddle_true_lr`` and ``lr_true_mh``, before allocating anything.
     """
     _check_true_lr_inputs(part, p)
-    states = _exact_states(part)
-    if states > _EXACT_STATE_BUDGET:
+    if not _exact_fits(part):
         raise ValueError(
-            f"the exact pass needs {states} states, over its budget of "
+            f"the exact pass needs {_exact_states(part)} states, over its budget of "
             f"{_EXACT_STATE_BUDGET}; estimate the LR with saddle_true_lr or lr_true_mh instead"
         )
-    groups, eta0 = _rank_groups(part, p, strict_support)
-    tilt = _tilt(groups, part.r, eta0)
-    # the pass runs per rank: each group's row stands for its ranks
-    pi = np.repeat(np.column_stack([tilt.q0, tilt.q]), groups.mult, axis=0)
-    fits = np.repeat(np.isfinite(groups.log_w).sum(axis=1), groups.mult)
-    return part.s1 * _exact_pass(p.as_array().tolist(), pi.tolist(), fits.tolist(), part.r)
+    return part.s1 * _exact_pass(*_tilted_groups(part, p, strict_support), part.r)
 
 
 class _RankGroups(NamedTuple):
@@ -547,15 +546,10 @@ def _tilt(groups: _RankGroups, r, eta: np.ndarray) -> _Tilt:
     """
     r = np.asarray(r, dtype=float)
     log_w, mult = groups.log_w, groups.mult
-    log_mult = np.log(mult)
 
     def sweep(eta):
-        # each row's log normaliser, as in _class_probs, then log q_gj + log m_g
-        # from the logits, so that no q underflows to 0 here
-        logits = log_w + eta
-        top = np.maximum(logits.max(axis=1), 0.0)
-        log_norm = top + np.log(np.exp(-top) + np.exp(logits - top[:, None]).sum(axis=1))
-        log_e = logits + (log_mult - log_norm)[:, None]
+        # log q_gj + log m_g from the logits, so that no q underflows to 0 here
+        log_e = log_w + eta + (np.log(mult) - _class_probs(eta, log_w)[2])[:, None]
         top = log_e.max(axis=0)
         return eta + np.log(r) - top - np.log(np.exp(log_e - top).sum(axis=0))
 
@@ -599,6 +593,12 @@ def _tilt(groups: _RankGroups, r, eta: np.ndarray) -> _Tilt:
     room = mult @ np.isfinite(log_w)
     finite = bool((np.cumsum(r[::-1])[::-1] < room).all())
     return _Tilt(eta, steps, sweeps, worst, finite and worst <= _TILT_TOL, q0, q, h)
+
+
+def _tilted_groups(part: IntegerPartition, p: PopulationVector, strict: bool):
+    """The rank groups of ``p`` for ``part`` and the tilt solved over them."""
+    groups, eta0 = _rank_groups(part, p, strict)
+    return groups, _tilt(groups, part.r, eta0)
 
 
 # the saddle-point route's error bound in log10 and the regime it was
@@ -664,8 +664,7 @@ def saddle_true_lr(
     Cox 1979, JRSS B 41:279): with Sigma the class-count covariance,
     S = Sigma^-1, beta = S Cov(M, N) and eps = M - beta . N, it subtracts
     1/2 sum_jk S_jk kappa(eps, N_j, N_k), the third cumulants summed over
-    ranks. Ranks with equal census probabilities share every term, so
-    all of it runs over rank groups in (G, J) and (J, J) arrays.
+    ranks, in (G, J) and (J, J) arrays over the rank groups.
 
     The expansion needs enough singletons and a correction that stays a
     correction: ``calibrated`` holds when the tilt converged, s1 >= 10 and
@@ -681,8 +680,7 @@ def saddle_true_lr(
     cap gives no value.
     """
     _check_true_lr_inputs(part, p)
-    groups, eta0 = _rank_groups(part, p, strict_support)
-    tilt = _tilt(groups, part.r, eta0)
+    groups, tilt = _tilted_groups(part, p, strict_support)
     first = second = None
     if tilt.converged:
         mass_1, mass_2 = _saddle_masses(groups, tilt)
@@ -743,14 +741,15 @@ def _saddle_masses(groups: _RankGroups, tilt: _Tilt) -> tuple[float, float]:
     return first, first - 0.5 * float(m @ kappa)
 
 
-def _exact_pass(probs: list, weights: list, fits: list, r: tuple) -> float:
+def _exact_pass(groups: _RankGroups, tilt: _Tilt, r: tuple) -> float:
     """P(counts = r) / E[mass; counts = r] under independent rank classes.
 
-    Rank i takes class j with ``weights[i][j]`` (class 0 is unobserved) and
-    can carry only the first ``fits[i]`` observed classes. ``fits`` never
-    rises with rank, so once it drops below class j no later rank fills
-    that class: only the slice c_j = r_j can still reach counts r, and the
-    pass keeps just that slice of z and mass from there on.
+    A group's ``mult`` ranks take classes in turn by its row of ``tilt.q0``
+    (class 0, unobserved) and ``tilt.q``, and can carry only the first f
+    observed classes, f its finite ``log_w``. f never rises with rank, so
+    once it drops below class j no later rank fills that class: only the
+    slice c_j = r_j can still reach counts r, and the pass keeps just that
+    slice of z and mass from there on. Cost: ranks * J * live states.
     """
     shape = tuple(r_j + 1 for r_j in r)
     z, mass = np.zeros(shape), np.zeros(shape)
@@ -759,20 +758,20 @@ def _exact_pass(probs: list, weights: list, fits: list, r: tuple) -> float:
     leads = [(slice(None),) * j for j in range(len(shape))]
     moves = [(lead + (slice(0, -1),), lead + (slice(1, None),)) for lead in leads]
     live = len(shape)
-    for i, p_i in enumerate(probs):
-        if fits[i] < live:
-            full = (Ellipsis,) + tuple(r[fits[i] : live])
-            z, mass, live = z[full], mass[full], fits[i]
-        w = weights[i]
-        z_next, mass_next = w[0] * z, w[0] * mass
-        # caps fall with rank and a rises with j, so the classes that fit are a prefix
-        for j, (src, dst) in enumerate(moves[: fits[i]]):
-            z_next[dst] += w[j + 1] * z[src]
-            # class 1 holds the singletons: such a rank adds p_i to the mass
-            mass_next[dst] += w[j + 1] * (mass[src] + p_i * z[src] if j == 0 else mass[src])
-        z, mass = z_next, mass_next
-    full = tuple(r[:live])
-    return float(z[full] / mass[full])
+    weights = np.column_stack([tilt.q0, tilt.q]).tolist()
+    fits = np.isfinite(groups.log_w).sum(axis=1).tolist()
+    for p_g, m_g, w, f in zip(groups.p.tolist(), groups.mult.tolist(), weights, fits):
+        if f < live:
+            full = (Ellipsis,) + tuple(r[f:live])
+            z, mass, live = z[full], mass[full], f
+        for _ in range(m_g):
+            z_next, mass_next = w[0] * z, w[0] * mass
+            for j, (src, dst) in enumerate(moves[:f]):
+                z_next[dst] += w[j + 1] * z[src]
+                # class 1 holds the singletons: such a rank adds p to the mass
+                mass_next[dst] += w[j + 1] * (mass[src] + p_g * z[src] if j == 0 else mass[src])
+            z, mass = z_next, mass_next
+    return float(z[r[:live]] / mass[r[:live]])
 
 
 @dataclass(frozen=True)

@@ -22,10 +22,9 @@ from typing import Optional, Union
 import numpy as np
 
 from .lr import (
-    _EXACT_STATE_BUDGET,
     LrReport,
     MhConfig,
-    _exact_states,
+    _exact_fits,
     lr_empirical_bayes,
     lr_frequentist,
     lr_true_mh,
@@ -349,7 +348,7 @@ def _known_population_lr(db_plus: IntegerPartition, options: CaseOptions):
     """
     pop, strict = options.population, options.strict_support
     notes = ()
-    if _exact_states(db_plus) > _EXACT_STATE_BUDGET:
+    if not _exact_fits(db_plus):
         est = saddle_true_lr(db_plus, pop, strict_support=strict)
         if est.calibrated:
             return est.log10_lr, None, "saddle", (est.note,)

@@ -126,11 +126,14 @@ class TestDispatch:
         assert "fewer than 2 retained samples" in capsys.readouterr().err
 
     def test_fit_non_convergence_exits_3(self, capsys, tmp_path):
-        path = tmp_path / "oneblock.json"
-        path.write_text(json.dumps({"a": [4], "r": [1]}))
-        assert cli_dispatch(["fit", "--partition", str(path), "--quiet"]) == 3
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["converged"] is False
+        # one block, and one pair among 30,000 singletons, where theta diverges
+        for sizes in ({"a": [4], "r": [1]}, {"a": [1, 2], "r": [30000, 1]}):
+            path = tmp_path / "part.json"
+            path.write_text(json.dumps(sizes))
+            assert cli_dispatch(["fit", "--partition", str(path), "--quiet"]) == 3
+            payload = json.loads(capsys.readouterr().out)
+            assert payload["converged"] is False
+        assert payload["diagnosis"] == "theta diverged: no interior optimum"
 
     def test_unallocatable_block_exits_2(self, capsys, tmp_path):
         # the terms of a 10^15 block exceed the address space, so the

@@ -166,6 +166,8 @@ class TestAssignmentVector:
 
 class TestMhConfig:
     def test_validation(self):
+        with pytest.raises(ValueError, match="iterations must be >= 1"):
+            MhConfig(iterations=0)
         with pytest.raises(ValueError):
             MhConfig(iterations=100, burn_in=100)
         with pytest.raises(ValueError):
@@ -258,10 +260,14 @@ class TestTrueLr:
     )
     def test_requires_pop_size(self, route, tmp_path, capsys):
         # census caps need the population's size: every known-population
-        # route refuses without it, and so does the CLI's chain
+        # route refuses without it, or with fewer people than listed types,
+        # and so does the CLI's chain
         pop = PopulationVector(probs=(0.5, 0.5))
         with pytest.raises(ValueError, match="^population needs pop_size"):
             route(IntegerPartition((1,), (1,)), pop)
+        short = PopulationVector(probs=(0.5, 0.3, 0.2), pop_size=2)
+        with pytest.raises(ValueError, match="^pop_size below the number of listed types"):
+            route(IntegerPartition((1,), (2,)), short)
         (tmp_path / "part.json").write_text('{"a": [1], "r": [1]}')
         (tmp_path / "pop.json").write_text('{"probs": [0.5, 0.5]}')
         argv = ["true-lr", "--partition", str(tmp_path / "part.json"),

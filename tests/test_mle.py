@@ -282,19 +282,23 @@ class TestNewton:
             *_, iterations, stopped = _newton(objective, z0)
             assert stopped and iterations < _NEWTON_MAX_ITER, (a0, t0)
 
-    @pytest.mark.parametrize("which", ["dutch", "crp_18925", "boundary"])
+    @pytest.mark.parametrize("which", ["dutch", "crp_18925", "boundary", "diverged"])
     def test_each_point_takes_one_kernel_pass(self, which, crp_18925, monkeypatch):
         # the search evaluates no z twice, and each evaluation runs the
-        # kernel once; a converged fit adds one pass for its information
+        # kernel once; a converged fit adds one pass for its information.
+        # With one pair among 30,000 singletons theta runs off to infinity
         pi = {
             "dutch": dutch_fixture(),
             "crp_18925": crp_18925,
             "boundary": IntegerPartition(a=(1, 2), r=(120, 10)),
+            "diverged": IntegerPartition(a=(1, 2), r=(30000, 1)),
         }[which]
         fit, points, passes = count_kernel_passes(pi, monkeypatch)
         assert fit.iterations > 0
         assert len(set(points)) == len(points)
-        if which != "boundary":
+        if which == "diverged":
+            assert not fit.converged and fit.diagnosis == "theta diverged: no interior optimum"
+        elif which != "boundary":
             assert fit.converged and len(passes) == len(points) + 1
 
     def test_overflowing_theta_returns_the_penalty(self):
@@ -551,7 +555,9 @@ class TestSurface:
         assert not surf.valid.all()
         assert np.isnan(surf.rel_loglik[~surf.valid]).all()
 
-    def test_fit_of_another_partition_is_rejected(self):
+    def test_fit_of_another_partition_is_rejected(self, dutch_fit):
+        with pytest.raises(ValueError, match="fit was made on n=2085, partition has n=380"):
+            loglik_surface(IntegerPartition((1, 2), (300, 40)), dutch_fit)
         # the same n, another partition: the grid would centre on a point
         # that is not its maximum (rel_loglik -15.76 at the mode)
         fitted, other = (
