@@ -30,16 +30,17 @@ saddle point, falling back to the chain, with a note, where the tilt has
 no finite solution or does not converge, or the instance lies outside
 the regime the bound was calibrated in.
 
+All three routes decide feasibility by one rule, in ``_rank_groups``.
+
 The chain's state is a label array chi over the population ranks: chi_i
 = j > 0 puts rank i in the class observed a_j times, 0 leaves it
 unobserved. It starts from the greedy fill (``_greedy_labels``), where the
-largest classes take the most frequent ranks whose census counts support
-them, and proposes a uniformly random pair of ranks carrying different
-classes, rejects outright if the swap would let a rank be observed more
-often than its population count supports, and otherwise accepts with
-probability min(1, R), where R is the likelihood ratio of the proposed
-to the current assignment under p(a, r | chi, p) proportional to
-prod_i p_i^{a_{chi_i}}.
+largest classes take the most frequent ranks, and proposes a uniformly
+random pair of ranks carrying different classes, rejects outright if the
+swap would let a rank be observed more often than its population count
+supports, and otherwise accepts with probability min(1, R), where R is
+the likelihood ratio of the proposed to the current assignment under
+p(a, r | chi, p) proportional to prod_i p_i^{a_{chi_i}}.
 Swapping two zero-class ranks is a no-op and is never proposed (zero-zero
 pairs carry equal classes). Class counts are conserved by construction,
 so the chain never leaves the constraint set it starts in. The pair is
@@ -102,19 +103,16 @@ def lr_frequentist(p: PopulationVector, matched_rank: int) -> float:
     return 1.0 / p.probs[matched_rank - 1]
 
 
-def _support_caps(p: PopulationVector, strict: bool) -> np.ndarray:
-    """Largest class size each rank can carry under the census constraint.
+def _support_caps(probs: np.ndarray, pop_size: int, strict: bool) -> np.ndarray:
+    """Largest class size a rank of each frequency in ``probs`` can carry.
 
     Default rule: the rounded population count round(N p_i) must be at
     least the observed count. The strict variant demands N p_i strictly
     above it, which forbids observing a type exactly as often as it
     occurs; it is kept for sensitivity analysis.
     """
-    scaled = p.pop_size * p.as_array()
-    if strict:
-        caps = np.ceil(scaled - 1e-9) - 1.0
-    else:
-        caps = np.rint(scaled)
+    scaled = pop_size * probs
+    caps = np.ceil(scaled - 1e-9) - 1.0 if strict else np.rint(scaled)
     return caps.astype(np.int64)
 
 
@@ -135,28 +133,13 @@ def _check_assignment(chi: np.ndarray, part: IntegerPartition, caps: np.ndarray)
         )
 
 
-def _greedy_labels(part: IntegerPartition, caps: np.ndarray) -> np.ndarray:
-    """Class label of each rank under the greedy fill: largest classes
-    grab the most frequent supportable ranks, the rest are unobserved (0).
-
-    Ranks are scanned in frequency order; because the support caps are
-    nonincreasing in rank, eligibility for each class is a prefix, and
-    filling classes in decreasing block size preserves feasibility
-    whenever any feasible assignment exists.
-    """
+def _greedy_labels(part: IntegerPartition, m: int) -> np.ndarray:
+    """Class label of each of ``m`` ranks under the greedy fill: largest
+    classes take the most frequent ranks, the rest are unobserved (0).
+    Eligibility for each class is a prefix of the ranks, so the fill is
+    feasible whenever any assignment is (``_rank_groups`` decides)."""
     labels = np.repeat(np.arange(part.num_size_classes, 0, -1), part.r[::-1])
-    need = np.asarray(part.a)[labels - 1]
-    fits = caps[: labels.size] >= need[: caps.size]
-    if labels.size > caps.size or not fits.all():
-        first = int(fits.argmin()) if not fits.all() else caps.size
-        j = int(labels[first])
-        a_j, r_j = part.a[j - 1], part.r[j - 1]
-        placed = first - int(np.count_nonzero(labels > j))
-        raise InfeasibleAssignmentError(
-            f"class of block size {a_j} needs {r_j} ranks with supported "
-            f"count >= {a_j}; only {placed} available"
-        )
-    return np.pad(labels, (0, caps.size - labels.size))
+    return np.pad(labels, (0, m - labels.size))
 
 
 @dataclass(frozen=True)
@@ -318,24 +301,25 @@ def lr_true_mh(
     """Estimate the LR given the full population vector.
 
     ``part`` is the suspect-augmented partition (the suspect's type is
-    one of its singletons). The chain targets p(chi | a, r, p) from the
-    greedy fill (``_greedy_labels``), which raises InfeasibleAssignmentError
-    when no assignment fits the census; the estimate is s1 over the
-    average total frequency of singleton-class ranks across retained
-    states, with a batch-means SE, or 0 when every retained mass is the
-    same. The final state is re-checked against the class counts and
-    census caps (``_check_assignment``).
+    one of its singletons). ``_rank_groups`` raises InfeasibleAssignmentError
+    when no assignment fits the census; else the chain targets p(chi | a,
+    r, p) from the greedy fill (``_greedy_labels``). The estimate is s1
+    over the average total frequency of singleton-class ranks across
+    retained states, with a batch-means SE, or 0 when every retained mass
+    is the same. The final state is re-checked against the class counts
+    and census caps (``_check_assignment``).
     """
     _check_true_lr_inputs(part, p)
-    caps = _support_caps(p, strict_support)
-    labels = _greedy_labels(part, caps)
+    _rank_groups(part, p, strict_support)
     if cfg.n_retained < 2:
         # one sample has no spread to put an error bar on
         raise ValueError(
             "fewer than 2 retained samples: lower burn_in/thinning or raise iterations "
             f"(schedule keeps {cfg.n_retained})"
         )
-    trace, acceptance = _run_swap_chain(labels, part, p.as_array(), caps, cfg)
+    probs = p.as_array()
+    caps = _support_caps(probs, p.pop_size, strict_support)
+    trace, acceptance = _run_swap_chain(_greedy_labels(part, p.m), part, probs, caps, cfg)
     masses = np.array([s for _, s in trace])
     if (masses == masses[0]).all():
         # a chain that never left its state: its mass, with no spread, where
@@ -409,17 +393,24 @@ class _RankGroups(NamedTuple):
     """Population ranks grouped by census probability. Ranks with equal
     p_i have equal support caps, so every known-population law treats
     them alike; one row per group, weighted by its multiplicity, stands
-    for all of them. Groups are runs of ranks, in rank order."""
+    for all of them. Groups are the population's runs, in rank order."""
 
     p: np.ndarray  # (G,) the group's probability
     mult: np.ndarray  # (G,) its number of ranks
     log_w: np.ndarray  # (G, J) log p^{a_j}, -inf where the group's cap cannot support a_j
+    room: np.ndarray  # (J,) the number of ranks that can carry class j
 
 
 def _rank_groups(part: IntegerPartition, p: PopulationVector, strict: bool):
     """The rank groups of ``p`` for ``part``'s classes and a start for the
-    tilt; raises InfeasibleAssignmentError when no assignment fits the
-    census.
+    tilt, read off the population's G runs in O(G J) for J classes.
+
+    Every route decides feasibility here. The ranks that can carry class
+    j are a prefix, room_j long, and the prefixes nest; so by Hall's
+    theorem (Hall 1935, J. London Math. Soc. 10:26) an assignment exists
+    iff need_j = r_j + ... + r_J <= room_j for every j. Else this raises
+    InfeasibleAssignmentError for the largest j that fails, where the
+    greedy fill runs out.
 
     The start prices the greedy fill, which maximises sum_i a_chi(i) log p_i
     over assignments: the tilt under which each rank at the boundary
@@ -431,28 +422,28 @@ def _rank_groups(part: IntegerPartition, p: PopulationVector, strict: bool):
     class with r_j = 1 far out in the exponential tail of its count: at
     casework scale the solver then took 11-46 Newton steps, not 3-4.)
     """
-    probs = p.as_array()
-    caps = _support_caps(p, strict)
+    starts, mult = p._runs
+    probs = p.as_array()[starts]
     log_p = np.log(probs)
-    _greedy_labels(part, caps)  # the greedy fill decides feasibility exactly
-    # log p between each rank and the next; past the last rank, its own
-    edge = np.append(0.5 * (log_p[:-1] + log_p[1:]), log_p[-1])
-    # classes j..J fill the first ends[j - 1] ranks, so the boundary between
-    # classes j and j - 1 follows rank ends[j - 1]
-    ends = np.cumsum(part.r[::-1])[::-1]
-    eta0 = np.cumsum(-np.diff(np.asarray(part.a), prepend=0) * edge[ends - 1])
-    # probabilities are nonincreasing, so equal ones sit in runs
-    starts = np.flatnonzero(np.r_[True, probs[1:] != probs[:-1]])
-    mult = np.diff(np.r_[starts, probs.size])
-    log_w = _class_log_weights(part, log_p[starts], caps[starts])
-    return _RankGroups(probs[starts], mult, log_w), eta0
-
-
-def _class_log_weights(part: IntegerPartition, log_p: np.ndarray, caps: np.ndarray) -> np.ndarray:
-    """log p_i^{a_j} for rank (or group) i and class j, from log_p_i,
-    -inf where its census cap ``caps[i]`` cannot support a_j."""
-    eligible = caps[:, None] >= np.asarray(part.a)
-    return np.where(eligible, np.outer(log_p, part.a), -np.inf)
+    eligible = _support_caps(probs, p.pop_size, strict)[:, None] >= np.asarray(part.a)
+    log_w = np.where(eligible, np.outer(log_p, part.a), -np.inf)
+    room = mult @ eligible
+    # classes j..J fill the first need[j - 1] ranks
+    need = np.cumsum(part.r[::-1])[::-1]
+    short = np.flatnonzero(need > room)
+    if short.size:
+        j = short[-1]
+        a_j, r_j = part.a[j], part.r[j]
+        raise InfeasibleAssignmentError(
+            f"class of block size {a_j} needs {r_j} ranks with supported "
+            f"count >= {a_j}; only {room[j] - (need[j] - r_j)} available"
+        )
+    # the boundary between classes j and j - 1 follows rank need[j - 1]:
+    # log p between it and the next rank, or its own past the last rank
+    at = np.searchsorted(starts, np.minimum([need - 1, need], p.m - 1), side="right") - 1
+    edge = 0.5 * (log_p[at[0]] + log_p[at[1]])
+    eta0 = np.cumsum(-np.diff(np.asarray(part.a), prepend=0) * edge)
+    return _RankGroups(probs, mult, log_w, room), eta0
 
 
 def _class_probs(eta: np.ndarray, log_w: np.ndarray):
@@ -538,8 +529,8 @@ def _tilt(groups: _RankGroups, r, eta: np.ndarray) -> _Tilt:
     sweep stands in for the step. It stops when every expected class
     count is within 1e-10 relative of r or after 100 Newton steps. A
     finite saddle point exists only if every suffix of classes j..J needs
-    fewer ranks than can carry class j (the strict form of the greedy
-    fill's feasibility); otherwise eta runs off to infinity, the solver
+    fewer ranks than can carry class j (the strict form of
+    ``_rank_groups``' feasibility rule); otherwise eta runs off to infinity, the solver
     stops where the counts match to the tolerance, and the result is
     marked not converged. The exact pass can use that eta, being exact
     for any tilt; the saddle-point route cannot.
@@ -588,10 +579,8 @@ def _tilt(groups: _RankGroups, r, eta: np.ndarray) -> _Tilt:
                 trial = dual(eta)
                 break
         f, g, h, worst, q0, q = trial
-    # class j can go on the ranks whose caps support a_j; classes j..J need
-    # that many ranks between them, and a finite tilt needs room to spare
-    room = mult @ np.isfinite(log_w)
-    finite = bool((np.cumsum(r[::-1])[::-1] < room).all())
+    # a finite tilt needs room to spare: need_j < room_j (see _rank_groups)
+    finite = bool((np.cumsum(r[::-1])[::-1] < groups.room).all())
     return _Tilt(eta, steps, sweeps, worst, finite and worst <= _TILT_TOL, q0, q, h)
 
 

@@ -178,6 +178,9 @@ class IntegerPartition:
             raise ValueError("a and r must be nonempty and of equal length")
         if not _are_integers((*self.a, *self.r)):
             raise ValueError("entries of a and r must be integers")
+        # numpy integers are stored as Python ints, which JSON writes
+        object.__setattr__(self, "a", tuple(map(int, self.a)))
+        object.__setattr__(self, "r", tuple(map(int, self.r)))
         if any(x < 1 for x in self.a) or any(x < 1 for x in self.r):
             raise ValueError("entries of a and r must be >= 1")
         if any(self.a[i] >= self.a[i + 1] for i in range(len(self.a) - 1)):

@@ -97,6 +97,8 @@ class PopulationVector:
     tail_mass: Optional[float] = None
     # the checked frequencies as a read-only float array, built once
     _probs: np.ndarray = field(init=False, repr=False, compare=False)
+    # each run of equal frequencies' first rank (0-based) and length, for lr
+    _runs: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.probs:
@@ -117,8 +119,11 @@ class PopulationVector:
                 raise ValueError(f"pop_size must be an integer count, got {self.pop_size!r}")
             if self.pop_size < 1:
                 raise ValueError("pop_size must be a positive count")
+            object.__setattr__(self, "pop_size", int(self.pop_size))
         probs.flags.writeable = False
         object.__setattr__(self, "_probs", probs)
+        starts = np.flatnonzero(np.r_[True, probs[1:] != probs[:-1]])
+        object.__setattr__(self, "_runs", (starts, np.diff(np.r_[starts, probs.size])))
 
     @property
     def m(self) -> int:

@@ -13,9 +13,9 @@ reaches it:
 - ``lr._run_swap_chain``, ``lr._BLOCK``: a schedule that keeps one
   sample, which ``lr_true_mh`` rejects before the chain runs; the draw
   blocks the member-level chain shares.
-- ``lr._rank_groups``, ``lr._tilt``, ``lr._class_log_weights``,
-  ``lr._class_probs``, ``lr._count_dual``: the tilt and the dual's
-  Hessian, since the exact LR holds for any tilt.
+- ``lr._rank_groups``, ``lr._tilt``, ``lr._class_probs``,
+  ``lr._count_dual``: the tilt and the dual's Hessian, since the exact
+  LR holds for any tilt.
 - ``lr._gram``, ``lr._row_product``, ``lr._chunk_rows``,
   ``lr._ONE_THREAD_MADDS``: the OpenBLAS-sized product chunks, which
   show in no result.
@@ -118,10 +118,15 @@ def augment(p: SetPartition, mode: str) -> SetPartition:
 
 
 
+def census_caps(pop, strict_support=False):
+    """The census cap of each of ``pop``'s ranks."""
+    return lr._support_caps(pop.as_array(), pop.pop_size, strict_support)
+
+
 def loop_chi_init(pi, pop, strict_support=False):
     """Rank-by-rank greedy fill, the reference for the chain's vectorised
     start."""
-    caps = lr._support_caps(pop, strict_support)
+    caps = census_caps(pop, strict_support)
     chi = [0] * pop.m
     cursor = 0
     for a_j, r_j, j in sorted(zip(pi.a, pi.r, range(1, pi.num_size_classes + 1)), reverse=True):
@@ -146,7 +151,7 @@ def loop_assignment_check(chi, pi, pop, strict_support=False):
         counts[c] += 1
     if tuple(counts[1:]) != pi.r:
         raise ValueError(f"class counts {tuple(counts[1:])} must equal r={pi.r}")
-    caps = lr._support_caps(pop, strict_support)
+    caps = census_caps(pop, strict_support)
     for i, c in enumerate(chi):
         if c > 0 and caps[i] < pi.a[c - 1]:
             raise InfeasibleAssignmentError(
@@ -156,13 +161,15 @@ def loop_assignment_check(chi, pi, pop, strict_support=False):
 
 
 def greedy_labels(pi, pop, strict_support=False):
-    """Seam: the chain's greedy start, one class label per rank."""
-    return lr._greedy_labels(pi, lr._support_caps(pop, strict_support))
+    """Seam: the chain's greedy start, one class label per rank, once the
+    feasibility check passes."""
+    lr._rank_groups(pi, pop, strict_support)
+    return lr._greedy_labels(pi, pop.m)
 
 
 def check_labels(chi, pi, pop, strict_support=False):
     """Seam: the chain's end-of-run check on the labels ``chi``."""
-    lr._check_assignment(np.asarray(chi), pi, lr._support_caps(pop, strict_support))
+    lr._check_assignment(np.asarray(chi), pi, census_caps(pop, strict_support))
 
 
 def stationary_acceptance(pi, pop, class_pair_weight):
@@ -170,7 +177,7 @@ def stationary_acceptance(pi, pop, class_pair_weight):
     feasible assignment x under its law pi(x) and over every cross-class rank
     pair, each proposed with probability proportional to
     class_pair_weight(n_c, n_d) / (n_c n_d) for its class sizes."""
-    caps = lr._support_caps(pop, False)
+    caps = census_caps(pop)
     a_ext = (0,) + pi.a
     sizes = (pop.m - pi.k,) + pi.r
     states = []
@@ -201,7 +208,7 @@ def members_swap_chain(part, pop, strict_support, cfg):
     chi = np.array(loop_chi_init(part, pop, strict_support))
     probs = pop.as_array()
     log_probs = np.log(probs).tolist()
-    caps = lr._support_caps(pop, strict_support).tolist()
+    caps = census_caps(pop, strict_support).tolist()
     a_ext = np.array((0,) + part.a)
     members = [np.flatnonzero(chi == c).tolist() for c in range(a_ext.size)]
     sizes = np.array([len(ranks) for ranks in members])
@@ -246,8 +253,9 @@ def members_swap_chain(part, pop, strict_support, cfg):
 def swap_chain(part, pop, strict_support, cfg):
     """Seam: the swap chain from the greedy start on a schedule that
     ``lr_true_mh`` rejects for keeping one sample; (trace, acceptance)."""
-    caps = lr._support_caps(pop, strict_support)
-    return lr._run_swap_chain(lr._greedy_labels(part, caps), part, pop.as_array(), caps, cfg)
+    lr._rank_groups(part, pop, strict_support)
+    caps = census_caps(pop, strict_support)
+    return lr._run_swap_chain(lr._greedy_labels(part, pop.m), part, pop.as_array(), caps, cfg)
 
 
 def forbid_chain(monkeypatch):
@@ -259,12 +267,14 @@ def forbid_chain(monkeypatch):
     monkeypatch.setattr(lr, "_run_swap_chain", chain)
 
 
-def crp_case(size, params, seed, n):
+def crp_case(size, params, seed, n, db_seed=None):
     """A census of ``size`` people seated by ``crp_sample`` and the database
-    of the first ``n`` of them in a seeded order: (database, population)."""
+    of the first ``n`` of them in an order seeded by ``db_seed`` (default
+    ``seed``): (database, population)."""
     counts = np.sort(crp_sample(size, params, seed=seed).table_counts)[::-1]
     pop = PopulationVector(probs=tuple((counts / size).tolist()), pop_size=size)
-    people = np.random.default_rng(seed).permutation(np.repeat(np.arange(counts.size), counts))
+    order = np.random.default_rng(seed if db_seed is None else db_seed)
+    people = order.permutation(np.repeat(np.arange(counts.size), counts))
     sizes = np.bincount(people[:n])
     return IntegerPartition.from_block_sizes(sizes[sizes > 0]), pop
 
@@ -273,7 +283,7 @@ def brute_force_true_lr(pi, pop, strict_support=False):
     """s1 / E[singleton mass] by summing over every labelling of the ranks
     with classes 0..J, kept when it has the class counts r and every rank's
     census count supports its class."""
-    caps = lr._support_caps(pop, strict_support)
+    caps = census_caps(pop, strict_support)
     a_ext = (0,) + pi.a
     z = mass = 0.0
     for chi in itertools.product(range(len(a_ext)), repeat=pop.m):
@@ -334,7 +344,8 @@ def tilt(part, pop):
     the dual over one row per rank, eta -> (value, gradient, Hessian)."""
     groups, eta0 = lr._rank_groups(part, pop, False)
     eta = lr._tilt(groups, part.r, eta0).eta
-    log_w = lr._class_log_weights(part, np.log(pop.as_array()), lr._support_caps(pop, False))
+    eligible = census_caps(pop)[:, None] >= np.asarray(part.a)
+    log_w = np.where(eligible, np.outer(np.log(pop.as_array()), part.a), -np.inf)
 
     def dual(eta):
         return lr._count_dual(eta, log_w, part.r, np.ones(log_w.shape[0]))[:3]

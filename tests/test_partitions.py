@@ -12,7 +12,9 @@ from raretype.partitions import (
     reduce_sample,
     to_integer_partition,
 )
+from raretype.mle import fit_mle
 from raretype.pitman import PdParams, SeatingPlan, crp_sample
+from raretype.workbench import population_from_partition
 
 from reference import augment, bell_number, enumerate_partitions
 
@@ -309,6 +311,9 @@ def test_non_integer_entries_rejected():
     with pytest.raises(ValueError, match="integers"):
         IntegerPartition(a=(True, 2), r=(3, 1))
     assert IntegerPartition(a=(np.int64(1),), r=(np.int32(2),)).n == 2
+    # kept as Python ints, so every payload built on the partition is JSON
+    part = IntegerPartition(a=tuple(np.array([1, 2, 3])), r=tuple(np.array([5, 2, 1])))
+    json.dumps([part.to_dict(), fit_mle(part).to_dict(), population_from_partition(part).to_dict()])
     assert IntegerPartition.from_block_sizes(np.array([2, 1], dtype=np.uint8)).r == (1, 1)
 
 

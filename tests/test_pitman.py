@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -522,4 +523,5 @@ class TestPopulationVector:
                 PopulationVector(probs=(0.5, 0.5), pop_size=size)
         with pytest.raises(ValueError, match="integer"):
             PopulationVector.from_dict({"probs": [0.5, 0.5], "pop_size": 3.7})
-        assert PopulationVector(probs=(0.5, 0.5), pop_size=np.int64(4)).pop_size == 4
+        pop = PopulationVector(probs=(0.5, 0.5), pop_size=np.int64(4))
+        assert pop.pop_size == 4 and json.dumps(pop.to_dict())
