@@ -8,8 +8,8 @@ which goes to stdout or --out as JSON at full precision or, with
 that nest lists or dicts are JSON only. A short human summary with 4
 significant digits goes to stderr unless --quiet.
 
-Exit codes: 0 success, 2 bad input (one too large to allocate included),
-3 non-convergence or infeasibility.
+Exit codes: 0 success, 2 bad input (one too large to allocate or to hold
+in int64 included), 3 non-convergence or infeasibility.
 """
 from __future__ import annotations
 
@@ -387,9 +387,9 @@ def cli_dispatch(argv) -> int:
     except RuntimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    # a workbench.ProfileParseError is a ValueError; a MemoryError is an
-    # input whose arrays cannot be allocated
-    except (OSError, json.JSONDecodeError, ValueError, KeyError, MemoryError) as exc:
+    # JSONDecodeError and ProfileParseError are ValueErrors; a MemoryError is an input
+    # whose arrays cannot be allocated, an OverflowError one with a size past int64
+    except (OSError, ValueError, KeyError, MemoryError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

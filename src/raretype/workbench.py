@@ -11,11 +11,12 @@ the plug-in LR against the known-population and frequentist ones.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import math
 import os
 from collections import Counter
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from itertools import repeat
 from typing import Optional, Union
 
@@ -445,37 +446,39 @@ class ExperimentResult:
 _CONDITIONING_ATTEMPTS = 10_000
 
 
-def _run_replicate(
-    spec: ExperimentSpec,
-    pop: PopulationVector,
-    individuals: np.ndarray,
-    index: int,
-    seed: np.random.SeedSequence,
-) -> ExperimentRow:
+@functools.lru_cache(maxsize=1)
+def _census(population: IntegerPartition) -> tuple[PopulationVector, np.ndarray]:
+    """The population vector and each rank's cumulative carrier count (read-only)."""
+    ends = np.cumsum(population.sizes_desc())
+    ends.flags.writeable = False
+    return population_from_partition(population), ends
+
+
+def _run_replicate(spec: ExperimentSpec, index: int, seed: np.random.SeedSequence) -> ExperimentRow:
+    pop, ends = _census(spec.population)
     sample_seed, mh_seed = seed.spawn(2)
     rng = np.random.default_rng(sample_seed)
     for _ in range(_CONDITIONING_ATTEMPTS):
-        drawn = rng.choice(individuals, size=spec.sample_size, replace=False)
-        suspect = int(drawn[-1])
-        db_ranks = drawn[:-1]
-        if suspect not in db_ranks:
+        # individuals by index, as choice over an array of their ranks draws them
+        idx = rng.choice(spec.population.n, size=spec.sample_size, replace=False)
+        drawn = np.searchsorted(ends, idx, side="right") + 1
+        if drawn[-1] not in drawn[:-1]:
             break
     else:
         raise RuntimeError(
             f"rare-type conditioning failed in {_CONDITIONING_ATTEMPTS} attempts: "
             "population too concentrated"
         )
-    type_counts = np.bincount(db_ranks)
     options = CaseOptions(
         population=pop,
-        matched_rank=suspect,
+        matched_rank=int(drawn[-1]),
         mh=replace(spec.mh, seed=mh_seed),
         strict_support=spec.strict_support,
         small_n_threshold=0,
     )
-    report = run_case(IntegerPartition.from_block_sizes(type_counts[type_counts > 0]), options)
-    by_field = {f.name: getattr(report, f.name) for f in fields(report)}
-    return ExperimentRow(**by_field, replicate=index)
+    db_counts = np.unique(drawn[:-1], return_counts=True)[1]
+    report = run_case(IntegerPartition.from_block_sizes(db_counts), options)
+    return ExperimentRow(**vars(report), replicate=index)
 
 
 def _worker_count(replicates: int) -> int:
@@ -498,12 +501,9 @@ def _worker_count(replicates: int) -> int:
 
 def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     """Run the replicated comparison; rows come back in replicate order
-    regardless of scheduling."""
-    pop = population_from_partition(spec.population)
-    # each individual carries its type's rank, 1..m by carrier count
-    individuals = np.repeat(np.arange(1, pop.m + 1), spec.population.sizes_desc())
-    seeds = spawn_seeds(spec.seed, spec.replicates)
-    args = (repeat(spec), repeat(pop), repeat(individuals), range(spec.replicates), seeds)
+    regardless of scheduling. Each process builds the census once (`_census`,
+    cached) and draws individuals by index, so a task carries its spec, index and seed."""
+    args = (repeat(spec), range(spec.replicates), spawn_seeds(spec.seed, spec.replicates))
     workers = _worker_count(spec.replicates)
     if workers == 1:
         rows = list(map(_run_replicate, *args))

@@ -52,8 +52,9 @@ from raretype import lr, mle, pitman
 from raretype.lr import InfeasibleAssignmentError
 from raretype.partitions import IntegerPartition, SetPartition
 from raretype.pitman import PopulationVector, SeatingPlan, crp_sample
+from raretype.rng import spawn_seeds
 from raretype.workbench import DuplicateColumnError, EmptyFileError, MissingColumnError
-from raretype.workbench import ProfileParseError, RaggedRowError
+from raretype.workbench import ProfileParseError, RaggedRowError, population_from_partition
 
 # Bell numbers B_0..B_12; B_12 = 4,213,597 motivates the enumeration cap.
 _BELL = (1, 1, 2, 5, 15, 52, 203, 877, 4140, 21147, 115975, 678570, 4213597)
@@ -277,6 +278,23 @@ def crp_case(size, params, seed, n, db_seed=None):
     people = order.permutation(np.repeat(np.arange(counts.size), counts))
     sizes = np.bincount(people[:n])
     return IntegerPartition.from_block_sizes(sizes[sizes > 0]), pop
+
+
+def replicate_draws(spec):
+    """Each of an experiment spec's replicates as the experiment draws it,
+    here from a list of the census's individuals by rank: (population,
+    database, suspect's rank, chain seed)."""
+    pop = population_from_partition(spec.population)
+    individuals = np.repeat(np.arange(1, pop.m + 1), spec.population.sizes_desc())
+    for seed in spawn_seeds(spec.seed, spec.replicates):
+        sample_seed, mh_seed = seed.spawn(2)
+        rng = np.random.default_rng(sample_seed)
+        while True:
+            drawn = rng.choice(individuals, size=spec.sample_size, replace=False)
+            if drawn[-1] not in drawn[:-1]:
+                break
+        sizes = np.bincount(drawn[:-1])
+        yield pop, IntegerPartition.from_block_sizes(sizes[sizes > 0]), int(drawn[-1]), mh_seed
 
 
 def brute_force_true_lr(pi, pop, strict_support=False):

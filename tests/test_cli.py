@@ -137,12 +137,21 @@ class TestDispatch:
 
     def test_unallocatable_block_exits_2(self, capsys, tmp_path):
         # the terms of a 10^15 block exceed the address space, so the
-        # allocation fails without touching memory
-        path = tmp_path / "huge.json"
-        path.write_text(json.dumps({"a": [1, 10**15], "r": [1, 1]}))
-        assert cli_dispatch(["fit", "--partition", str(path), "--quiet"]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and "Traceback" not in err
+        # allocation fails without touching memory; a 10^20 block is past
+        # int64 in the fit, the surface and the experiment's draws alike
+        huge = tmp_path / "huge.json"
+        huge.write_text(json.dumps({"a": [1, 10**15], "r": [1, 1]}))
+        past = tmp_path / "past_int64.json"
+        past.write_text(json.dumps({"a": [1, 10**20], "r": [5, 1]}))
+        for argv in (
+            ["fit", "--partition", huge],
+            ["fit", "--partition", past],
+            ["surface", "--partition", past],
+            ["experiment", "--population-partition", past, "--replicates", "1", "--sample-size", "3"],
+        ):
+            assert cli_dispatch([*map(str, argv), "--quiet"]) == 2, argv
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and "Traceback" not in err, err
 
     def test_reduce_and_fit_pipeline(self, capsys, tmp_path):
         profiles = tmp_path / "profiles.tsv"

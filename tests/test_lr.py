@@ -18,7 +18,6 @@ from raretype.lr import (
 from raretype.lr import SADDLE_LOG10_BOUND
 from raretype.partitions import IntegerPartition
 from raretype.pitman import PdParams, PopulationVector, crp_sample
-from raretype.rng import spawn_seeds
 from raretype.workbench import ExperimentSpec, dutch_fixture, population_from_partition, run_experiment
 
 from reference import (
@@ -31,6 +30,7 @@ from reference import (
     loop_assignment_check,
     loop_chi_init,
     members_swap_chain,
+    replicate_draws,
     saddle_products,
     stationary_acceptance,
     swap_chain,
@@ -378,18 +378,9 @@ class TestProposalLaw:
 
 
 def dutch_replicates(spec):
-    """Population and suspect-augmented database of each of spec's
-    replicates, drawn as _run_replicate draws them."""
-    pop = population_from_partition(spec.population)
-    individuals = np.repeat(np.arange(1, pop.m + 1), spec.population.sizes_desc())
-    for seed in spawn_seeds(spec.seed, spec.replicates):
-        rng = np.random.default_rng(seed.spawn(2)[0])
-        while True:
-            drawn = rng.choice(individuals, size=spec.sample_size, replace=False)
-            if drawn[-1] not in drawn[:-1]:
-                break
-        sizes = np.bincount(drawn[:-1])
-        yield pop, IntegerPartition.from_block_sizes(sizes[sizes > 0]).add_singleton()
+    """Population and suspect-augmented database of each of spec's replicates."""
+    for pop, db, _, _ in replicate_draws(spec):
+        yield pop, db.add_singleton()
 
 
 @pytest.mark.slow

@@ -15,7 +15,6 @@ from raretype.lr import SADDLE_LOG10_BOUND, MhConfig, lr_empirical_bayes, saddle
 from raretype.mle import fit_mle
 from raretype.partitions import IntegerPartition, reduce_sample, to_integer_partition
 from raretype.pitman import PdParams, PopulationVector, crp_sample
-from raretype.rng import spawn_seeds
 from raretype.workbench import (
     DUTCH_FIXTURE_METADATA,
     CaseOptions,
@@ -37,7 +36,7 @@ from raretype.workbench import (
     summarize_rows,
 )
 
-from reference import crp_case, reference_load
+from reference import crp_case, reference_load, replicate_draws
 
 
 def write(path, text):
@@ -588,29 +587,30 @@ class TestExperiment:
         with pytest.raises(RuntimeError, match="too concentrated"):
             run_experiment(spec)
 
+    def test_census_too_large_to_list(self, monkeypatch):
+        # 3e15 people, whose list would take 21.3 PiB, past the address
+        # space; drawn by index, they need their 43 ranks' counts alone
+        monkeypatch.setenv("RARETYPE_THREADS", "1")
+        census = IntegerPartition((1, 10**15), (40, 3))
+        spec = ExperimentSpec(census, sample_size=11, replicates=2, seed=1, mh=MhConfig(300, 50, 5))
+        rows = run_experiment(spec).rows
+        assert len(rows) == 2
+        assert all(math.isfinite(r.log10_lr_true) and math.isfinite(r.log10_lr_freq) for r in rows)
+
     def test_rows_are_run_case_reports(self, monkeypatch):
         # each row is run_case on that replicate's database, drawn here
         # again, with the replicate's chain seed and no small-n warning
         monkeypatch.setenv("RARETYPE_THREADS", "1")
         spec = tiny_spec(replicates=3)
-        pop = population_from_partition(spec.population)
-        individuals = np.repeat(np.arange(1, pop.m + 1), spec.population.sizes_desc())
         rows = run_experiment(spec).rows
-        for i, (row, seed) in enumerate(zip(rows, spawn_seeds(spec.seed, spec.replicates))):
-            sample_seed, mh_seed = seed.spawn(2)
-            rng = np.random.default_rng(sample_seed)
-            while True:
-                drawn = rng.choice(individuals, size=spec.sample_size, replace=False)
-                if drawn[-1] not in drawn[:-1]:
-                    break
-            sizes = np.bincount(drawn[:-1])
+        for i, (row, (pop, db, suspect, mh_seed)) in enumerate(zip(rows, replicate_draws(spec))):
             options = CaseOptions(
                 population=pop,
-                matched_rank=int(drawn[-1]),
+                matched_rank=suspect,
                 mh=replace(spec.mh, seed=mh_seed),
                 small_n_threshold=0,
             )
-            report = run_case(IntegerPartition.from_block_sizes(sizes[sizes > 0]), options)
+            report = run_case(db, options)
             # every report field, the known-population route included
             assert row == ExperimentRow(
                 replicate=i, **{f.name: getattr(report, f.name) for f in fields(report)}
