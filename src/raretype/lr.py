@@ -30,7 +30,9 @@ saddle point, falling back to the chain, with a note, where the tilt has
 no finite solution or does not converge, or the instance lies outside
 the regime the bound was calibrated in.
 
-All three routes decide feasibility by one rule, in ``_rank_groups``.
+All three routes start from one prelude, ``_rank_groups``: the input
+checks, the support rule on the census's runs of equal p, and one
+feasibility rule. The chain reads its per-rank caps from it.
 
 The chain's state is a label array chi over the population ranks: chi_i
 = j > 0 puts rank i in the class observed a_j times, 0 leaves it
@@ -103,19 +105,6 @@ def lr_frequentist(p: PopulationVector, matched_rank: int) -> float:
     return 1.0 / p.probs[matched_rank - 1]
 
 
-def _support_caps(probs: np.ndarray, pop_size: int, strict: bool) -> np.ndarray:
-    """Largest class size a rank of each frequency in ``probs`` can carry.
-
-    Default rule: the rounded population count round(N p_i) must be at
-    least the observed count. The strict variant demands N p_i strictly
-    above it, which forbids observing a type exactly as often as it
-    occurs; it is kept for sensitivity analysis.
-    """
-    scaled = pop_size * probs
-    caps = np.ceil(scaled - 1e-9) - 1.0 if strict else np.rint(scaled)
-    return caps.astype(np.int64)
-
-
 def _check_assignment(chi: np.ndarray, part: IntegerPartition, caps: np.ndarray) -> None:
     """Raise unless the labels ``chi`` (0..J, one per rank) give class j to
     exactly r_j ranks and every labelled rank's census cap supports its
@@ -137,7 +126,7 @@ def _greedy_labels(part: IntegerPartition, m: int) -> np.ndarray:
     """Class label of each of ``m`` ranks under the greedy fill: largest
     classes take the most frequent ranks, the rest are unobserved (0).
     Eligibility for each class is a prefix of the ranks, so the fill is
-    feasible whenever any assignment is (``_rank_groups`` decides)."""
+    feasible whenever any assignment is (the prelude, ``_rank_groups``, decides)."""
     labels = np.repeat(np.arange(part.num_size_classes, 0, -1), part.r[::-1])
     return np.pad(labels, (0, m - labels.size))
 
@@ -282,15 +271,6 @@ def _batch_means_stderr(values: np.ndarray) -> float:
     return float(batches.std(ddof=1) / math.sqrt(batches.size))
 
 
-def _check_true_lr_inputs(part: IntegerPartition, p: PopulationVector) -> None:
-    if part.s1 < 1:
-        raise ValueError("rare-type partition needs at least one singleton block")
-    if p.pop_size is None:
-        raise ValueError("population needs pop_size for the assignment-space oracle")
-    if p.pop_size < p.m:
-        raise ValueError("pop_size below the number of listed types")
-
-
 def lr_true_mh(
     part: IntegerPartition,
     p: PopulationVector,
@@ -301,25 +281,24 @@ def lr_true_mh(
     """Estimate the LR given the full population vector.
 
     ``part`` is the suspect-augmented partition (the suspect's type is
-    one of its singletons). ``_rank_groups`` raises InfeasibleAssignmentError
-    when no assignment fits the census; else the chain targets p(chi | a,
-    r, p) from the greedy fill (``_greedy_labels``). The estimate is s1
+    one of its singletons). ``_rank_groups`` checks the inputs, sets the
+    census caps and raises InfeasibleAssignmentError when no assignment
+    fits; else the chain targets p(chi | a, r, p) from the greedy fill
+    (``_greedy_labels``). The estimate is s1
     over the average total frequency of singleton-class ranks across
     retained states, with a batch-means SE, or 0 when every retained mass
     is the same. The final state is re-checked against the class counts
     and census caps (``_check_assignment``).
     """
-    _check_true_lr_inputs(part, p)
-    _rank_groups(part, p, strict_support)
+    groups, _ = _rank_groups(part, p, strict_support)
     if cfg.n_retained < 2:
         # one sample has no spread to put an error bar on
         raise ValueError(
             "fewer than 2 retained samples: lower burn_in/thinning or raise iterations "
             f"(schedule keeps {cfg.n_retained})"
         )
-    probs = p.as_array()
-    caps = _support_caps(probs, p.pop_size, strict_support)
-    trace, acceptance = _run_swap_chain(_greedy_labels(part, p.m), part, probs, caps, cfg)
+    caps = np.repeat(groups.caps, groups.mult)
+    trace, acceptance = _run_swap_chain(_greedy_labels(part, p.m), part, p.as_array(), caps, cfg)
     masses = np.array([s for _, s in trace])
     if (masses == masses[0]).all():
         # a chain that never left its state: its mass, with no spread, where
@@ -377,16 +356,17 @@ def exact_true_lr(
     cost m * J * prod(r_j + 1). eta is the saddle point where the expected
     counts equal r (``_tilt``), so every entry is a probability and
     P(counts = r) is not small: nothing overflows, and what underflows is
-    negligible. Past the state budget it raises ValueError, pointing to
-    ``saddle_true_lr`` and ``lr_true_mh``, before allocating anything.
+    negligible. After the prelude's checks (``_rank_groups``), past the
+    state budget it raises ValueError, pointing to ``saddle_true_lr`` and
+    ``lr_true_mh``, before solving the tilt or allocating the pass.
     """
-    _check_true_lr_inputs(part, p)
+    groups, eta0 = _rank_groups(part, p, strict_support)
     if not _exact_fits(part):
         raise ValueError(
             f"the exact pass needs {_exact_states(part)} states, over its budget of "
             f"{_EXACT_STATE_BUDGET}; estimate the LR with saddle_true_lr or lr_true_mh instead"
         )
-    return part.s1 * _exact_pass(*_tilted_groups(part, p, strict_support), part.r)
+    return part.s1 * _exact_pass(groups, _tilt(groups, part.r, eta0), part.r)
 
 
 class _RankGroups(NamedTuple):
@@ -397,13 +377,22 @@ class _RankGroups(NamedTuple):
 
     p: np.ndarray  # (G,) the group's probability
     mult: np.ndarray  # (G,) its number of ranks
+    caps: np.ndarray  # (G,) the largest class size a rank of the group can carry
     log_w: np.ndarray  # (G, J) log p^{a_j}, -inf where the group's cap cannot support a_j
     room: np.ndarray  # (J,) the number of ranks that can carry class j
+    need: np.ndarray  # (J,) the number of ranks classes j..J fill, r_j + ... + r_J
 
 
 def _rank_groups(part: IntegerPartition, p: PopulationVector, strict: bool):
-    """The rank groups of ``p`` for ``part``'s classes and a start for the
-    tilt, read off the population's G runs in O(G J) for J classes.
+    """The prelude of every known-population route: after the input checks
+    (a singleton in ``part``, a pop_size of at least m in ``p``), the rank
+    groups of ``p`` for ``part``'s classes and a start for the tilt, read
+    off the population's G runs in O(G J) for J classes.
+
+    Each group's cap follows the support rule: the rounded population
+    count round(N p_i) must be at least the observed count. The strict
+    variant demands N p_i strictly above it, which forbids observing a
+    type exactly as often as it occurs; it is kept for sensitivity analysis.
 
     Every route decides feasibility here. The ranks that can carry class
     j are a prefix, room_j long, and the prefixes nest; so by Hall's
@@ -422,10 +411,18 @@ def _rank_groups(part: IntegerPartition, p: PopulationVector, strict: bool):
     class with r_j = 1 far out in the exponential tail of its count: at
     casework scale the solver then took 11-46 Newton steps, not 3-4.)
     """
+    if part.s1 < 1:
+        raise ValueError("rare-type partition needs at least one singleton block")
+    if p.pop_size is None:
+        raise ValueError("population needs pop_size for the assignment-space oracle")
+    if p.pop_size < p.m:
+        raise ValueError("pop_size below the number of listed types")
     starts, mult = p._runs
     probs = p.as_array()[starts]
     log_p = np.log(probs)
-    eligible = _support_caps(probs, p.pop_size, strict)[:, None] >= np.asarray(part.a)
+    scaled = p.pop_size * probs
+    caps = (np.ceil(scaled - 1e-9) - 1.0 if strict else np.rint(scaled)).astype(np.int64)
+    eligible = caps[:, None] >= np.asarray(part.a)
     log_w = np.where(eligible, np.outer(log_p, part.a), -np.inf)
     room = mult @ eligible
     # classes j..J fill the first need[j - 1] ranks
@@ -443,7 +440,7 @@ def _rank_groups(part: IntegerPartition, p: PopulationVector, strict: bool):
     at = np.searchsorted(starts, np.minimum([need - 1, need], p.m - 1), side="right") - 1
     edge = 0.5 * (log_p[at[0]] + log_p[at[1]])
     eta0 = np.cumsum(-np.diff(np.asarray(part.a), prepend=0) * edge)
-    return _RankGroups(probs, mult, log_w, room), eta0
+    return _RankGroups(probs, mult, caps, log_w, room, need), eta0
 
 
 def _class_probs(eta: np.ndarray, log_w: np.ndarray):
@@ -580,14 +577,8 @@ def _tilt(groups: _RankGroups, r, eta: np.ndarray) -> _Tilt:
                 break
         f, g, h, worst, q0, q = trial
     # a finite tilt needs room to spare: need_j < room_j (see _rank_groups)
-    finite = bool((np.cumsum(r[::-1])[::-1] < groups.room).all())
+    finite = bool((groups.need < groups.room).all())
     return _Tilt(eta, steps, sweeps, worst, finite and worst <= _TILT_TOL, q0, q, h)
-
-
-def _tilted_groups(part: IntegerPartition, p: PopulationVector, strict: bool):
-    """The rank groups of ``p`` for ``part`` and the tilt solved over them."""
-    groups, eta0 = _rank_groups(part, p, strict)
-    return groups, _tilt(groups, part.r, eta0)
 
 
 # the saddle-point route's error bound in log10 and the regime it was
@@ -631,6 +622,8 @@ class SaddleLrEstimate:
                 f"outside its calibrated regime (s1 < {_SADDLE_MIN_S1} "
                 f"or correction > {_SADDLE_MAX_CORRECTION} log10)"
             )
+        elif self.max_rel_grad <= _TILT_TOL:
+            why = "without a finite tilt (some classes j..J need every rank that can carry class j)"
         else:
             why = f"without a converged tilt (max|g/r| {self.max_rel_grad:.2g})"
         return f"saddle point {why}; known-population LR from the chain"
@@ -668,8 +661,8 @@ def saddle_true_lr(
     with no finite saddle point or one that does not converge in its step
     cap gives no value.
     """
-    _check_true_lr_inputs(part, p)
-    groups, tilt = _tilted_groups(part, p, strict_support)
+    groups, eta0 = _rank_groups(part, p, strict_support)
+    tilt = _tilt(groups, part.r, eta0)
     first = second = None
     if tilt.converged:
         mass_1, mass_2 = _saddle_masses(groups, tilt)

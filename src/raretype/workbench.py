@@ -385,6 +385,9 @@ class ExperimentSpec:
             raise ValueError("replicates must be >= 1")
         if self.sample_size > self.population.n:
             raise ValueError(f"sample_size {self.sample_size} > population size {self.population.n}")
+        # each replicate draws its people by an int64 index
+        if self.population.n >= 2**63:
+            raise ValueError(f"population size {self.population.n} is past the int64 limit 2**63 - 1")
 
 
 # the row columns the summary describes, in its order

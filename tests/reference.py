@@ -7,15 +7,16 @@ under ``tests/`` that imports, calls or patches what it wraps; so a
 kernel rewrite edits this file alone. ``test_namespace`` holds the
 tests to this list of private names, each with why no public input
 reaches it:
-- ``lr._support_caps``, ``lr._greedy_labels``, ``lr._check_assignment``:
-  the census caps, the chain's start and its end-of-run check, which no
-  result reports (a correct chain never fails the check).
+- ``lr._greedy_labels``, ``lr._check_assignment``: the chain's start
+  and its end-of-run check, which no result reports (a correct chain
+  never fails the check).
 - ``lr._run_swap_chain``, ``lr._BLOCK``: a schedule that keeps one
   sample, which ``lr_true_mh`` rejects before the chain runs; the draw
   blocks the member-level chain shares.
 - ``lr._rank_groups``, ``lr._tilt``, ``lr._class_probs``,
-  ``lr._count_dual``: the tilt and the dual's Hessian, since the exact
-  LR holds for any tilt.
+  ``lr._count_dual``: the routes' prelude, whose census caps the chain
+  reads, the tilt and the dual's Hessian, since the exact LR holds for
+  any tilt.
 - ``lr._gram``, ``lr._row_product``, ``lr._chunk_rows``,
   ``lr._ONE_THREAD_MADDS``: the OpenBLAS-sized product chunks, which
   show in no result.
@@ -120,13 +121,21 @@ def augment(p: SetPartition, mode: str) -> SetPartition:
 
 
 def census_caps(pop, strict_support=False):
-    """The census cap of each of ``pop``'s ranks."""
-    return lr._support_caps(pop.as_array(), pop.pop_size, strict_support)
+    """The census cap of each of ``pop``'s ranks, rank by rank: its rounded
+    count round(N p), or under the strict rule the largest count strictly
+    below N p, ceil(N p - 1e-9) - 1."""
+    n = pop.pop_size
+    if strict_support:
+        return np.array([math.ceil(n * p - 1e-9) - 1 for p in pop.probs])
+    return np.array([round(n * p) for p in pop.probs])
 
 
 def loop_chi_init(pi, pop, strict_support=False):
     """Rank-by-rank greedy fill, the reference for the chain's vectorised
-    start."""
+    start, after its refusal of a partition with no singleton (the
+    suspect's type)."""
+    if pi.s1 < 1:
+        raise ValueError("rare-type partition needs at least one singleton block")
     caps = census_caps(pop, strict_support)
     chi = [0] * pop.m
     cursor = 0
@@ -254,8 +263,8 @@ def members_swap_chain(part, pop, strict_support, cfg):
 def swap_chain(part, pop, strict_support, cfg):
     """Seam: the swap chain from the greedy start on a schedule that
     ``lr_true_mh`` rejects for keeping one sample; (trace, acceptance)."""
-    lr._rank_groups(part, pop, strict_support)
-    caps = census_caps(pop, strict_support)
+    groups, _ = lr._rank_groups(part, pop, strict_support)
+    caps = np.repeat(groups.caps, groups.mult)
     return lr._run_swap_chain(lr._greedy_labels(part, pop.m), part, pop.as_array(), caps, cfg)
 
 

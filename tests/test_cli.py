@@ -138,7 +138,7 @@ class TestDispatch:
     def test_unallocatable_block_exits_2(self, capsys, tmp_path):
         # the terms of a 10^15 block exceed the address space, so the
         # allocation fails without touching memory; a 10^20 block is past
-        # int64 in the fit, the surface and the experiment's draws alike
+        # int64 in the fit and the surface, and the experiment's census
         huge = tmp_path / "huge.json"
         huge.write_text(json.dumps({"a": [1, 10**15], "r": [1, 1]}))
         past = tmp_path / "past_int64.json"
@@ -152,6 +152,8 @@ class TestDispatch:
             assert cli_dispatch([*map(str, argv), "--quiet"]) == 2, argv
             err = capsys.readouterr().err
             assert err.startswith("error: ") and "Traceback" not in err, err
+        # the experiment refuses the census itself, naming the limit
+        assert "int64" in err, err
 
     def test_reduce_and_fit_pipeline(self, capsys, tmp_path):
         profiles = tmp_path / "profiles.tsv"

@@ -268,6 +268,17 @@ class TestTrueLr:
         short = PopulationVector(probs=(0.5, 0.3, 0.2), pop_size=2)
         with pytest.raises(ValueError, match="^pop_size below the number of listed types"):
             route(IntegerPartition((1,), (2,)), short)
+        # the routes share one prelude, so one error order: the inputs, then
+        # feasibility with the greedy fill's message, then (for the exact
+        # pass) its state budget, which Dutch over three types exceeds
+        census = PopulationVector(probs=(0.5, 0.3, 0.2), pop_size=10)
+        with pytest.raises(ValueError, match="^rare-type partition needs at least one singleton"):
+            route(IntegerPartition((2,), (1,)), census)
+        for part in (IntegerPartition((1, 8), (1, 1)), dutch_fixture()):
+            _, expected = _outcome(loop_chi_init, part, census)
+            with pytest.raises(InfeasibleAssignmentError) as err:
+                route(part, census)
+            assert str(err.value) == expected
         (tmp_path / "part.json").write_text('{"a": [1], "r": [1]}')
         (tmp_path / "pop.json").write_text('{"probs": [0.5, 0.5]}')
         argv = ["true-lr", "--partition", str(tmp_path / "part.json"),
@@ -623,7 +634,7 @@ class TestSaddlePoint:
         try:
             exact = math.log10(exact_true_lr(part, pop, strict_support=strict))
         except ValueError as err:
-            # past the exact pass's state budget, which it checks first
+            # past the exact pass's state budget, which it checks after feasibility
             assume("budget" not in str(err))
             raise
         except InfeasibleAssignmentError:
@@ -666,11 +677,21 @@ class TestSaddlePoint:
         assert est.calibrated and abs(est.log10_lr - exact) <= 1e-4
 
     def test_no_finite_tilt_gives_no_value(self):
-        # every one of 300 ranks must carry one of the 300 blocks
+        # every one of 300 ranks must carry one of the 300 blocks, and so for
+        # 300 singletons and for one singleton on one type; the counts match
+        # within the tolerance, so the note names the tilt's finiteness
         pop = PopulationVector(probs=(1 / 300,) * 300, pop_size=3000)
-        est = saddle_true_lr(IntegerPartition((1, 2, 3), (100, 100, 100)), pop)
-        assert not est.converged and not est.calibrated
-        assert est.log10_lr is est.log10_lr_first_order is None
+        one_type = PopulationVector(probs=(1.0,), pop_size=10)
+        for part, census in (
+            (IntegerPartition((1, 2, 3), (100, 100, 100)), pop),
+            (IntegerPartition((1,), (300,)), pop),
+            (IntegerPartition((1,), (1,)), one_type),
+        ):
+            est = saddle_true_lr(part, census)
+            assert not est.converged and not est.calibrated
+            assert est.log10_lr is est.log10_lr_first_order is None
+            assert est.max_rel_grad <= 1e-10
+            assert est.note.startswith("saddle point without a finite tilt"), est.note
 
     def test_infeasible_population(self):
         pop = PopulationVector(probs=(0.5, 0.3, 0.2), pop_size=10)

@@ -517,7 +517,7 @@ class TestPopulationVector:
         assert PopulationVector.from_dict(pop.to_dict()) == pop
 
     def test_pop_size_must_be_an_integer(self):
-        # a fractional population would scale the census caps of lr._support_caps
+        # a fractional population would scale the known-population routes' census caps
         for size in (2.5, 3.0, np.float64(3.0), True, "4"):
             with pytest.raises(ValueError, match="integer"):
                 PopulationVector(probs=(0.5, 0.5), pop_size=size)

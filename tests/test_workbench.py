@@ -487,7 +487,7 @@ class TestKnownPopulationRoute:
         assert report.log10_lr_true_route == "mcmc"
         assert report.log10_lr_true == pytest.approx(math.log10(300.0), abs=1e-12)
         assert math.isfinite(report.log10_lr_true_se)
-        assert any("without a converged tilt" in note and "from the chain" in note for note in report.notes)
+        assert any("without a finite tilt" in note and "from the chain" in note for note in report.notes)
 
 
 class TestWorkerCount:
@@ -537,6 +537,9 @@ class TestExperiment:
         # the census is an integer partition; its vector form, pop_size and all, is not taken
         with pytest.raises(ValueError, match="IntegerPartition"):
             ExperimentSpec(population=population_from_partition(dutch_fixture()), sample_size=31)
+        # a census past int64 failed only inside each replicate's draw
+        with pytest.raises(ValueError, match=r"population size \d+ is past the int64 limit"):
+            ExperimentSpec(IntegerPartition((1, 10**20), (5, 1)), sample_size=3, replicates=2)
         # a float sample_size failed deep inside rng.choice, and True ran one replicate
         for bad in ({"sample_size": 31.0}, {"replicates": True}, {"replicates": 2.0}):
             with pytest.raises(ValueError, match="must be integers"):
