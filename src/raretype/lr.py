@@ -24,11 +24,11 @@ The known-population LR itself has three routes:
 * ``lr_true_mh`` explores the assignment space by a swap-proposal
   Metropolis chain and reports a batch-means SE.
 
-``workbench.run_case`` routes by the state count: within the exact
-pass's budget it runs the chain, whose rows keep their SEs; past it, the
-saddle point, falling back to the chain, with a note, where the tilt has
-no finite solution or does not converge, or the instance lies outside
-the regime the bound was calibrated in.
+``workbench.run_case`` routes by ``_route_true_lr`` on one census record:
+a case the exact pass ``_exact_fits`` (states and predicted time) keeps
+the chain and its SE; any other takes the saddle point, or the chain and
+a note where the tilt cannot be finite (then unsolved), does not converge
+or lies outside the bound's calibrated regime.
 
 All three routes start from one prelude, ``_rank_groups``: the input
 checks, the support rule on the census's runs of equal p, and one
@@ -324,6 +324,8 @@ def lr_true_mh(
 # the exact pass holds two float arrays of prod(r_j + 1) entries; a 101-sample
 # Dutch replicate needs 8k-50k of them
 _EXACT_STATE_BUDGET = 200_000
+_EXACT_RANK_COST = 1_300  # a rank's Python step in live-state updates, 6 us / 4.5 ns
+_EXACT_WORK_BUDGET = 0.2 / 4.5e-9  # ~0.2 s of updates
 
 
 def _exact_states(part: IntegerPartition) -> int:
@@ -331,9 +333,14 @@ def _exact_states(part: IntegerPartition) -> int:
     return math.prod(r_j + 1 for r_j in part.r)
 
 
-def _exact_fits(part: IntegerPartition) -> bool:
-    """Whether the exact pass over ``part`` fits its state budget."""
-    return _exact_states(part) <= _EXACT_STATE_BUDGET
+def _exact_fits(groups: _RankGroups, r) -> bool:
+    """Whether the exact pass fits its state budget and, by its cost model
+    (``_exact_pass``), its work budget; in floats, so nothing overflows."""
+    live = np.cumprod(np.concatenate(([1.0], np.add(r, 1.0))))
+    if live[-1] > _EXACT_STATE_BUDGET:
+        return False
+    fits = np.isfinite(groups.log_w).sum(axis=1)
+    return float(groups.mult @ (_EXACT_RANK_COST + fits * live[fits])) <= _EXACT_WORK_BUDGET
 
 
 def exact_true_lr(
@@ -361,7 +368,7 @@ def exact_true_lr(
     ``lr_true_mh``, before solving the tilt or allocating the pass.
     """
     groups, eta0 = _rank_groups(part, p, strict_support)
-    if not _exact_fits(part):
+    if _exact_states(part) > _EXACT_STATE_BUDGET:
         raise ValueError(
             f"the exact pass needs {_exact_states(part)} states, over its budget of "
             f"{_EXACT_STATE_BUDGET}; estimate the LR with saddle_true_lr or lr_true_mh instead"
@@ -589,6 +596,8 @@ _SADDLE_MAX_CORRECTION = 0.008
 # class counts with less variance than this are left out of the conditioning
 _SADDLE_MIN_VAR = 0.05
 _SADDLE_RIDGE = 1e-9
+_NO_FINITE_TILT = ("saddle point without a finite tilt (some classes j..J need every rank that "
+                   "can carry class j); known-population LR from the chain")
 
 
 @dataclass(frozen=True)
@@ -623,7 +632,7 @@ class SaddleLrEstimate:
                 f"or correction > {_SADDLE_MAX_CORRECTION} log10)"
             )
         elif self.max_rel_grad <= _TILT_TOL:
-            why = "without a finite tilt (some classes j..J need every rank that can carry class j)"
+            return _NO_FINITE_TILT
         else:
             why = f"without a converged tilt (max|g/r| {self.max_rel_grad:.2g})"
         return f"saddle point {why}; known-population LR from the chain"
@@ -661,7 +670,11 @@ def saddle_true_lr(
     with no finite saddle point or one that does not converge in its step
     cap gives no value.
     """
-    groups, eta0 = _rank_groups(part, p, strict_support)
+    return _saddle(part, *_rank_groups(part, p, strict_support))
+
+
+def _saddle(part: IntegerPartition, groups: _RankGroups, eta0: np.ndarray) -> SaddleLrEstimate:
+    """``saddle_true_lr`` past its prelude, on the record it built."""
     tilt = _tilt(groups, part.r, eta0)
     first = second = None
     if tilt.converged:
@@ -683,6 +696,17 @@ def saddle_true_lr(
         converged=tilt.converged,
         calibrated=calibrated,
     )
+
+
+def _route_true_lr(part: IntegerPartition, p: PopulationVector, strict: bool):
+    """(The saddle point's log10 LR, or None for the chain, and the notes)."""
+    groups, eta0 = _rank_groups(part, p, strict)
+    if _exact_fits(groups, part.r):
+        return None, ()
+    if (groups.need == groups.room).any():
+        return None, (_NO_FINITE_TILT,)
+    est = _saddle(part, groups, eta0)
+    return (est.log10_lr if est.calibrated else None), (est.note,)
 
 
 def _saddle_masses(groups: _RankGroups, tilt: _Tilt) -> tuple[float, float]:
@@ -731,7 +755,8 @@ def _exact_pass(groups: _RankGroups, tilt: _Tilt, r: tuple) -> float:
     observed classes, f its finite ``log_w``. f never rises with rank, so
     once it drops below class j no later rank fills that class: only the
     slice c_j = r_j can still reach counts r, and the pass keeps just that
-    slice of z and mass from there on. Cost: ranks * J * live states.
+    slice of z and mass from there on. Cost, measured: ~6 us a rank, plus
+    4.5 ns for each of its f updates of prod_{j <= f}(r_j + 1) live states.
     """
     shape = tuple(r_j + 1 for r_j in r)
     z, mass = np.zeros(shape), np.zeros(shape)

@@ -22,15 +22,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .lr import (
-    LrReport,
-    MhConfig,
-    _exact_fits,
-    lr_empirical_bayes,
-    lr_frequentist,
-    lr_true_mh,
-    saddle_true_lr,
-)
+from .lr import LrReport, MhConfig, _route_true_lr, lr_empirical_bayes, lr_frequentist, lr_true_mh
 from .mle import fit_mle
 from .partitions import (
     IntegerPartition,
@@ -341,19 +333,15 @@ def run_case(db: DatabaseLike, options: CaseOptions = CaseOptions()) -> LrReport
 def _known_population_lr(db_plus: IntegerPartition, options: CaseOptions):
     """The known-population LR's log10 value, SE, route and notes.
 
-    Within the exact pass's state budget the swap chain runs, so that its
-    rows keep their standard errors; past the budget the saddle-point
-    route runs, whose error bar is a calibrated bound rather than an SE.
-    The chain stands in, with a note, where the saddle point has no
-    converged tilt or lies outside the regime that bound was calibrated in.
+    ``lr._route_true_lr`` decides the route and gives the saddle point's
+    value, whose error bar is a calibrated bound rather than an SE. Where
+    it gives none, the swap chain runs here, from this module's namespace,
+    where perfbench's traced runs wrap ``lr_true_mh``.
     """
     pop, strict = options.population, options.strict_support
-    notes = ()
-    if not _exact_fits(db_plus):
-        est = saddle_true_lr(db_plus, pop, strict_support=strict)
-        if est.calibrated:
-            return est.log10_lr, None, "saddle", (est.note,)
-        notes = (est.note,)
+    log10_lr, notes = _route_true_lr(db_plus, pop, strict)
+    if log10_lr is not None:
+        return log10_lr, None, "saddle", notes
     est = lr_true_mh(db_plus, pop, options.mh, strict_support=strict)
     return est.log10_lr, est.log10_stderr, "mcmc", notes
 

@@ -15,8 +15,8 @@ reaches it:
   blocks the member-level chain shares.
 - ``lr._rank_groups``, ``lr._tilt``, ``lr._class_probs``,
   ``lr._count_dual``: the routes' prelude, whose census caps the chain
-  reads, the tilt and the dual's Hessian, since the exact LR holds for
-  any tilt.
+  reads and which every route runs first, the tilt and the dual's
+  Hessian, since the exact LR holds for any tilt.
 - ``lr._gram``, ``lr._row_product``, ``lr._chunk_rows``,
   ``lr._ONE_THREAD_MADDS``: the OpenBLAS-sized product chunks, which
   show in no result.
@@ -275,6 +275,16 @@ def forbid_chain(monkeypatch):
         raise AssertionError("the chain ran on a schedule that keeps one sample")
 
     monkeypatch.setattr(lr, "_run_swap_chain", chain)
+
+
+def forbid_routes(monkeypatch):
+    """Seam: make every known-population route fail the test if it starts
+    (each starts with the prelude, ``lr._rank_groups``)."""
+
+    def prelude(*args):
+        raise AssertionError("a known-population route ran")
+
+    monkeypatch.setattr(lr, "_rank_groups", prelude)
 
 
 def crp_case(size, params, seed, n, db_seed=None):

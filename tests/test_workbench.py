@@ -36,7 +36,7 @@ from raretype.workbench import (
     summarize_rows,
 )
 
-from reference import crp_case, reference_load, replicate_draws
+from reference import crp_case, forbid_chain, forbid_routes, reference_load, replicate_draws
 
 
 def write(path, text):
@@ -459,11 +459,7 @@ class TestKnownPopulationRoute:
 
     @pytest.mark.parametrize("rank", [0, 558, 400.0, 2.5, True, np.float64(400.0)])
     def test_bad_rank_fails_before_the_route(self, monkeypatch, rank):
-        def no_route(*args, **kwargs):
-            raise AssertionError("the known-population route ran")
-
-        monkeypatch.setattr(workbench, "lr_true_mh", no_route)
-        monkeypatch.setattr(workbench, "saddle_true_lr", no_route)
+        forbid_routes(monkeypatch)
         options = CaseOptions(population=population_from_partition(dutch_fixture()), matched_rank=rank)
         with pytest.raises(ValueError, match="matched_rank must be an integer in 1..557"):
             run_case(IntegerPartition((1, 2, 4, 8), (20, 6, 2, 1)), options)
@@ -475,6 +471,21 @@ class TestKnownPopulationRoute:
         assert report.log10_lr_true_route == "saddle"
         assert report.log10_lr_true == saddle_true_lr(db.add_singleton(), pop).log10_lr
         assert report.diff1 == report.log10_lr_eb - report.log10_lr_true
+
+    def test_census_scale_case_takes_the_saddle_point(self, monkeypatch):
+        # 115,667 ranks: a database of 100 has 102 states, well inside the
+        # state budget of 2e5, but its exact pass would take ~0.75 s, so the
+        # saddle point runs. The exact LR is pinned, since exact_true_lr
+        # would take as long
+        forbid_chain(monkeypatch)
+        db, pop = crp_case(200_000, PdParams(0.8, 5000.0), 11, 100, db_seed=5)
+        assert math.prod(r_j + 1 for r_j in db.add_singleton().r) == 102
+        report = run_case(db, CaseOptions(population=pop))
+        assert report.log10_lr_true_route == "saddle"
+        assert report.log10_lr_true_se is None
+        assert report.log10_lr_true == saddle_true_lr(db.add_singleton(), pop).log10_lr
+        exact = math.log10(float.fromhex("0x1.74f7681c40b76p+14"))
+        assert abs(report.log10_lr_true - exact) <= 1e-6
 
     def test_tilt_without_finite_solution_falls_back_to_the_chain(self):
         # 300 blocks over 300 ranks: every rank is observed, so the tilt
