@@ -140,7 +140,8 @@ def cmd_fit(args) -> int:
     from .mle import fit_mle
 
     part = _load_partition(args.partition)
-    fit = fit_mle(part, small_n_threshold=args.small_n_threshold)
+    given = args.small_n_threshold
+    fit = fit_mle(part) if given is None else fit_mle(part, small_n_threshold=given)
     _emit(args, fit.to_dict())
     if not fit.converged:
         _say(args, f"fit did not converge: {fit.diagnosis}")
@@ -321,7 +322,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fit", parents=[common], help="partition JSON -> MLE fit JSON")
     p.add_argument("--partition", required=True)
-    p.add_argument("--small-n-threshold", type=int, default=500)
+    p.add_argument("--small-n-threshold", type=int, default=None)
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("lr", parents=[common], help="plug-in likelihood ratio")

@@ -24,15 +24,16 @@ The known-population LR itself has three routes:
 * ``lr_true_mh`` explores the assignment space by a swap-proposal
   Metropolis chain and reports a batch-means SE.
 
-``workbench.run_case`` routes by ``_route_true_lr`` on one census record:
-a case the exact pass ``_exact_fits`` (states and predicted time) keeps
+All three routes start from one prelude, ``_rank_groups``: the input
+checks, the support rule on the census's runs of equal p, and one
+feasibility rule. Its census record decides once what they share: the
+chain reads its caps, the exact pass each run's class reach and, for its
+budget, the state count, and the tilt its start and whether it is finite.
+``workbench.run_case`` routes by ``_route_true_lr`` on that record: a
+case the exact pass ``_exact_fits`` (states and predicted time) keeps
 the chain and its SE; any other takes the saddle point, or the chain and
 a note where the tilt cannot be finite (then unsolved), does not converge
 or lies outside the bound's calibrated regime.
-
-All three routes start from one prelude, ``_rank_groups``: the input
-checks, the support rule on the census's runs of equal p, and one
-feasibility rule. The chain reads its per-rank caps from it.
 
 The chain's state is a label array chi over the population ranks: chi_i
 = j > 0 puts rank i in the class observed a_j times, 0 leaves it
@@ -290,7 +291,7 @@ def lr_true_mh(
     is the same. The final state is re-checked against the class counts
     and census caps (``_check_assignment``).
     """
-    groups, _ = _rank_groups(part, p, strict_support)
+    groups = _rank_groups(part, p, strict_support)
     if cfg.n_retained < 2:
         # one sample has no spread to put an error bar on
         raise ValueError(
@@ -322,25 +323,19 @@ def lr_true_mh(
 
 
 # the exact pass holds two float arrays of prod(r_j + 1) entries; a 101-sample
-# Dutch replicate needs 8k-50k of them
+# Dutch replicate needs 2,144-76,608 (median 16,800), 2.6x under the budget
 _EXACT_STATE_BUDGET = 200_000
-_EXACT_RANK_COST = 1_300  # a rank's Python step in live-state updates, 6 us / 4.5 ns
-_EXACT_WORK_BUDGET = 0.2 / 4.5e-9  # ~0.2 s of updates
+_EXACT_RANK_COST = 1_300  # a rank's Python step in model units: 6 us / 4.5 ns an update
+_EXACT_WORK_BUDGET = 0.2 / 4.5e-9  # ~0.2 s in model units; timed runs took 1.38-2.11x on 2 vCPUs
 
 
-def _exact_states(part: IntegerPartition) -> int:
-    """States of the exact pass over ``part``'s class counts, prod(r_j + 1)."""
-    return math.prod(r_j + 1 for r_j in part.r)
-
-
-def _exact_fits(groups: _RankGroups, r) -> bool:
+def _exact_fits(groups: _RankGroups) -> bool:
     """Whether the exact pass fits its state budget and, by its cost model
     (``_exact_pass``), its work budget; in floats, so nothing overflows."""
-    live = np.cumprod(np.concatenate(([1.0], np.add(r, 1.0))))
-    if live[-1] > _EXACT_STATE_BUDGET:
+    if groups.states > _EXACT_STATE_BUDGET:
         return False
-    fits = np.isfinite(groups.log_w).sum(axis=1)
-    return float(groups.mult @ (_EXACT_RANK_COST + fits * live[fits])) <= _EXACT_WORK_BUDGET
+    live = np.cumprod(np.concatenate(([1.0], np.add(groups.r, 1.0))))[groups.reach]
+    return float(groups.mult @ (_EXACT_RANK_COST + groups.reach * live)) <= _EXACT_WORK_BUDGET
 
 
 def exact_true_lr(
@@ -367,34 +362,39 @@ def exact_true_lr(
     state budget it raises ValueError, pointing to ``saddle_true_lr`` and
     ``lr_true_mh``, before solving the tilt or allocating the pass.
     """
-    groups, eta0 = _rank_groups(part, p, strict_support)
-    if _exact_states(part) > _EXACT_STATE_BUDGET:
+    groups = _rank_groups(part, p, strict_support)
+    if groups.states > _EXACT_STATE_BUDGET:
         raise ValueError(
-            f"the exact pass needs {_exact_states(part)} states, over its budget of "
+            f"the exact pass needs {groups.states} states, over its budget of "
             f"{_EXACT_STATE_BUDGET}; estimate the LR with saddle_true_lr or lr_true_mh instead"
         )
-    return part.s1 * _exact_pass(groups, _tilt(groups, part.r, eta0), part.r)
+    return part.s1 * _exact_pass(groups, _tilt(groups))
 
 
 class _RankGroups(NamedTuple):
-    """Population ranks grouped by census probability. Ranks with equal
-    p_i have equal support caps, so every known-population law treats
-    them alike; one row per group, weighted by its multiplicity, stands
-    for all of them. Groups are the population's runs, in rank order."""
+    """The census record: population ranks grouped by census probability.
+    Ranks with equal p_i have equal support caps, so every known-population
+    law treats them alike; one row per group, weighted by its multiplicity,
+    stands for all of them. Groups are the population's runs, in rank order."""
 
     p: np.ndarray  # (G,) the group's probability
     mult: np.ndarray  # (G,) its number of ranks
     caps: np.ndarray  # (G,) the largest class size a rank of the group can carry
+    reach: np.ndarray  # (G,) the number of classes it can carry, the first ones
     log_w: np.ndarray  # (G, J) log p^{a_j}, -inf where the group's cap cannot support a_j
-    room: np.ndarray  # (J,) the number of ranks that can carry class j
-    need: np.ndarray  # (J,) the number of ranks classes j..J fill, r_j + ... + r_J
+    r: tuple  # (J,) the class counts
+    eta0: np.ndarray  # (J,) the tilt's start
+    states: int  # the exact pass's states, prod(r_j + 1), as an exact integer
+    finite_tilt: bool  # whether the tilt has a finite saddle point
 
 
-def _rank_groups(part: IntegerPartition, p: PopulationVector, strict: bool):
+def _rank_groups(part: IntegerPartition, p: PopulationVector, strict: bool) -> _RankGroups:
     """The prelude of every known-population route: after the input checks
-    (a singleton in ``part``, a pop_size of at least m in ``p``), the rank
-    groups of ``p`` for ``part``'s classes and a start for the tilt, read
-    off the population's G runs in O(G J) for J classes.
+    (a singleton in ``part``, a pop_size of at least m in ``p``), the census
+    record of ``p`` for ``part``'s classes, read off the population's G runs
+    in O(G J) for J classes. Each of its facts is decided here once: the
+    chain reads ``caps``, the exact pass ``reach`` and its budget ``states``,
+    the tilt ``eta0`` and ``finite_tilt``, which the router reads as well.
 
     Each group's cap follows the support rule: the rounded population
     count round(N p_i) must be at least the observed count. The strict
@@ -406,7 +406,7 @@ def _rank_groups(part: IntegerPartition, p: PopulationVector, strict: bool):
     theorem (Hall 1935, J. London Math. Soc. 10:26) an assignment exists
     iff need_j = r_j + ... + r_J <= room_j for every j. Else this raises
     InfeasibleAssignmentError for the largest j that fails, where the
-    greedy fill runs out.
+    greedy fill runs out. A finite tilt needs need_j < room_j for every j.
 
     The start prices the greedy fill, which maximises sum_i a_chi(i) log p_i
     over assignments: the tilt under which each rank at the boundary
@@ -447,7 +447,8 @@ def _rank_groups(part: IntegerPartition, p: PopulationVector, strict: bool):
     at = np.searchsorted(starts, np.minimum([need - 1, need], p.m - 1), side="right") - 1
     edge = 0.5 * (log_p[at[0]] + log_p[at[1]])
     eta0 = np.cumsum(-np.diff(np.asarray(part.a), prepend=0) * edge)
-    return _RankGroups(probs, mult, caps, log_w, room, need), eta0
+    return _RankGroups(probs, mult, caps, eligible.sum(axis=1), log_w, part.r, eta0,
+                       math.prod(r_j + 1 for r_j in part.r), bool((need < room).all()))
 
 
 def _class_probs(eta: np.ndarray, log_w: np.ndarray):
@@ -522,8 +523,8 @@ _TILT_MAX_STEP = 20.0
 _TILT_RIDGE = 1e-12
 
 
-def _tilt(groups: _RankGroups, r, eta: np.ndarray) -> _Tilt:
-    """The saddle point of ``_count_dual`` over rank groups, from ``eta``.
+def _tilt(groups: _RankGroups) -> _Tilt:
+    """The saddle point of ``_count_dual`` over rank groups, from ``eta0``.
 
     Three log-space scaling sweeps, eta_j += log r_j - log sum_g m_g q_gj
     (Darroch & Ratcliff 1972, Ann. Math. Stat. 43:1470, taken in logs so
@@ -532,15 +533,14 @@ def _tilt(groups: _RankGroups, r, eta: np.ndarray) -> _Tilt:
     with Armijo backtracking; where no step length gives a decrease, one
     sweep stands in for the step. It stops when every expected class
     count is within 1e-10 relative of r or after 100 Newton steps. A
-    finite saddle point exists only if every suffix of classes j..J needs
-    fewer ranks than can carry class j (the strict form of
-    ``_rank_groups``' feasibility rule); otherwise eta runs off to infinity, the solver
-    stops where the counts match to the tolerance, and the result is
-    marked not converged. The exact pass can use that eta, being exact
-    for any tilt; the saddle-point route cannot.
+    finite saddle point exists only if the record's ``finite_tilt`` holds;
+    otherwise eta runs off to infinity, the solver stops where the counts
+    match to the tolerance, and the result is marked not converged. The
+    exact pass can use that eta, being exact for any tilt; the
+    saddle-point route cannot.
     """
-    r = np.asarray(r, dtype=float)
-    log_w, mult = groups.log_w, groups.mult
+    r = np.asarray(groups.r, dtype=float)
+    log_w, mult, eta = groups.log_w, groups.mult, groups.eta0
 
     def sweep(eta):
         # log q_gj + log m_g from the logits, so that no q underflows to 0 here
@@ -583,9 +583,7 @@ def _tilt(groups: _RankGroups, r, eta: np.ndarray) -> _Tilt:
                 trial = dual(eta)
                 break
         f, g, h, worst, q0, q = trial
-    # a finite tilt needs room to spare: need_j < room_j (see _rank_groups)
-    finite = bool((groups.need < groups.room).all())
-    return _Tilt(eta, steps, sweeps, worst, finite and worst <= _TILT_TOL, q0, q, h)
+    return _Tilt(eta, steps, sweeps, worst, groups.finite_tilt and worst <= _TILT_TOL, q0, q, h)
 
 
 # the saddle-point route's error bound in log10 and the regime it was
@@ -670,12 +668,12 @@ def saddle_true_lr(
     with no finite saddle point or one that does not converge in its step
     cap gives no value.
     """
-    return _saddle(part, *_rank_groups(part, p, strict_support))
+    return _saddle(part, _rank_groups(part, p, strict_support))
 
 
-def _saddle(part: IntegerPartition, groups: _RankGroups, eta0: np.ndarray) -> SaddleLrEstimate:
+def _saddle(part: IntegerPartition, groups: _RankGroups) -> SaddleLrEstimate:
     """``saddle_true_lr`` past its prelude, on the record it built."""
-    tilt = _tilt(groups, part.r, eta0)
+    tilt = _tilt(groups)
     first = second = None
     if tilt.converged:
         mass_1, mass_2 = _saddle_masses(groups, tilt)
@@ -700,12 +698,12 @@ def _saddle(part: IntegerPartition, groups: _RankGroups, eta0: np.ndarray) -> Sa
 
 def _route_true_lr(part: IntegerPartition, p: PopulationVector, strict: bool):
     """(The saddle point's log10 LR, or None for the chain, and the notes)."""
-    groups, eta0 = _rank_groups(part, p, strict)
-    if _exact_fits(groups, part.r):
+    groups = _rank_groups(part, p, strict)
+    if _exact_fits(groups):
         return None, ()
-    if (groups.need == groups.room).any():
+    if not groups.finite_tilt:
         return None, (_NO_FINITE_TILT,)
-    est = _saddle(part, groups, eta0)
+    est = _saddle(part, groups)
     return (est.log10_lr if est.calibrated else None), (est.note,)
 
 
@@ -747,29 +745,28 @@ def _saddle_masses(groups: _RankGroups, tilt: _Tilt) -> tuple[float, float]:
     return first, first - 0.5 * float(m @ kappa)
 
 
-def _exact_pass(groups: _RankGroups, tilt: _Tilt, r: tuple) -> float:
+def _exact_pass(groups: _RankGroups, tilt: _Tilt) -> float:
     """P(counts = r) / E[mass; counts = r] under independent rank classes.
 
     A group's ``mult`` ranks take classes in turn by its row of ``tilt.q0``
     (class 0, unobserved) and ``tilt.q``, and can carry only the first f
-    observed classes, f its finite ``log_w``. f never rises with rank, so
+    observed classes, f its ``reach``. f never rises with rank, so
     once it drops below class j no later rank fills that class: only the
     slice c_j = r_j can still reach counts r, and the pass keeps just that
     slice of z and mass from there on. Cost, measured: ~6 us a rank, plus
     4.5 ns for each of its f updates of prod_{j <= f}(r_j + 1) live states.
     """
-    shape = tuple(r_j + 1 for r_j in r)
+    shape = tuple(r_j + 1 for r_j in groups.r)
     z, mass = np.zeros(shape), np.zeros(shape)
     z[(0,) * len(shape)] = 1.0
     # class j's move fills one more of its slots: count c_j becomes c_j + 1
     leads = [(slice(None),) * j for j in range(len(shape))]
     moves = [(lead + (slice(0, -1),), lead + (slice(1, None),)) for lead in leads]
     live = len(shape)
-    weights = np.column_stack([tilt.q0, tilt.q]).tolist()
-    fits = np.isfinite(groups.log_w).sum(axis=1).tolist()
-    for p_g, m_g, w, f in zip(groups.p.tolist(), groups.mult.tolist(), weights, fits):
+    rows = np.column_stack([tilt.q0, tilt.q]).tolist()
+    for p_g, m_g, w, f in zip(groups.p.tolist(), groups.mult.tolist(), rows, groups.reach.tolist()):
         if f < live:
-            full = (Ellipsis,) + tuple(r[f:live])
+            full = (Ellipsis,) + groups.r[f:live]
             z, mass, live = z[full], mass[full], f
         for _ in range(m_g):
             z_next, mass_next = w[0] * z, w[0] * mass
@@ -778,7 +775,7 @@ def _exact_pass(groups: _RankGroups, tilt: _Tilt, r: tuple) -> float:
                 # class 1 holds the singletons: such a rank adds p to the mass
                 mass_next[dst] += w[j + 1] * (mass[src] + p_g * z[src] if j == 0 else mass[src])
             z, mass = z_next, mass_next
-    return float(z[r[:live]] / mass[r[:live]])
+    return float(z[groups.r[:live]] / mass[groups.r[:live]])
 
 
 @dataclass(frozen=True)

@@ -44,6 +44,7 @@ _BOUNDARY_MARGIN = 1e-4
 _GRAD_TOL = 1e-6
 _THETA_DIVERGENCE = 1e8
 _PENALTY = 1e12
+_SMALL_N_THRESHOLD = 500  # a fit on fewer observations carries a warning
 
 
 def phi_of(params: PdParams, n: int) -> float:
@@ -304,7 +305,7 @@ def _fit_from(terms, z0, warnings) -> MleFit:
 def fit_mle(
     part: IntegerPartition,
     *,
-    small_n_threshold: int = 500,
+    small_n_threshold: int = _SMALL_N_THRESHOLD,
 ) -> MleFit:
     """Maximize the partition log-likelihood over the open (alpha, theta) domain.
 

@@ -23,7 +23,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .lr import LrReport, MhConfig, _route_true_lr, lr_empirical_bayes, lr_frequentist, lr_true_mh
-from .mle import fit_mle
+from .mle import _SMALL_N_THRESHOLD, fit_mle
 from .partitions import (
     IntegerPartition,
     _are_integers,
@@ -263,7 +263,7 @@ class CaseOptions:
     matched_rank: Optional[int] = None
     mh: MhConfig = MhConfig()
     strict_support: bool = False
-    small_n_threshold: int = 500
+    small_n_threshold: int = _SMALL_N_THRESHOLD
 
 
 DatabaseLike = Union[ProfileDatabase, IntegerPartition]

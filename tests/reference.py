@@ -14,8 +14,10 @@ reaches it:
   sample, which ``lr_true_mh`` rejects before the chain runs; the draw
   blocks the member-level chain shares.
 - ``lr._rank_groups``, ``lr._tilt``, ``lr._class_probs``,
-  ``lr._count_dual``: the routes' prelude, whose census caps the chain
-  reads and which every route runs first, the tilt and the dual's
+  ``lr._count_dual``: the routes' prelude, which every route runs
+  first, whose census caps the chain reads and whose other facts (class
+  reach, state count, tilt finiteness; ``census_record``) steer the
+  routes without showing in any result; the tilt and the dual's
   Hessian, since the exact LR holds for any tilt.
 - ``lr._gram``, ``lr._row_product``, ``lr._chunk_rows``,
   ``lr._ONE_THREAD_MADDS``: the OpenBLAS-sized product chunks, which
@@ -263,7 +265,7 @@ def members_swap_chain(part, pop, strict_support, cfg):
 def swap_chain(part, pop, strict_support, cfg):
     """Seam: the swap chain from the greedy start on a schedule that
     ``lr_true_mh`` rejects for keeping one sample; (trace, acceptance)."""
-    groups, _ = lr._rank_groups(part, pop, strict_support)
+    groups = lr._rank_groups(part, pop, strict_support)
     caps = np.repeat(groups.caps, groups.mult)
     return lr._run_swap_chain(lr._greedy_labels(part, pop.m), part, pop.as_array(), caps, cfg)
 
@@ -351,14 +353,38 @@ def log_space_singletons_lr(probs, r):
     return r * math.exp(log_z[r] - log_mass[r])
 
 
+def rank_facts(part, pop, strict_support=False):
+    """The census record's facts rank by rank from ``census_caps``: each
+    rank's class reach (the number of a_j at or below its cap), the state
+    count prod(r_j + 1), whether an assignment exists and whether a finite
+    tilt does, by the suffix rule: classes j..J need r_j + ... + r_J ranks
+    and the ranks with caps of at least a_j are there for them, at least
+    as many for an assignment, more for a finite tilt."""
+    caps = census_caps(pop, strict_support)
+    reach = [sum(a_j <= cap for a_j in part.a) for cap in caps]
+    need = [sum(part.r[j:]) for j in range(len(part.r))]
+    room = [sum(cap >= a_j for cap in caps) for a_j in part.a]
+    feasible = all(n <= m for n, m in zip(need, room))
+    finite = all(n < m for n, m in zip(need, room))
+    return reach, math.prod(r_j + 1 for r_j in part.r), feasible, finite
+
+
+def census_record(part, pop, strict_support=False):
+    """Seam: the prelude's census record facts, rank by rank: (each rank's
+    class reach, the state count, whether the tilt can be finite)."""
+    groups = lr._rank_groups(part, pop, strict_support)
+    return np.repeat(groups.reach, groups.mult).tolist(), groups.states, groups.finite_tilt
+
+
 def uncollapsed_true_lr(part, pop, strict_support=False):
     """The exact known-population LR by the forward pass over every count
     state, rank by rank, with no axis sliced away: each rank draws its
-    class independently at the saddle-point tilt, class 0 included."""
-    groups, eta0 = lr._rank_groups(part, pop, strict_support)
-    tilt = lr._tilt(groups, part.r, eta0)
+    class independently at the saddle-point tilt, class 0 included, and
+    can carry the classes its census cap supports."""
+    groups = lr._rank_groups(part, pop, strict_support)
+    tilt = lr._tilt(groups)
     weights = np.repeat(np.column_stack([tilt.q0, tilt.q]), groups.mult, axis=0).tolist()
-    fits = np.repeat(np.isfinite(groups.log_w).sum(axis=1), groups.mult).tolist()
+    fits = rank_facts(part, pop, strict_support)[0]
     r = part.r
     shape = tuple(r_j + 1 for r_j in r)
     z, mass = np.zeros(shape), np.zeros(shape)
@@ -379,8 +405,8 @@ def tilt(part, pop):
     """Seam: the rank groups' multiplicities, the tilt ``exact_true_lr``
     solves for, each class's expected count at it summed rank by rank, and
     the dual over one row per rank, eta -> (value, gradient, Hessian)."""
-    groups, eta0 = lr._rank_groups(part, pop, False)
-    eta = lr._tilt(groups, part.r, eta0).eta
+    groups = lr._rank_groups(part, pop, False)
+    eta = lr._tilt(groups).eta
     eligible = census_caps(pop)[:, None] >= np.asarray(part.a)
     log_w = np.where(eligible, np.outer(np.log(pop.as_array()), part.a), -np.inf)
 

@@ -22,6 +22,7 @@ from raretype.workbench import ExperimentSpec, dutch_fixture, population_from_pa
 
 from reference import (
     brute_force_true_lr,
+    census_record,
     check_labels,
     crp_case,
     forbid_chain,
@@ -30,6 +31,7 @@ from reference import (
     loop_assignment_check,
     loop_chi_init,
     members_swap_chain,
+    rank_facts,
     replicate_draws,
     saddle_products,
     stationary_acceptance,
@@ -572,6 +574,41 @@ class TestExactEnumeration:
         loose = exact_true_lr(pi, pop)
         strict = exact_true_lr(pi, pop, strict_support=True)
         assert loose != pytest.approx(strict)
+
+
+def test_census_record_matches_the_ranks():
+    # the edge cases of the saddle point's finiteness (m = 1; k = m over 300
+    # equal ranks) and 100 small censuses with databases of 5 people to all
+    # of them, where need_j == room_j is common and, under the strict rule,
+    # so is infeasibility
+    pop = PopulationVector(probs=(1 / 300,) * 300, pop_size=3000)
+    cases = [
+        (IntegerPartition((1,), (1,)), PopulationVector(probs=(1.0,), pop_size=10)),
+        (IntegerPartition((1, 2, 3), (100, 100, 100)), pop),
+        (IntegerPartition((1,), (300,)), pop),
+    ]
+    rng = np.random.default_rng(50)
+    for _ in range(100):
+        size = int(rng.integers(30, 600))
+        params = PdParams(rng.uniform(0.1, 0.9), rng.uniform(0.5, 50.0))
+        seed, n = int(rng.integers(2**32)), int(rng.integers(5, size + 1))
+        db, census = crp_case(size, params, seed, n)
+        cases.append((db.add_singleton(), census))
+    outcomes = set()
+    for part, census in cases:
+        for strict in (False, True):
+            reach, states, feasible, finite = rank_facts(part, census, strict)
+            outcomes.add((strict, feasible, finite))
+            if not feasible:
+                with pytest.raises(InfeasibleAssignmentError):
+                    census_record(part, census, strict)
+                continue
+            got = census_record(part, census, strict)
+            assert got == (reach, states, finite) and type(got[1]) is int
+    # (strict, feasible, finite tilt): every outcome occurs under both rules,
+    # but infeasibility, which only the strict rule meets here
+    assert outcomes == {(False, True, False), (False, True, True), (True, False, False),
+                        (True, True, False), (True, True, True)}
 
 
 def _dual_instances():

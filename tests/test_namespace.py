@@ -125,7 +125,7 @@ print(json.dumps({"rebound": rebound, "original": original.__module__, "unknown"
 # the private kernels that the planned rewrites of the exact pass and the
 # block-size terms change; only ``reference`` may name them
 KERNELS = {
-    "_exact_pass", "_exact_states", "_EXACT_STATE_BUDGET", "_exact_fits", "_rank_groups",
+    "_exact_pass", "_EXACT_STATE_BUDGET", "_exact_fits", "_rank_groups",
     "_tilt", "_class_probs", "_count_dual",
     "_loglik_terms", "_loglik_value", "_loglik_derivs", "_block_value", "_block_derivs",
 }
